@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     RotatingFrameError,
     SteadyStateError,
-    IntegrationError,
     FitError,
     ConfigError,
 )
@@ -16,5 +15,5 @@ from .errors import (
 __all__ = [
     "__version__",
     "SivCavError", "InvalidParameterError", "DomainError", "RotatingFrameError",
-    "SteadyStateError", "IntegrationError", "FitError", "ConfigError",
+    "SteadyStateError", "FitError", "ConfigError",
 ]

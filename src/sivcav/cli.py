@@ -13,15 +13,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import load_config
 from .errors import ConfigError, SivCavError
-from .fitting import MODELS, Spectrum, lm_fit
-from .protocols import run_protocol
+
+# The physics stack is imported inside the commands that need it: importing
+# this module loads neither scipy nor the protocols.
 
 
 def _parser() -> argparse.ArgumentParser:
+    from .fitting import MODELS
+
     p = argparse.ArgumentParser(
         prog="sivcav",
         description="Cavity-coupled SiV spin-photon interface simulator")
@@ -48,6 +49,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _read_xy_csv(path: str):
+    import numpy as np
+
     xs, ys = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -71,6 +74,8 @@ def _read_xy_csv(path: str):
 
 
 def _cmd_run(args) -> int:
+    from .protocols import run_protocol
+
     cfg = load_config(args.config)
     manifest = run_protocol(cfg, out_dir=args.out, seed=args.seed,
                             verbose=args.verbose)
@@ -86,6 +91,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    import numpy as np
+
+    from .fitting import MODELS, Spectrum, lm_fit
+
     x, y = _read_xy_csv(args.csv)
     order = np.argsort(x)
     spectrum = Spectrum(x[order], y[order])
@@ -107,7 +116,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SivCavError as exc:

@@ -410,8 +410,7 @@ def validate_tree(tree: dict, source_path: str = "") -> ProtocolConfig:
     noise_block = root.sub("noise")
     blocks = _VALIDATORS[protocol](root)
     if noise_block is not None:
-        if protocol not in _NOISE_OK and protocol not in (
-                "cavity_fit", "saturation_study"):
+        if protocol not in _NOISE_OK:
             raise ConfigError(
                 f"protocol '{protocol}' does not accept a noise block",
                 field="noise")

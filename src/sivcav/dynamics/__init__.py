@@ -9,6 +9,7 @@ from .engine import (
     DensityState,
     Trace,
     build_liouvillian,
+    propagate,
     evolve,
     evolve_with_final,
     final_state,
@@ -28,8 +29,8 @@ from .experiments import (
 
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "DensityState",
-    "Trace", "build_liouvillian", "evolve", "evolve_with_final", "final_state",
-    "steady_state",
+    "Trace", "build_liouvillian", "propagate", "evolve", "evolve_with_final",
+    "final_state", "steady_state",
     "SpinPumpParams", "CptParams", "PleEmitter",
     "simulate_spin_pumping", "extract_initialization_fidelity",
     "simulate_t1_recovery", "simulate_cpt_scan", "fit_cpt_scan_forward",

@@ -18,11 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..constants import TWO_PI
 from ..errors import (
-    IntegrationError,
     InvalidParameterError,
     RotatingFrameError,
     SteadyStateError,
@@ -30,7 +28,7 @@ from ..errors import (
 
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem",
-    "DensityState", "Trace", "build_liouvillian", "evolve",
+    "DensityState", "Trace", "build_liouvillian", "propagate", "evolve",
     "evolve_with_final", "final_state", "steady_state",
 ]
 
@@ -39,8 +37,13 @@ __all__ = [
 _FRAME_TOL_HZ = 10.0
 
 #: Liouvillian condition number beyond which the null-space solve falls back
-#: to long-time integration.
+#: to long-time propagation.
 _CONDITION_LIMIT = 1e12
+
+#: Eigenbasis condition number beyond which `propagate` switches from the
+#: eigendecomposition to `scipy.linalg.expm` per time. The eigenvector error
+#: grows with this number and reaches ~1e-12 near 1e4.
+_EIGENBASIS_CONDITION_LIMIT = 1e4
 
 
 @dataclass(frozen=True)
@@ -269,71 +272,72 @@ def build_liouvillian(sys: LevelSystem) -> np.ndarray:
 
 def _signal_from_populations(sys: LevelSystem, pops: np.ndarray) -> np.ndarray:
     raw = pops @ sys.radiative_rates()
-    # clamp integrator roundoff only; genuinely negative flux still surfaces
+    # clamp propagation roundoff only; genuinely negative flux still surfaces
     # through the Trace validation
     scale = max(float(np.max(np.abs(raw))), 1.0)
     return np.where((raw < 0) & (raw > -1e-9 * scale), 0.0, raw)
 
 
-def evolve_with_final(sys: LevelSystem, rho0: DensityState, times,
-                      rtol: float = 1e-8, atol: float = 1e-12):
+def propagate(lv: np.ndarray, y0: np.ndarray, dts) -> np.ndarray:
+    """exp(lv * t) @ y0 for every t in `dts`; shape (len(dts), len(y0)).
+
+    Exact for a time-independent generator: one eigendecomposition
+    lv = V diag(lam) V^-1 serves all times. When the eigenbasis is
+    ill-conditioned (near an exceptional point) the matrix exponential is
+    evaluated per time by scaling and squaring instead (Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+    970 (2009)).
+    """
+    dts = np.asarray(dts, dtype=float)
+    lam, vecs = np.linalg.eig(lv)
+    if np.linalg.cond(vecs) > _EIGENBASIS_CONDITION_LIMIT:
+        from scipy.linalg import expm
+        return np.array([expm(lv * t) @ y0 for t in dts])
+    coeffs = np.linalg.solve(vecs, y0)
+    return (np.exp(np.outer(dts, lam)) * coeffs) @ vecs.T
+
+
+def _propagate_states(sys: LevelSystem, rho0: DensityState, dts) -> np.ndarray:
+    """Re-Hermitized density matrices at each elapsed time in `dts`."""
+    n = sys.dim
+    if rho0.rho.shape[0] != n:
+        raise InvalidParameterError("rho0 dimension does not match the system")
+    ys = propagate(build_liouvillian(sys), rho0.rho.reshape(-1), dts)
+    rhos = ys.reshape(-1, n, n)
+    return 0.5 * (rhos + np.conj(np.transpose(rhos, (0, 2, 1))))
+
+
+def evolve_with_final(sys: LevelSystem, rho0: DensityState, times):
     """Like `evolve`, but also returns the density matrix at the last time."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise InvalidParameterError("times must be a non-empty 1-d array")
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise InvalidParameterError("times must be strictly increasing")
-    if rho0.rho.shape[0] != sys.dim:
-        raise InvalidParameterError("rho0 dimension does not match the system")
-
-    if len(times) == 1:
-        pops = rho0.populations()[None, :]
-        trace = Trace(times, _signal_from_populations(sys, pops),
-                      pops, tuple(lv.label for lv in sys.levels))
-        return trace, rho0
-
-    lv = build_liouvillian(sys)
-
-    def rhs(_t, y):
-        return lv @ y
-
-    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.rho.reshape(-1),
-                    t_eval=times, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"master-equation integration failed: {sol.message}")
-    n = sys.dim
-    rhos = sol.y.T.reshape(-1, n, n)
-    rhos = 0.5 * (rhos + np.conj(np.transpose(rhos, (0, 2, 1))))  # re-Hermitize
+    rhos = _propagate_states(sys, rho0, times - times[0])
     pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
     trace = Trace(times, _signal_from_populations(sys, pops), pops,
-                  tuple(lv_.label for lv_ in sys.levels))
+                  tuple(lv.label for lv in sys.levels))
     rho_end = rhos[-1] / np.trace(rhos[-1]).real
     return trace, DensityState(rho_end)
 
 
-def evolve(sys: LevelSystem, rho0: DensityState, times,
-           rtol: float = 1e-8, atol: float = 1e-12) -> Trace:
-    """Integrate the master equation and sample at the given times.
+def evolve(sys: LevelSystem, rho0: DensityState, times) -> Trace:
+    """Propagate the master equation and sample at the given times.
 
     `times` must be strictly increasing; the first entry is the start time.
     """
-    trace, _ = evolve_with_final(sys, rho0, times, rtol=rtol, atol=atol)
+    trace, _ = evolve_with_final(sys, rho0, times)
     return trace
 
 
-def final_state(sys: LevelSystem, rho0: DensityState, duration: float,
-                rtol: float = 1e-8, atol: float = 1e-12) -> DensityState:
+def final_state(sys: LevelSystem, rho0: DensityState,
+                duration: float) -> DensityState:
     """Density matrix after evolving for `duration` seconds."""
-    lv = build_liouvillian(sys)
-    sol = solve_ivp(lambda _t, y: lv @ y, (0.0, duration), rho0.rho.reshape(-1),
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"master-equation integration failed: {sol.message}")
-    n = sys.dim
-    rho = sol.y[:, -1].reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    return DensityState(rho)
+    if not (math.isfinite(duration) and duration >= 0):
+        raise InvalidParameterError("duration must be finite and >= 0")
+    rho = _propagate_states(sys, rho0, [duration])[0]
+    return DensityState(rho / np.trace(rho).real)
 
 
 def _slowest_timescale(sys: LevelSystem) -> float:
@@ -350,7 +354,7 @@ def steady_state(sys: LevelSystem) -> DensityState:
 
     Requires a one-dimensional null space; degenerate null spaces (for
     example disconnected level groups) raise SteadyStateError. Poorly
-    conditioned Liouvillians fall back to long-time integration.
+    conditioned Liouvillians fall back to long-time propagation.
     """
     lv = build_liouvillian(sys)
     n = sys.dim
@@ -368,7 +372,7 @@ def steady_state(sys: LevelSystem) -> DensityState:
 
     cond = s[0] / s[-2] if s[-2] > 0 else np.inf
     if cond > _CONDITION_LIMIT:
-        # long-time integration fallback
+        # long-time propagation fallback
         horizon = 50.0 * _slowest_timescale(sys)
         rho0 = DensityState(np.eye(n, dtype=complex) / n)
         return final_state(sys, rho0, horizon)

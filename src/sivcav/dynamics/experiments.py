@@ -98,7 +98,7 @@ def _spin_pump_system(p: SpinPumpParams, laser_on: bool) -> LevelSystem:
     return LevelSystem(levels, drives, decays)
 
 
-def thermal_ground_state(p: SpinPumpParams) -> DensityState:
+def thermal_ground_state() -> DensityState:
     """Equal ground-sublevel populations (thermal equilibrium at 4 K)."""
     return DensityState.from_populations([0.5, 0.5, 0.0, 0.0])
 
@@ -110,7 +110,7 @@ def simulate_spin_pumping(p: SpinPumpParams):
     """
     sys_on = _spin_pump_system(p, laser_on=True)
     sys_off = _spin_pump_system(p, laser_on=False)
-    rho = thermal_ground_state(p)
+    rho = thermal_ground_state()
     traces = []
     t0 = 0.0
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
@@ -169,7 +169,7 @@ def simulate_t1_recovery(p: SpinPumpParams, taus) -> Spectrum:
     sys_on = _spin_pump_system(p, laser_on=True)
     sys_off = _spin_pump_system(p, laser_on=False)
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
-    first, rho_end = evolve_with_final(sys_on, thermal_ground_state(p), grid)
+    first, rho_end = evolve_with_final(sys_on, thermal_ground_state(), grid)
     i_star = int(np.argmax(first.signal))
     t_star = max(float(first.times[i_star]), float(first.times[1]))
 

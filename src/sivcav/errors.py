@@ -21,10 +21,6 @@ class SteadyStateError(SivCavError, RuntimeError):
     """Liouvillian null space is degenerate or ill-conditioned."""
 
 
-class IntegrationError(SivCavError, RuntimeError):
-    """The ODE integrator failed to meet its tolerances."""
-
-
 class FitError(SivCavError, RuntimeError):
     """Least-squares estimation failed (singular Jacobian, bad input)."""
 

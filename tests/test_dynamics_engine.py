@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -15,8 +17,10 @@ from sivcav.dynamics import (
     build_liouvillian,
     evolve,
     final_state,
+    propagate,
     steady_state,
 )
+from sivcav.dynamics import engine
 from sivcav.errors import (
     InvalidParameterError,
     RotatingFrameError,
@@ -199,6 +203,51 @@ class TestEvolve:
         tr = evolve(sys, DensityState.from_populations(p0), ts)
         ref = rate_equation_populations(sys, p0, ts)
         assert np.max(np.abs(tr.populations - ref)) < 0.01
+
+
+    def test_negative_duration_rejected(self):
+        sys = two_level(decay=1e6)
+        with pytest.raises(InvalidParameterError):
+            final_state(sys, DensityState.from_populations([1, 0]), -1e-9)
+
+
+class TestPropagate:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+           horizon=st.floats(1e-9, 1e-6))
+    def test_matches_expm_and_keeps_trace_and_hermiticity(self, seed, n, horizon):
+        rng = np.random.default_rng(seed)
+        lv = build_liouvillian(random_system(rng, n))
+        y0 = random_density(rng, n).rho.reshape(-1)
+        ts = np.linspace(0.0, horizon, 6)
+        ys = propagate(lv, y0, ts)
+        ref = np.array([expm(lv * t) @ y0 for t in ts])
+        assert np.max(np.abs(ys - ref)) <= 1e-12 * np.max(np.abs(ref))
+        rhos = ys.reshape(-1, n, n)
+        assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) < 1e-12
+        assert np.max(np.abs(rhos - np.conj(np.transpose(rhos, (0, 2, 1))))) < 1e-12
+
+    def test_exceptional_point_falls_back_to_expm(self, monkeypatch):
+        # drive and dephasing tuned so that two Liouvillian eigenvectors
+        # nearly coalesce: cond(V) ~ 1e8
+        sys = LevelSystem((Level("a", 0.0), Level("b", OPT)),
+                          drives=(Drive("a", "b", 1e6),),
+                          dephasings=(Dephasing("a", "b", 2e6),))
+        lv = build_liouvillian(sys)
+        assert np.linalg.cond(np.linalg.eig(lv)[1]) > engine._EIGENBASIS_CONDITION_LIMIT
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        y0 = DensityState.pure(2, 0).rho.reshape(-1)
+        ts = np.linspace(0.0, 1e-6, 5)
+        ys = propagate(lv, y0, ts)
+        assert len(calls) == len(ts)
+        ref = np.array([expm(lv * t) @ y0 for t in ts])
+        assert np.max(np.abs(ys - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSteadyState:

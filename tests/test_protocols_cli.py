@@ -92,6 +92,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="cpt"):
             load_config(write_cfg(tmp_path, bad))
 
+    @pytest.mark.parametrize("shipped", ["fig1_cavity_fit.cfg",
+                                         "fig3_saturation.cfg"])
+    def test_noise_block_rejected_where_it_has_no_effect(self, tmp_path, shipped):
+        # these protocols draw their noise from synthetic.noise_rel only
+        tree = yaml.safe_load((CONFIGS / shipped).read_text())
+        tree["noise"] = {"sigma_rel": 0.5}
+        with pytest.raises(ConfigError, match="noise"):
+            load_config(write_cfg(tmp_path, tree))
+
     @pytest.mark.parametrize("name,needle", MALFORMED)
     def test_curated_malformed_set(self, name, needle):
         with pytest.raises(ConfigError) as err:
@@ -214,6 +223,16 @@ class TestCli:
         assert rc == 2
         assert "/nonexistent/path.cfg" in capsys.readouterr().err
 
+    def test_unwritable_output_path_exit_two(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        rc = cli_main(["run", str(CONFIGS / "cooperativity_report.cfg"),
+                       "--out", str(not_a_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_run_writes_outputs(self, tmp_path, capsys):
         rc = cli_main(["run", str(CONFIGS / "cooperativity_report.cfg"),
                        "--out", str(tmp_path)])
@@ -248,3 +267,16 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout == ""  # diagnostics on stderr only
         assert "valid" in proc.stderr
+
+    def test_import_loads_no_physics_stack(self):
+        # `validate` must stay cheap: importing the CLI may not pull in
+        # scipy or the protocol runners
+        import sivcav
+
+        src = str(Path(sivcav.__file__).resolve().parents[1])
+        code = ("import sys, sivcav.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m.startswith('sivcav.protocols')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
