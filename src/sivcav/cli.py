@@ -21,8 +21,6 @@ from .errors import ConfigError, SivCavError
 
 
 def _parser() -> argparse.ArgumentParser:
-    from .fitting import MODELS
-
     p = argparse.ArgumentParser(
         prog="sivcav",
         description="Cavity-coupled SiV spin-photon interface simulator")
@@ -41,8 +39,7 @@ def _parser() -> argparse.ArgumentParser:
     val.add_argument("config", help="path to the protocol config file")
 
     fit = sub.add_parser("fit", help="fit a shipped model to CSV data")
-    fit.add_argument("model", choices=sorted(MODELS),
-                     help="model name")
+    fit.add_argument("model", help="shipped model name; an unknown name lists them")
     fit.add_argument("csv", help="CSV file with x in the first column and y "
                                  "in the second (header optional)")
     return p
@@ -95,6 +92,9 @@ def _cmd_fit(args) -> int:
 
     from .fitting import MODELS, Spectrum, lm_fit
 
+    if args.model not in MODELS:
+        raise SivCavError(f"unknown model '{args.model}' "
+                          f"(choose from {', '.join(sorted(MODELS))})")
     x, y = _read_xy_csv(args.csv)
     order = np.argsort(x)
     spectrum = Spectrum(x[order], y[order])

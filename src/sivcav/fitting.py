@@ -35,6 +35,7 @@ _LAMBDA0 = 1e-3
 _LAMBDA_FACTOR = 10.0
 _LAMBDA_MAX = 1e12
 _GRAD_RTOL = 1e-10
+_STEP_RTOL = 1e-12
 _MAX_ITER = 200
 
 
@@ -118,7 +119,8 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
     """Levenberg-Marquardt fit of `model` to `spectrum`.
 
     Damping update is multiplicative (factor 10); convergence is declared
-    when the gradient norm falls below 1e-10 relative to its initial value.
+    when the gradient norm falls below 1e-10 relative to its initial value,
+    or when an accepted step changes every parameter by at most 1e-12 of it.
     Non-convergence returns the best parameters found with converged=False.
     """
     x, y = spectrum.x, spectrum.y
@@ -177,6 +179,7 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
             r_try = residuals(p_try)
             cost_try = 0.5 * float(r_try @ r_try)
             if np.isfinite(cost_try) and cost_try <= cost:
+                small_step = np.all(np.abs(p_try - p) <= _STEP_RTOL * np.abs(p_try))
                 p, r, cost = p_try, r_try, cost_try
                 lam = max(lam / _LAMBDA_FACTOR, 1e-15)
                 accepted = True
@@ -190,7 +193,7 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
             flags.append("jacobian_overflow")
             break
         grad = jac.T @ r
-        converged = float(np.max(np.abs(grad))) <= _GRAD_RTOL * g0
+        converged = small_step or float(np.max(np.abs(grad))) <= _GRAD_RTOL * g0
 
     if converged:
         # one undamped Gauss-Newton polish step; exact for linear models

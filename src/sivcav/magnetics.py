@@ -21,7 +21,6 @@ from .errors import DomainError, InvalidParameterError
 
 __all__ = [
     "CuboidMagnet",
-    "FieldSample",
     "cuboid_field",
     "assembly_field",
     "field_angle",
@@ -60,22 +59,13 @@ class CuboidMagnet:
         object.__setattr__(self, "dimensions", tuple(d))
         object.__setattr__(self, "magnetization", tuple(j))
 
-    def surface_distance(self, point) -> float:
-        """Distance from `point` to the cuboid surface; negative inside."""
-        gap = np.abs(np.asarray(point, float) - np.array(self.center)) \
+    def surface_distance(self, points):
+        """Distance from each point (one 3-vector, or the rows of an (N, 3)
+        array) to the cuboid surface; negative inside."""
+        gap = np.abs(np.asarray(points, float) - np.array(self.center)) \
             - 0.5 * np.array(self.dimensions)
-        if np.all(gap <= 0):
-            return float(np.max(gap))
-        return float(np.linalg.norm(np.maximum(gap, 0.0)))
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One evaluated grid point. For masked (interior) points b is zero."""
-
-    point: tuple
-    b: tuple
-    masked: bool = False
+        outside = np.linalg.norm(np.maximum(gap, 0.0), axis=-1)
+        return np.where(np.all(gap <= 0, axis=-1), np.max(gap, axis=-1), outside)[()]
 
 
 def _face_component_sums(u_lo, u_hi, v_lo, v_hi, w):
@@ -83,57 +73,69 @@ def _face_component_sums(u_lo, u_hi, v_lo, v_hi, w):
 
     Returns (S_u, S_v, S_w) for one charged rectangle, where the field of the
     face with charge density sigma is (mu0*sigma/4pi) * (S_u, S_v, S_w) in the
-    face-local axes (u, v in plane, w along the face normal).
+    face-local axes (u, v in plane, w along the face normal). The coordinates
+    are scalars or equal-shape arrays, one entry per evaluation point.
     """
     su = sv = sw = 0.0
     for u, sign_u in ((u_hi, 1.0), (u_lo, -1.0)):
         for v, sign_v in ((v_hi, 1.0), (v_lo, -1.0)):
             s = sign_u * sign_v
-            r = math.sqrt(u * u + v * v + w * w)
-            su += s * (-math.log(v + r))
-            sv += s * (-math.log(u + r))
+            r = np.sqrt(u * u + v * v + w * w)
+            su += s * (-np.log(v + r))
+            sv += s * (-np.log(u + r))
             # arctan2 keeps the solid-angle term continuous across w = 0
-            sw += s * math.atan2(u * v, w * r)
+            sw += s * np.arctan2(u * v, w * r)
     return su, sv, sw
 
 
-def cuboid_field(magnet: CuboidMagnet, point) -> np.ndarray:
-    """Analytic B field (tesla) of one cuboid at an exterior point.
+def _reject(points, bad, why):
+    """Raise DomainError naming the first of `points` flagged in `bad`."""
+    if np.any(bad):
+        point = np.reshape(points, (-1, 3))[np.argmax(np.reshape(bad, -1))]
+        raise DomainError(f"field evaluation at {tuple(point.tolist())} {why}")
 
-    Raises DomainError for points inside or within SURFACE_MARGIN of a face.
+
+def cuboid_field(magnet: CuboidMagnet, points) -> np.ndarray:
+    """Analytic B field (tesla) of one cuboid at exterior points.
+
+    `points` is one 3-vector (returns a 3-vector) or an (N, 3) array (returns
+    (N, 3)). Raises DomainError if any point is inside or within
+    SURFACE_MARGIN of a face, or on the extension of an edge line.
     """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (3,) or not np.all(np.isfinite(point)):
-        raise InvalidParameterError("point must be a finite 3-vector")
-    if magnet.surface_distance(point) < SURFACE_MARGIN:
-        raise DomainError(
-            f"field evaluation at {tuple(point)} is inside or within "
-            f"{SURFACE_MARGIN} m of the magnet surface")
-    d = point - np.array(magnet.center)
+    p = np.asarray(points, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 3 or not np.all(np.isfinite(p)):
+        raise InvalidParameterError("points must be finite, of shape (3,) or (N, 3)")
+    _reject(p, magnet.surface_distance(p) < SURFACE_MARGIN,
+            f"is inside or within {SURFACE_MARGIN} m of the magnet surface")
+    d = p - np.array(magnet.center)
     half = 0.5 * np.array(magnet.dimensions)
     j = np.array(magnet.magnetization)
-    b = np.zeros(3)
+    b = np.zeros(p.shape)
     # component J[iw] charges the two faces normal to axis iw
     for iw in range(3):
         if j[iw] == 0.0:
             continue
         iu, iv = (iw + 1) % 3, (iw + 2) % 3
-        u_lo, u_hi = d[iu] - half[iu], d[iu] + half[iu]
-        v_lo, v_hi = d[iv] - half[iv], d[iv] + half[iv]
-        for w_face, sigma_sign in ((d[iw] - half[iw], 1.0), (d[iw] + half[iw], -1.0)):
-            su, sv, sw = _face_component_sums(u_lo, u_hi, v_lo, v_hi, w_face)
-            pref = sigma_sign * j[iw] / (4.0 * math.pi)
-            b[iu] += pref * su
-            b[iv] += pref * sv
-            b[iw] += pref * sw
+        u_lo, u_hi = d[..., iu] - half[iu], d[..., iu] + half[iu]
+        v_lo, v_hi = d[..., iv] - half[iv], d[..., iv] + half[iv]
+        for w_face, sigma_sign in ((d[..., iw] - half[iw], 1.0),
+                                   (d[..., iw] + half[iw], -1.0)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                su, sv, sw = _face_component_sums(u_lo, u_hi, v_lo, v_hi, w_face)
+            pref = sigma_sign * j[iw] / (4.0 * np.pi)
+            b[..., iu] += pref * su
+            b[..., iv] += pref * sv
+            b[..., iw] += pref * sw
+    _reject(p, ~np.all(np.isfinite(b), axis=-1), "lies on the extension of a "
+            "magnet edge, where log(v + r) of the closed form is log(0)")
     return b
 
 
-def assembly_field(magnets, point) -> np.ndarray:
-    """Superposed field of several cuboid magnets at one exterior point."""
-    out = np.zeros(3)
+def assembly_field(magnets, points) -> np.ndarray:
+    """Superposed field of several cuboid magnets at exterior points."""
+    out = np.zeros(np.shape(points))
     for m in magnets:
-        out += cuboid_field(m, point)
+        out += cuboid_field(m, points)
     return out
 
 
@@ -167,31 +169,25 @@ def field_angle(b, axis) -> float:
 def field_map_grid(magnets, x_values, y_values, z_values):
     """Evaluate the assembly field on a cartesian grid, row-major over (x, y, z).
 
-    Points inside (or within SURFACE_MARGIN of) any magnet are masked instead
-    of raising; their field is reported as zero.
+    Returns (points, b, masked): the (N, 3) grid points, their (N, 3) fields in
+    tesla and an (N,) bool mask. Points inside (or within SURFACE_MARGIN of)
+    any magnet are masked instead of raising; their field is reported as zero.
     """
-    xs = np.atleast_1d(np.asarray(x_values, dtype=float))
-    ys = np.atleast_1d(np.asarray(y_values, dtype=float))
-    zs = np.atleast_1d(np.asarray(z_values, dtype=float))
-    if xs.size == 0 or ys.size == 0 or zs.size == 0:
+    axes = [np.atleast_1d(np.asarray(a, dtype=float))
+            for a in (x_values, y_values, z_values)]
+    if any(a.size == 0 for a in axes):
         raise InvalidParameterError("grid axes must be non-empty")
-    samples = []
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                p = np.array([x, y, z])
-                if any(m.surface_distance(p) < SURFACE_MARGIN for m in magnets):
-                    samples.append(FieldSample(tuple(p), (0.0, 0.0, 0.0), masked=True))
-                else:
-                    samples.append(FieldSample(tuple(p), tuple(assembly_field(magnets, p))))
-    return samples
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    masked = np.zeros(len(points), dtype=bool)
+    for m in magnets:
+        masked |= m.surface_distance(points) < SURFACE_MARGIN
+    b = np.zeros(points.shape)
+    b[~masked] = assembly_field(magnets, points[~masked])
+    return points, b, masked
 
 
-def field_map_to_csv(samples) -> str:
-    """Serialize grid samples with header x_m,y_m,z_m,bx_t,by_t,bz_t,masked."""
-    lines = ["x_m,y_m,z_m,bx_t,by_t,bz_t,masked"]
-    for s in samples:
-        x, y, z = s.point
-        bx, by, bz = s.b
-        lines.append(f"{x:.9e},{y:.9e},{z:.9e},{bx:.9e},{by:.9e},{bz:.9e},{int(s.masked)}")
-    return "\n".join(lines) + "\n"
+def field_map_to_csv(points, b, masked) -> str:
+    """Serialize a field map with header x_m,y_m,z_m,bx_t,by_t,bz_t,masked."""
+    row = ",".join(["%.9e"] * 6) + ",%d"
+    lines = [row % (*xb, m) for xb, m in zip(np.hstack([points, b]).tolist(), masked)]
+    return "\n".join(["x_m,y_m,z_m,bx_t,by_t,bz_t,masked"] + lines) + "\n"

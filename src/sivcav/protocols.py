@@ -339,7 +339,7 @@ def _run_magnet_map(cfg, rng):
     for key in ("x_mm", "y_mm", "z_mm"):
         a = cfg.blocks["grid"][key]
         axes.append(np.linspace(a["start"] * 1e-3, a["stop"] * 1e-3, a["points"]))
-    samples = field_map_grid(magnets, *axes)
+    points, b, masked = field_map_grid(magnets, *axes)
     pcc = 1e-3 * np.array(cfg.blocks["pcc_mm"])
     b_pcc = assembly_field(magnets, pcc)
     fits = {
@@ -350,7 +350,7 @@ def _run_magnet_map(cfg, rng):
             "angle_from_x_deg": field_angle(b_pcc, (1.0, 0.0, 0.0)),
         }
     }
-    return field_map_to_csv(samples), fits
+    return field_map_to_csv(points, b, masked), fits
 
 
 def _run_cooperativity(cfg, rng):

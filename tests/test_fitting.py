@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sivcav.cqed import cooperativity_from_linewidths
+from sivcav.dynamics.experiments import SpinPumpParams, simulate_spin_pumping
 from sivcav.errors import FitError, InvalidParameterError
 from sivcav.fitting import (
     CPT_DIP,
@@ -69,6 +70,23 @@ class TestLmCore:
         assert result.converged
         assert result.n_iterations <= 2
         assert result.residual_norm < 1e-10
+
+    def test_stops_when_steps_reach_the_float_floor(self):
+        # noise-free spin-pumping decay from the pulse-train benchmark: the
+        # gradient never falls below 1e-10 of its start, but after a few
+        # iterations accepted steps change the parameters by under 1e-12 of
+        # their values; t1 and pulse_length are the products the config
+        # loader forms from t1_ns and pulse_length_ns
+        params = SpinPumpParams(rabi_freq=41e6, optical_rate=93.62e6, eta=0.1468,
+                                t1=605.278 * 1e-9, background=5304659.0193,
+                                pulse_length=1000.0 * 1e-9)
+        trace = simulate_spin_pumping(params)[0]
+        i = int(np.argmax(trace.signal))
+        fit = fit_exponential(Spectrum(trace.times[i:] - trace.times[i],
+                                       trace.signal[i:], x_unit="s"), "decay")
+        assert fit.converged
+        assert fit.n_iterations < 20
+        assert fit["timescale"] == pytest.approx(71.0e-9, rel=0.01)
 
     def test_linear_matches_closed_form(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sivcav.constants import MU_0
 from sivcav.errors import DomainError, InvalidParameterError
@@ -10,6 +11,7 @@ from sivcav.magnetics import (
     field_angle,
     field_map_grid,
     field_map_to_csv,
+    SURFACE_MARGIN,
 )
 
 MAGNET = CuboidMagnet(center=(0.001, -0.002, 0.0005),
@@ -188,19 +190,18 @@ class TestFieldAngle:
 
 class TestFieldMap:
     def test_single_point_grid(self):
-        samples = field_map_grid(ASSEMBLY, [PCC[0]], [PCC[1]], [PCC[2]])
-        assert len(samples) == 1
-        assert np.allclose(samples[0].b, assembly_field(ASSEMBLY, PCC))
-        assert not samples[0].masked
+        points, b, masked = field_map_grid(ASSEMBLY, [PCC[0]], [PCC[1]], [PCC[2]])
+        assert len(points) == 1
+        assert np.allclose(b[0], assembly_field(ASSEMBLY, PCC))
+        assert not masked[0]
 
     def test_mirror_symmetry_of_map(self):
         pair = [CuboidMagnet((-8e-3, 0, 0), (6e-3, 6e-3, 6e-3), (1.35, 0, 0)),
                 CuboidMagnet((+8e-3, 0, 0), (6e-3, 6e-3, 6e-3), (1.35, 0, 0))]
         xs = np.array([-3e-3, -1e-3, 1e-3, 3e-3])
         zs = np.array([-2e-3, 0.0, 2e-3])
-        samples = field_map_grid(pair, xs, [0.0], zs)
-        field = {(round(s.point[0], 9), round(s.point[2], 9)): np.array(s.b)
-                 for s in samples}
+        points, b, _masked = field_map_grid(pair, xs, [0.0], zs)
+        field = {(round(p[0], 9), round(p[2], 9)): bp for p, bp in zip(points, b)}
         for x in xs:
             for z in zs:
                 b_pos = field[(round(x, 9), round(z, 9))]
@@ -211,9 +212,9 @@ class TestFieldMap:
 
     def test_interior_points_masked(self):
         m = CuboidMagnet((0, 0, 0), (0.01, 0.01, 0.01), (1.0, 0, 0))
-        samples = field_map_grid([m], [0.0, 0.02], [0.0], [0.0])
-        assert samples[0].masked and not samples[1].masked
-        assert samples[0].b == (0.0, 0.0, 0.0)
+        _points, b, masked = field_map_grid([m], [0.0, 0.02], [0.0], [0.0])
+        assert masked[0] and not masked[1]
+        assert tuple(b[0]) == (0.0, 0.0, 0.0)
 
     def test_dipole_agreement_improves_with_distance(self):
         dists = np.array([3, 6, 12, 24]) * max(MAGNET.dimensions)
@@ -232,12 +233,86 @@ class TestFieldMap:
             field_map_grid(ASSEMBLY, [], [0.0], [0.0])
 
     def test_csv_export(self):
-        samples = field_map_grid(ASSEMBLY, [0.0], [0.0], [0.0, 5e-3])
-        text = field_map_to_csv(samples)
+        text = field_map_to_csv(*field_map_grid(ASSEMBLY, [0.0], [0.0], [0.0, 5e-3]))
         lines = text.strip().split("\n")
         assert lines[0] == "x_m,y_m,z_m,bx_t,by_t,bz_t,masked"
         assert len(lines) == 3
         assert lines[1].endswith(",0")
+
+
+def random_magnets(rng, n):
+    return [CuboidMagnet(tuple(rng.uniform(-0.01, 0.01, 3)),
+                         tuple(rng.uniform(1e-3, 1e-2, 3)),
+                         tuple(rng.uniform(-1.5, 1.5, 3) * (rng.random(3) < 0.8)))
+            for _ in range(n)]
+
+
+def exterior_points(rng, magnets, n):
+    """Random points from just outside the faces to a few magnet sizes away."""
+    pts = rng.normal(size=(n, 3)) * rng.uniform(2e-3, 5e-2, (n, 1))
+    gaps = np.array([m.surface_distance(pts) for m in magnets])
+    return pts[np.all(gaps > 1e-6, axis=0)]
+
+
+class TestArrayKernel:
+    """One (N, 3) call must agree with N one-point calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_single_point_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        (m,) = random_magnets(rng, 1)
+        pts = exterior_points(rng, [m], 64)
+        b = cuboid_field(m, pts)
+        assert b.shape == pts.shape
+        for p, row in zip(pts, b):
+            single = cuboid_field(m, p)
+            assert np.all(np.abs(row - single) <= 1e-15 * np.linalg.norm(single))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_magnets=st.integers(1, 3))
+    def test_grid_mask_matches_surface_distance(self, seed, n_magnets):
+        rng = np.random.default_rng(seed)
+        magnets = random_magnets(rng, n_magnets)
+        # random axes through the magnet centers, so some points lie inside;
+        # one axis also holds the face planes normal to it, so some sit on a
+        # surface (two such axes would put points on the extension of an
+        # edge line, where the closed form is singular)
+        axes = [np.concatenate([rng.uniform(-0.02, 0.02, 4),
+                                [m.center[k] for m in magnets]]) for k in range(3)]
+        k = rng.integers(3)
+        axes[k] = np.concatenate([axes[k], [m.center[k] + s * 0.5 * m.dimensions[k]
+                                            for m in magnets for s in (-1, 1)]])
+        points, b, masked = field_map_grid(magnets, *axes)
+        expected = [(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]]
+        assert np.array_equal(points, expected)
+        for i, p in enumerate(points):
+            assert masked[i] == any(m.surface_distance(p) < SURFACE_MARGIN
+                                    for m in magnets)
+        assert np.all(b[masked] == 0.0)
+        assert np.array_equal(b[~masked], assembly_field(magnets, points[~masked]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_magnets=st.integers(1, 4))
+    def test_superposition_over_point_arrays(self, seed, n_magnets):
+        rng = np.random.default_rng(seed)
+        magnets = random_magnets(rng, n_magnets)
+        pts = exterior_points(rng, magnets, 64)
+        total = assembly_field(magnets, pts)
+        assert np.array_equal(total, sum(cuboid_field(m, pts) for m in magnets))
+
+    def test_any_interior_point_rejects_the_array(self):
+        pts = np.array([[0.05, 0.0, 0.0], MAGNET.center])
+        with pytest.raises(DomainError):
+            cuboid_field(MAGNET, pts)
+
+    def test_edge_line_extension_rejected(self):
+        # y and z on face planes, x outside: log(v + r) is log(0) there
+        m = CuboidMagnet((0, 0, 0), (0.01, 0.01, 0.01), (0, 0, 1.0))
+        for pts in [(-0.02, 0.005, 0.005), [(0.03, 0.0, 0.0), (-0.02, 0.005, 0.005)]]:
+            with pytest.raises(DomainError, match="edge"):
+                cuboid_field(m, pts)
+        assert np.all(np.isfinite(cuboid_field(m, (-0.02, 0.005, 0.00500001))))
 
 
 class TestValidation:
@@ -250,3 +325,8 @@ class TestValidation:
             CuboidMagnet((0, 0, np.nan), (0.01, 0.01, 0.01), (1, 0, 0))
         with pytest.raises(InvalidParameterError):
             cuboid_field(MAGNET, (np.inf, 0, 0))
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))])
+    def test_point_shape_required(self, bad):
+        with pytest.raises(InvalidParameterError):
+            cuboid_field(MAGNET, bad)

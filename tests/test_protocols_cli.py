@@ -259,6 +259,16 @@ class TestCli:
         rc = cli_main(["fit", "lorentzian", "/no/such/file.csv"])
         assert rc == 2
 
+    def test_fit_unknown_model_exit_two(self, tmp_path, capsys):
+        csv_path = tmp_path / "spec.csv"
+        csv_path.write_text("x,value\n0,1\n1,2\n2,3\n")
+        rc = cli_main(["fit", "no_such_model", str(csv_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown model 'no_such_model'")
+        assert "lorentzian" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_module_entrypoint(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sivcav.cli", "validate",
@@ -270,13 +280,17 @@ class TestCli:
 
     def test_import_loads_no_physics_stack(self):
         # `validate` must stay cheap: importing the CLI may not pull in
-        # scipy or the protocol runners
+        # scipy or the protocol runners, and validating a config only parses
+        # YAML, so it may not load numpy either
         import sivcav
 
         src = str(Path(sivcav.__file__).resolve().parents[1])
+        cfg = str(CONFIGS / "fig4_cpt.cfg")
         code = ("import sys, sivcav.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy' or m.startswith('sivcav.protocols')))")
+                "if m.split('.')[0] == 'scipy' or m.startswith('sivcav.protocols'))); "
+                f"rc = sivcav.cli.main(['validate', {cfg!r}]); "
+                "print(rc, 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split("\n")[:2] == ["[]", "0 False"]
