@@ -428,7 +428,7 @@ def load_config(path) -> ProtocolConfig:
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

@@ -29,7 +29,7 @@ from ..errors import (
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem",
     "DensityState", "Trace", "build_liouvillian", "propagate", "evolve",
-    "evolve_with_final", "final_state", "steady_state",
+    "evolve_with_final", "final_state", "steady_state", "steady_states",
 ]
 
 #: loop-closure tolerance of the rotating-frame check, Hz (absolute, after
@@ -86,6 +86,7 @@ class LevelSystem:
         self._validate()
         self._index = {lv.label: i for i, lv in enumerate(self.levels)}
         self._frame = self._solve_rotating_frame()
+        self._liouvillian = None  # assembled on first use, then read-only
 
     @property
     def dim(self) -> int:
@@ -257,17 +258,40 @@ class Trace:
                 "trace populations must sum to 1 within 1e-8 at every time")
 
 
+def _liouvillians(systems) -> np.ndarray:
+    """(N, n^2, n^2) Lindblad superoperators of same-dimension systems, 1/s.
+
+    New systems are assembled together (one broadcast Kronecker product for
+    the Hamiltonians, one dissipator per distinct (levels, decays,
+    dephasings)); each result is kept on its system, read-only, and reused.
+    """
+    todo = [s for s in systems if s._liouvillian is None]
+    if todo:
+        h = np.stack([s.hamiltonian() for s in todo])
+        n = h.shape[-1]
+        eye = np.eye(n, dtype=complex)
+        ht = np.swapaxes(h, 1, 2)
+        lv = h[:, :, None, :, None] * eye[:, None, :]  # kron(h, 1)
+        lv -= eye[:, None, :, None] * ht[:, None, :, None, :]  # kron(1, h.T)
+        lv *= -1j
+        dissipators = {}
+        for s, row in zip(todo, lv.reshape(len(todo), n * n, n * n)):
+            key = (tuple(level.label for level in s.levels), s.decays, s.dephasings)
+            if key not in dissipators:
+                d = dissipators[key] = np.zeros_like(row)
+                for c in s.collapse_operators():
+                    cdc = c.conj().T @ c
+                    d += np.kron(c, c.conj())
+                    d -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+            row += dissipators[key]
+            row.flags.writeable = False
+            s._liouvillian = row
+    return np.stack([s._liouvillian for s in systems])
+
+
 def build_liouvillian(sys: LevelSystem) -> np.ndarray:
     """Dense N^2 x N^2 Lindblad superoperator in angular units (1/s)."""
-    n = sys.dim
-    h = sys.hamiltonian()
-    eye = np.eye(n, dtype=complex)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c in sys.collapse_operators():
-        cdc = c.conj().T @ c
-        lv += np.kron(c, c.conj())
-        lv -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    return lv
+    return _liouvillians([sys])[0]
 
 
 def _signal_from_populations(sys: LevelSystem, pops: np.ndarray) -> np.ndarray:
@@ -349,42 +373,48 @@ def _slowest_timescale(sys: LevelSystem) -> float:
     return 1.0 / (TWO_PI * min(rates))
 
 
-def steady_state(sys: LevelSystem) -> DensityState:
-    """Stationary density matrix from the Liouvillian null space.
+def steady_states(systems) -> np.ndarray:
+    """Stationary density matrices of same-dimension systems, shape (N, n, n).
 
-    Requires a one-dimensional null space; degenerate null spaces (for
-    example disconnected level groups) raise SteadyStateError. Poorly
-    conditioned Liouvillians fall back to long-time propagation.
+    One batched SVD of the Liouvillian stack. Each system needs a
+    one-dimensional null space, else SteadyStateError names the first failing
+    system's fault; poorly conditioned rows fall back to long-time propagation.
     """
-    lv = build_liouvillian(sys)
-    n = sys.dim
-    scale = np.max(np.abs(lv))
-    if scale == 0.0:
-        raise SteadyStateError("zero Liouvillian has no unique steady state")
-
+    systems = list(systems)
+    if len({s.dim for s in systems}) != 1:
+        raise InvalidParameterError("steady_states needs systems, all of one dimension")
+    n = systems[0].dim
+    lv = _liouvillians(systems)
     _u, s, vh = np.linalg.svd(lv)
-    null_dim = int(np.sum(s < 1e-10 * s[0]))
-    if null_dim == 0:
-        raise SteadyStateError("Liouvillian has no null vector (numerical)")
-    if null_dim > 1:
-        raise SteadyStateError(
-            f"steady state is not unique: null space dimension {null_dim}")
+    null_dim = np.sum(s < 1e-10 * s[:, :1], axis=1)  # 0 for a zero Liouvillian
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -2] if n > 1 else s[:, 0]  # read where null_dim == 1
+    rho = vh[:, -1].conj().reshape(-1, n, n)
+    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    traceless = np.abs(tr) < 1e-12
+    rho = rho / np.where(traceless, 1.0, tr)[:, None, None]
+    w_min = np.linalg.eigvalsh(rho).min(axis=1)
+    flagged = (null_dim != 1) | (cond > _CONDITION_LIMIT) | traceless | (w_min < -1e-9)
+    for i in np.flatnonzero(flagged):
+        if not np.any(lv[i]):
+            raise SteadyStateError("zero Liouvillian has no unique steady state")
+        if null_dim[i] == 0:
+            raise SteadyStateError("Liouvillian has no null vector (numerical)")
+        if null_dim[i] > 1:
+            raise SteadyStateError(
+                f"steady state is not unique: null space dimension {null_dim[i]}")
+        if cond[i] > _CONDITION_LIMIT:  # long-time propagation fallback
+            horizon = 50.0 * _slowest_timescale(systems[i])
+            rho0 = DensityState(np.eye(n, dtype=complex) / n)
+            rho[i] = final_state(systems[i], rho0, horizon).rho
+        elif traceless[i]:
+            raise SteadyStateError("null vector is traceless; no physical steady state")
+        else:
+            raise SteadyStateError(f"steady state not positive (min eig {w_min[i]:.2e})")
+    return rho
 
-    cond = s[0] / s[-2] if s[-2] > 0 else np.inf
-    if cond > _CONDITION_LIMIT:
-        # long-time propagation fallback
-        horizon = 50.0 * _slowest_timescale(sys)
-        rho0 = DensityState(np.eye(n, dtype=complex) / n)
-        return final_state(sys, rho0, horizon)
 
-    rho = vh[-1].conj().reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise SteadyStateError("null vector is traceless; no physical steady state")
-    rho = rho / tr
-    # clip numerical negatives at machine scale only
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -1e-9:
-        raise SteadyStateError(f"steady state not positive (min eig {w.min():.2e})")
-    return DensityState(rho)
+def steady_state(sys: LevelSystem) -> DensityState:
+    """Stationary density matrix: the one-system case of `steady_states`."""
+    return DensityState(steady_states([sys])[0])

@@ -27,7 +27,7 @@ from .engine import (
     evolve,
     evolve_with_final,
     final_state,
-    steady_state,
+    steady_states,
 )
 
 __all__ = [
@@ -252,6 +252,12 @@ def _cpt_system(p: CptParams, delta: float) -> LevelSystem:
     return LevelSystem(levels, drives, tuple(decays), dephasings)
 
 
+def _steady_signals(systems) -> np.ndarray:
+    """Steady-state radiative flux (Hz) of each same-dimension system."""
+    return np.array([float(np.real(np.diag(rho)) @ sys_.radiative_rates())
+                     for rho, sys_ in zip(steady_states(systems), systems)])
+
+
 def simulate_cpt_scan(p: CptParams, detunings) -> Spectrum:
     """Steady-state fluorescence versus two-photon (Raman) detuning.
 
@@ -259,11 +265,7 @@ def simulate_cpt_scan(p: CptParams, detunings) -> Spectrum:
     equal Rabi frequencies the fluorescence vanishes there exactly.
     """
     detunings = np.asarray(detunings, dtype=float)
-    signal = np.empty_like(detunings)
-    for i, delta in enumerate(detunings):
-        sys_ = _cpt_system(p, float(delta))
-        rho = steady_state(sys_)
-        signal[i] = float(rho.populations() @ sys_.radiative_rates())
+    signal = _steady_signals([_cpt_system(p, float(delta)) for delta in detunings])
     return Spectrum(detunings, signal, x_unit="Hz")
 
 
@@ -380,7 +382,8 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
     within the cutoff window. Excited-state decay branches to the two ground
     sublevels with the table's dipole weights, renormalized over that pair
     (standing in for fast orbital relaxation of any population that leaves
-    the doublet).
+    the doublet). The points are solved in one stack per reduced-system
+    dimension.
     """
     candidates, grounds = _lower_branch_transitions(emitter.table)
     if len(grounds) != 2:
@@ -401,6 +404,7 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
         branch.setdefault(t.excited_energy, {})[t.ground_energy] = t.dipole_weight
 
     out = np.zeros_like(freqs)
+    groups = {}  # system dimension -> {scan index: system}
     for i, nu in enumerate(freqs):
         t_probe = nearest(float(nu))
         chosen = []
@@ -412,7 +416,6 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
                 and t_probe.excited_energy == t_pump.excited_energy):
             chosen.append((t_probe, emitter.rabi, float(nu) - t_probe.frequency))
         if not chosen:
-            out[i] = 0.0
             continue
 
         levels = [Level("g1", grounds[0]), Level("g2", grounds[1])]
@@ -435,8 +438,9 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
             decays += [Decay("g1", "g2", r, radiative=False),
                        Decay("g2", "g1", r, radiative=False)]
         sys_ = LevelSystem(tuple(levels), tuple(drives), tuple(decays))
-        rho = steady_state(sys_)
-        out[i] = float(rho.populations() @ sys_.radiative_rates())
+        groups.setdefault(sys_.dim, {})[i] = sys_
+    for group in groups.values():
+        out[list(group)] = _steady_signals(list(group.values()))
     return out
 
 

@@ -19,6 +19,7 @@ from sivcav.dynamics import (
     final_state,
     propagate,
     steady_state,
+    steady_states,
 )
 from sivcav.dynamics import engine
 from sivcav.errors import (
@@ -52,6 +53,23 @@ def random_system(rng, n_levels):
     if n_levels >= 2 and rng.random() < 0.5:
         dephasings.append(Dephasing("l0", "l1", rng.uniform(0, 5e6)))
     return LevelSystem(levels, tuple(drives), tuple(decays), tuple(dephasings))
+
+
+def scan_variant(rng, base):
+    """`base` with redrawn drive strengths and detunings, like one scan point.
+
+    Its decays and dephasings are either kept or redrawn, so a stack of
+    variants mixes shared and distinct dissipators.
+    """
+    drives = tuple(Drive(d.lower, d.upper, rng.uniform(1e6, 50e6),
+                         rng.uniform(-30e6, 30e6)) for d in base.drives)
+    decays = base.decays
+    if rng.random() < 0.3:
+        decays = random_system(rng, base.dim).decays
+    dephasings = base.dephasings
+    if rng.random() < 0.3:
+        dephasings = (Dephasing("l0", "l1", rng.uniform(0, 5e6)),)
+    return LevelSystem(base.levels, drives, decays, dephasings)
 
 
 def random_density(rng, n):
@@ -296,6 +314,136 @@ class TestSteadyState:
             decays=(Decay("e1", "g1", 50e6), Decay("e2", "g2", 50e6)))
         with pytest.raises(SteadyStateError):
             steady_state(sys)
+
+
+def kron_liouvillian(sys):
+    """Reference assembly: one dense np.kron product per term."""
+    n = sys.dim
+    h = sys.hamiltonian()
+    eye = np.eye(n, dtype=complex)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in sys.collapse_operators():
+        cdc = c.conj().T @ c
+        lv += np.kron(c, c.conj())
+        lv -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return lv
+
+
+def null_vector_state(sys):
+    """Reference steady state: per-system SVD null vector, trace-normalized."""
+    n = sys.dim
+    _u, _s, vh = np.linalg.svd(kron_liouvillian(sys))
+    rho = vh[-1].conj().reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def disconnected_four_level():
+    # two independent two-level decay systems: both ground populations and
+    # their coherences are stationary, a null space of dimension 4
+    return LevelSystem(
+        (Level("g1", 0.0), Level("e1", OPT), Level("g2", 1e9),
+         Level("e2", OPT + 1e9)),
+        decays=(Decay("e1", "g1", 50e6), Decay("e2", "g2", 50e6)))
+
+
+class TestSteadyStates:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+           count=st.integers(1, 8))
+    def test_stack_matches_per_system_null_vectors(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        base = random_system(rng, n)
+        systems = [base] + [scan_variant(rng, base) for _ in range(count - 1)]
+        rhos = steady_states(systems)
+        assert rhos.shape == (count, n, n)
+        for sys, rho in zip(systems, rhos):
+            ref = null_vector_state(sys)
+            assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
+            lv = kron_liouvillian(sys)
+            assert (np.linalg.norm(lv @ rho.reshape(-1))
+                    <= 1e-10 * np.linalg.norm(lv))
+
+    def test_single_system_is_one_row_of_the_stack(self):
+        rng = np.random.default_rng(11)
+        systems = [random_system(rng, 3) for _ in range(4)]
+        rhos = steady_states(systems)
+        for sys, rho in zip(systems, rhos):
+            assert np.array_equal(steady_state(sys).rho, rho)
+            assert np.array_equal(build_liouvillian(sys), kron_liouvillian(sys))
+
+    def test_degenerate_system_inside_a_stack(self):
+        rng = np.random.default_rng(5)
+        systems = [random_system(rng, 4), disconnected_four_level(),
+                   random_system(rng, 4)]
+        with pytest.raises(SteadyStateError,
+                           match="^steady state is not unique: null space dimension 4$"):
+            steady_states(systems)
+
+    def test_first_failing_system_raises(self):
+        rng = np.random.default_rng(6)
+        static = LevelSystem(tuple(Level(f"l{i}", i * 1e9) for i in range(4)))
+        with pytest.raises(SteadyStateError, match="^zero Liouvillian"):
+            steady_states([random_system(rng, 4), static, disconnected_four_level()])
+        with pytest.raises(SteadyStateError, match="^steady state is not unique"):
+            steady_states([random_system(rng, 4), disconnected_four_level(), static])
+
+    def test_only_ill_conditioned_rows_fall_back(self, monkeypatch):
+        # cond(L) is ~3 for the first and last system and 2e5 for the middle
+        # one, whose decay is 1e5 times slower than its drive
+        systems = [two_level(rabi=30e6, decay=50e6),
+                   two_level(rabi=100e6, decay=1e3),
+                   two_level(rabi=20e6, detuning=5e6, decay=40e6)]
+        plain = steady_states(systems)
+        calls = []
+
+        def counting_final_state(sys, rho0, duration):
+            calls.append(sys)
+            return final_state(sys, rho0, duration)
+
+        monkeypatch.setattr(engine, "_CONDITION_LIMIT", 1e3)
+        monkeypatch.setattr(engine, "final_state", counting_final_state)
+        rhos = steady_states(systems)
+        assert calls == [systems[1]]
+        assert np.array_equal(rhos[[0, 2]], plain[[0, 2]])
+        assert np.max(np.abs(rhos[1] - plain[1])) < 1e-6
+
+    def test_mixed_dimensions_and_empty_stack_rejected(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(InvalidParameterError):
+            steady_states([random_system(rng, 3), random_system(rng, 4)])
+        with pytest.raises(InvalidParameterError):
+            steady_states([])
+
+    def test_liouvillian_assembled_once_per_system(self, monkeypatch):
+        sys = two_level(rabi=20e6, decay=40e6)
+        calls = []
+        hamiltonian = sys.hamiltonian
+
+        def counting_hamiltonian():
+            calls.append(1)
+            return hamiltonian()
+
+        monkeypatch.setattr(sys, "hamiltonian", counting_hamiltonian)
+        rho0 = DensityState.from_populations([1, 0])
+        ts = np.linspace(0.0, 1e-7, 5)
+        evolve(sys, rho0, ts)
+        engine.evolve_with_final(sys, rho0, ts)
+        final_state(sys, rho0, 1e-7)
+        steady_state(sys)
+        steady_states([sys, two_level(rabi=5e6, decay=40e6)])
+        assert len(calls) == 1
+
+    def test_cached_liouvillian_is_read_only(self):
+        sys = two_level(rabi=20e6, decay=40e6)
+        final_state(sys, DensityState.from_populations([1, 0]), 1e-7)
+        cached = sys._liouvillian
+        assert np.array_equal(cached, build_liouvillian(sys))
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
 
 
 class TestRotatingFrame:

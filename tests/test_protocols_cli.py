@@ -294,3 +294,20 @@ class TestCli:
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == ["[]", "0 False"]
+
+    def test_steady_state_and_propagation_runs_load_no_scipy(self, tmp_path):
+        # the stacked steady-state kernel and the eigenbasis propagator use
+        # numpy only; scipy is imported solely by the expm fallback
+        import sivcav
+
+        src = str(Path(sivcav.__file__).resolve().parents[1])
+        cfgs = [str(CONFIGS / f"{name}.cfg")
+                for name in ("fig4_cpt", "fig2_pump_probe", "fig4_t1")]
+        code = ("import sys, sivcav.cli\n"
+                f"for cfg in {cfgs!r}:\n"
+                f"    assert sivcav.cli.main(['run', cfg, '--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
