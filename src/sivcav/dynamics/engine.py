@@ -36,9 +36,12 @@ __all__ = [
 #: cancellation of the optical-scale energies; float64 keeps ~0.1 Hz there)
 _FRAME_TOL_HZ = 10.0
 
-#: Liouvillian condition number beyond which the null-space solve falls back
-#: to long-time propagation.
-_CONDITION_LIMIT = 1e12
+#: 1-norm condition number of the trace-bordered Liouvillian beyond which the
+#: steady state counts as not unique. Below it, LU with partial pivoting keeps
+#: the normwise relative error of the solved state within about
+#: cond * u = 1e14 * 1.1e-16 ~ 1e-2 (u the unit roundoff); a singular
+#: bordered matrix reads inf or near 1/u.
+_BORDERED_CONDITION_LIMIT = 1e14
 
 #: Eigenbasis condition number beyond which `propagate` switches from the
 #: eigendecomposition to `scipy.linalg.expm` per time. The eigenvector error
@@ -364,54 +367,40 @@ def final_state(sys: LevelSystem, rho0: DensityState,
     return DensityState(rho / np.trace(rho).real)
 
 
-def _slowest_timescale(sys: LevelSystem) -> float:
-    rates = [d.rate for d in sys.decays if d.rate > 0]
-    rates += [d.rate for d in sys.dephasings if d.rate > 0]
-    rates += [d.rabi_freq for d in sys.drives if d.rabi_freq > 0]
-    if not rates:
-        raise SteadyStateError("system has no dissipation; no steady state")
-    return 1.0 / (TWO_PI * min(rates))
-
-
 def steady_states(systems) -> np.ndarray:
     """Stationary density matrices of same-dimension systems, shape (N, n, n).
 
-    One batched SVD of the Liouvillian stack. Each system needs a
-    one-dimensional null space, else SteadyStateError names the first failing
-    system's fault; poorly conditioned rows fall back to long-time propagation.
+    The direct method (Johansson, Nation & Nori, Comput. Phys. Commun. 184,
+    1234 (2013)): row 0 of each Liouvillian, the rho_00 equation, becomes the
+    trace row vec(1)^T, and the stack is solved against e_0 in one batched
+    call. A Lindblad generator preserves the trace, so the replaced row is a
+    combination of the other population rows. SteadyStateError names the
+    first failing system's fault: a zero Liouvillian, a steady state that is
+    not unique (bordered matrix numerically singular; an SVD of that system
+    counts the null space), or one that is not positive.
     """
     systems = list(systems)
     if len({s.dim for s in systems}) != 1:
         raise InvalidParameterError("steady_states needs systems, all of one dimension")
     n = systems[0].dim
     lv = _liouvillians(systems)
-    _u, s, vh = np.linalg.svd(lv)
-    null_dim = np.sum(s < 1e-10 * s[:, :1], axis=1)  # 0 for a zero Liouvillian
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[:, 0] / s[:, -2] if n > 1 else s[:, 0]  # read where null_dim == 1
-    rho = vh[:, -1].conj().reshape(-1, n, n)
+    bordered = lv.copy()
+    bordered[:, 0] = np.eye(n).reshape(-1)
+    # batched solve raises for the whole stack if one matrix is singular
+    unique = np.linalg.cond(bordered, 1) < _BORDERED_CONDITION_LIMIT
+    rho = np.zeros((len(systems), n * n), dtype=complex)
+    rho[unique] = np.linalg.solve(bordered[unique], np.eye(n * n)[0])
+    rho = rho.reshape(-1, n, n)
     rho = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    traceless = np.abs(tr) < 1e-12
-    rho = rho / np.where(traceless, 1.0, tr)[:, None, None]
     w_min = np.linalg.eigvalsh(rho).min(axis=1)
-    flagged = (null_dim != 1) | (cond > _CONDITION_LIMIT) | traceless | (w_min < -1e-9)
-    for i in np.flatnonzero(flagged):
+    for i in np.flatnonzero(~unique | (w_min < -1e-9)):
         if not np.any(lv[i]):
             raise SteadyStateError("zero Liouvillian has no unique steady state")
-        if null_dim[i] == 0:
-            raise SteadyStateError("Liouvillian has no null vector (numerical)")
-        if null_dim[i] > 1:
-            raise SteadyStateError(
-                f"steady state is not unique: null space dimension {null_dim[i]}")
-        if cond[i] > _CONDITION_LIMIT:  # long-time propagation fallback
-            horizon = 50.0 * _slowest_timescale(systems[i])
-            rho0 = DensityState(np.eye(n, dtype=complex) / n)
-            rho[i] = final_state(systems[i], rho0, horizon).rho
-        elif traceless[i]:
-            raise SteadyStateError("null vector is traceless; no physical steady state")
-        else:
-            raise SteadyStateError(f"steady state not positive (min eig {w_min[i]:.2e})")
+        if not unique[i]:
+            s = np.linalg.svd(lv[i], compute_uv=False)
+            raise SteadyStateError("steady state is not unique: null space "
+                                   f"dimension {np.sum(s < 1e-10 * s[0])}")
+        raise SteadyStateError(f"steady state not positive (min eig {w_min[i]:.2e})")
     return rho
 
 

@@ -18,7 +18,7 @@ class RotatingFrameError(SivCavError, ValueError):
 
 
 class SteadyStateError(SivCavError, RuntimeError):
-    """Liouvillian null space is degenerate or ill-conditioned."""
+    """Liouvillian has no unique, positive steady state."""
 
 
 class FitError(SivCavError, RuntimeError):
