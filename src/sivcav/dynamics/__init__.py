@@ -15,6 +15,7 @@ from .engine import (
     final_state,
     steady_state,
     steady_states,
+    detuned_steady_states,
 )
 from .experiments import (
     SpinPumpParams,
@@ -31,7 +32,7 @@ from .experiments import (
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "DensityState",
     "Trace", "build_liouvillian", "propagate", "evolve", "evolve_with_final",
-    "final_state", "steady_state", "steady_states",
+    "final_state", "steady_state", "steady_states", "detuned_steady_states",
     "SpinPumpParams", "CptParams", "PleEmitter",
     "simulate_spin_pumping", "extract_initialization_fidelity",
     "simulate_t1_recovery", "simulate_cpt_scan", "fit_cpt_scan_forward",

@@ -30,10 +30,12 @@ __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem",
     "DensityState", "Trace", "build_liouvillian", "propagate", "evolve",
     "evolve_with_final", "final_state", "steady_state", "steady_states",
+    "detuned_steady_states",
 ]
 
-#: loop-closure tolerance of the rotating-frame check, Hz (absolute, after
-#: cancellation of the optical-scale energies; float64 keeps ~0.1 Hz there)
+#: loop-closure tolerance of the rotating-frame check, Hz: the largest
+#: amount by which the signed sum of laser detunings around a drive loop may
+#: miss zero. Only detunings enter the sum, so its roundoff is far below this.
 _FRAME_TOL_HZ = 10.0
 
 #: 1-norm condition number of the trace-bordered Liouvillian beyond which the
@@ -88,8 +90,10 @@ class LevelSystem:
         self.dephasings = tuple(dephasings)
         self._validate()
         self._index = {lv.label: i for i, lv in enumerate(self.levels)}
-        self._frame = self._solve_rotating_frame()
+        self._frame_map, self._loop_labels, self._loop_rows = self._solve_rotating_frame()
+        self._check_loops(np.array([d.laser_detuning for d in self.drives]))
         self._liouvillian = None  # assembled on first use, then read-only
+        self._eigenbasis = None   # (lam, V) or (); computed on first propagation
 
     @property
     def dim(self) -> int:
@@ -133,47 +137,74 @@ class LevelSystem:
                 raise InvalidParameterError("dephasing rate must be finite and >= 0")
 
     def _solve_rotating_frame(self):
-        """Frame frequency per level so every drive becomes static.
+        """(n_levels, n_drives) map from detunings to frame shifts, plus the
+        level label and row of every drive that closes a loop.
 
-        Walks the drive graph; a closed loop whose laser frequencies are
-        inconsistent (sum mismatch beyond tolerance) has no rotating frame.
+        Walks the drive graph: a drive lower -> upper with laser detuning d
+        gives shift(upper) = shift(lower) - d, so each level's shift is a 0/+-1
+        combination of detunings (the first level of each connected drive
+        graph, and every undriven level, has shift 0). A loop-closing drive's
+        row times the detunings is the loop's frequency mismatch. Absolute
+        level energies never enter.
         """
-        energy = {lv.label: lv.energy for lv in self.levels}
-        frame = dict(energy)  # undriven levels rotate at their own energy
-        assigned = {lv.label: False for lv in self.levels}
-        adj = {lv.label: [] for lv in self.levels}
-        for d in self.drives:
-            nu_laser = energy[d.upper] - energy[d.lower] + d.laser_detuning
-            adj[d.lower].append((d.upper, +nu_laser))
-            adj[d.upper].append((d.lower, -nu_laser))
-        for root in adj:
+        n_drives = len(self.drives)
+        frame_map = np.zeros((self.dim, n_drives))
+        assigned = [False] * self.dim
+        adj = [[] for _ in self.levels]
+        for k, d in enumerate(self.drives):
+            i, j = self._index[d.lower], self._index[d.upper]
+            adj[i].append((j, k, -1.0))
+            adj[j].append((i, k, +1.0))
+        loops = []
+        for root in range(self.dim):
             if assigned[root] or not adj[root]:
                 continue
-            frame[root] = energy[root]
             assigned[root] = True
             stack = [root]
             while stack:
                 a = stack.pop()
-                for b, step in adj[a]:
-                    w_b = frame[a] + step
-                    if assigned[b]:
-                        if abs(frame[b] - w_b) > _FRAME_TOL_HZ:
-                            raise RotatingFrameError(
-                                f"drive loop through '{b}' closes with a "
-                                f"{frame[b] - w_b:.3g} Hz frequency mismatch")
-                    else:
-                        frame[b] = w_b
+                for b, k, sign in adj[a]:
+                    row = frame_map[a].copy()
+                    row[k] += sign  # shift of b along this drive
+                    if not assigned[b]:
+                        frame_map[b] = row
                         assigned[b] = True
                         stack.append(b)
-        return frame
+                    elif np.any(row != frame_map[b]):
+                        loops.append((self.levels[b].label, row - frame_map[b]))
+        rows = np.reshape([row for _, row in loops], (len(loops), n_drives))
+        return frame_map, [label for label, _ in loops], rows
+
+    def _check_loops(self, detunings):
+        """Raise RotatingFrameError for the first row of `detunings` (shape
+        (..., n_drives)) whose drive loops do not close within tolerance."""
+        mismatch = np.atleast_2d(detunings @ self._loop_rows.T)
+        bad = np.abs(mismatch) > _FRAME_TOL_HZ
+        if np.any(bad):
+            row, loop = np.argwhere(bad)[0]
+            raise RotatingFrameError(
+                f"drive loop through '{self._loop_labels[loop]}' closes with a "
+                f"{mismatch[row, loop]:.3g} Hz frequency mismatch")
+
+    def _frame_shifts(self, detunings) -> np.ndarray:
+        """Frame shift per level (Hz) for detunings of shape (..., n_drives).
+
+        Summed drive by drive, so a stack of detunings and a single system
+        round alike.
+        """
+        detunings = np.asarray(detunings, dtype=float)
+        shifts = np.zeros(detunings.shape[:-1] + (self.dim,))
+        for k in range(len(self.drives)):
+            shifts += detunings[..., k, None] * self._frame_map[:, k]
+        return shifts
 
     def rotating_frame_shifts(self) -> np.ndarray:
-        """Diagonal of the rotating-frame Hamiltonian, Hz."""
-        return np.array([lv.energy - self._frame[lv.label] for lv in self.levels])
+        """Diagonal of the rotating-frame Hamiltonian, Hz (exact: only
+        detunings enter)."""
+        return self._frame_shifts([d.laser_detuning for d in self.drives])
 
     def hamiltonian(self) -> np.ndarray:
         """Rotating-frame Hamiltonian in angular units (rad/s)."""
-        n = self.dim
         h = np.diag(self.rotating_frame_shifts().astype(complex))
         for d in self.drives:
             i, j = self._index[d.lower], self._index[d.upper]
@@ -261,6 +292,32 @@ class Trace:
                 "trace populations must sum to 1 within 1e-8 at every time")
 
 
+def _hamiltonian_superoperators(h) -> np.ndarray:
+    """-i (kron(h, 1) - kron(1, h^T)) for an (N, n, n) stack; (N, n^2, n^2)."""
+    n = h.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    ht = np.swapaxes(h, 1, 2)
+    lv = h[:, :, None, :, None] * eye[:, None, :]  # kron(h, 1)
+    lv -= eye[:, None, :, None] * ht[:, None, :, None, :]  # kron(1, h.T)
+    lv *= -1j
+    return lv.reshape(len(h), n * n, n * n)
+
+
+def _dissipator(sys: LevelSystem) -> np.ndarray:
+    """(n^2, n^2) Lindblad dissipator, 1/s, added collapse operator by
+    collapse operator; each Kronecker product is a broadcast on an
+    (n, n, n, n) view."""
+    n = sys.dim
+    eye = np.eye(n, dtype=complex)
+    d = np.zeros((n, n, n, n), dtype=complex)
+    for c in sys.collapse_operators():
+        cdc = c.conj().T @ c
+        d += c[:, None, :, None] * c.conj()[None, :, None, :]  # kron(c, c*)
+        d -= 0.5 * (cdc[:, None, :, None] * eye[None, :, None, :]  # kron(cdc, 1)
+                    + eye[:, None, :, None] * cdc.T[None, :, None, :])  # kron(1, cdc.T)
+    return d.reshape(n * n, n * n)
+
+
 def _liouvillians(systems) -> np.ndarray:
     """(N, n^2, n^2) Lindblad superoperators of same-dimension systems, 1/s.
 
@@ -270,22 +327,12 @@ def _liouvillians(systems) -> np.ndarray:
     """
     todo = [s for s in systems if s._liouvillian is None]
     if todo:
-        h = np.stack([s.hamiltonian() for s in todo])
-        n = h.shape[-1]
-        eye = np.eye(n, dtype=complex)
-        ht = np.swapaxes(h, 1, 2)
-        lv = h[:, :, None, :, None] * eye[:, None, :]  # kron(h, 1)
-        lv -= eye[:, None, :, None] * ht[:, None, :, None, :]  # kron(1, h.T)
-        lv *= -1j
+        lv = _hamiltonian_superoperators(np.stack([s.hamiltonian() for s in todo]))
         dissipators = {}
-        for s, row in zip(todo, lv.reshape(len(todo), n * n, n * n)):
+        for s, row in zip(todo, lv):
             key = (tuple(level.label for level in s.levels), s.decays, s.dephasings)
             if key not in dissipators:
-                d = dissipators[key] = np.zeros_like(row)
-                for c in s.collapse_operators():
-                    cdc = c.conj().T @ c
-                    d += np.kron(c, c.conj())
-                    d -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+                dissipators[key] = _dissipator(s)
             row += dissipators[key]
             row.flags.writeable = False
             s._liouvillian = row
@@ -305,6 +352,26 @@ def _signal_from_populations(sys: LevelSystem, pops: np.ndarray) -> np.ndarray:
     return np.where((raw < 0) & (raw > -1e-9 * scale), 0.0, raw)
 
 
+def _eigenbasis(lv: np.ndarray):
+    """(lam, V) with lv = V diag(lam) V^-1, or () when V is too
+    ill-conditioned and `propagate` has to use the matrix exponential."""
+    lam, vecs = np.linalg.eig(lv)
+    if np.linalg.cond(vecs) > _EIGENBASIS_CONDITION_LIMIT:
+        return ()
+    return lam, vecs
+
+
+def _propagate(lv: np.ndarray, basis, y0: np.ndarray, dts) -> np.ndarray:
+    """`propagate` with the eigenbasis of `lv` given (see `_eigenbasis`)."""
+    dts = np.asarray(dts, dtype=float)
+    if not basis:
+        from scipy.linalg import expm
+        return np.array([expm(lv * t) @ y0 for t in dts])
+    lam, vecs = basis
+    coeffs = np.linalg.solve(vecs, y0)
+    return (np.exp(np.outer(dts, lam)) * coeffs) @ vecs.T
+
+
 def propagate(lv: np.ndarray, y0: np.ndarray, dts) -> np.ndarray:
     """exp(lv * t) @ y0 for every t in `dts`; shape (len(dts), len(y0)).
 
@@ -315,21 +382,24 @@ def propagate(lv: np.ndarray, y0: np.ndarray, dts) -> np.ndarray:
     SIAM Rev. 45, 3 (2003); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
     970 (2009)).
     """
-    dts = np.asarray(dts, dtype=float)
-    lam, vecs = np.linalg.eig(lv)
-    if np.linalg.cond(vecs) > _EIGENBASIS_CONDITION_LIMIT:
-        from scipy.linalg import expm
-        return np.array([expm(lv * t) @ y0 for t in dts])
-    coeffs = np.linalg.solve(vecs, y0)
-    return (np.exp(np.outer(dts, lam)) * coeffs) @ vecs.T
+    return _propagate(lv, _eigenbasis(lv), y0, dts)
 
 
 def _propagate_states(sys: LevelSystem, rho0: DensityState, dts) -> np.ndarray:
-    """Re-Hermitized density matrices at each elapsed time in `dts`."""
+    """Re-Hermitized density matrices at each elapsed time in `dts`.
+
+    The eigenbasis of the system's Liouvillian is computed on first use and
+    kept on the system, read-only, next to the Liouvillian.
+    """
     n = sys.dim
     if rho0.rho.shape[0] != n:
         raise InvalidParameterError("rho0 dimension does not match the system")
-    ys = propagate(build_liouvillian(sys), rho0.rho.reshape(-1), dts)
+    lv = build_liouvillian(sys)
+    if sys._eigenbasis is None:
+        sys._eigenbasis = _eigenbasis(lv)
+        for part in sys._eigenbasis:
+            part.flags.writeable = False
+    ys = _propagate(lv, sys._eigenbasis, rho0.rho.reshape(-1), dts)
     rhos = ys.reshape(-1, n, n)
     return 0.5 * (rhos + np.conj(np.transpose(rhos, (0, 2, 1))))
 
@@ -367,28 +437,24 @@ def final_state(sys: LevelSystem, rho0: DensityState,
     return DensityState(rho / np.trace(rho).real)
 
 
-def steady_states(systems) -> np.ndarray:
-    """Stationary density matrices of same-dimension systems, shape (N, n, n).
+def _bordered_steady_states(lv: np.ndarray) -> np.ndarray:
+    """Stationary density matrices of an (N, n^2, n^2) Liouvillian stack.
 
     The direct method (Johansson, Nation & Nori, Comput. Phys. Commun. 184,
     1234 (2013)): row 0 of each Liouvillian, the rho_00 equation, becomes the
     trace row vec(1)^T, and the stack is solved against e_0 in one batched
     call. A Lindblad generator preserves the trace, so the replaced row is a
     combination of the other population rows. SteadyStateError names the
-    first failing system's fault: a zero Liouvillian, a steady state that is
-    not unique (bordered matrix numerically singular; an SVD of that system
+    first failing row's fault: a zero Liouvillian, a steady state that is
+    not unique (bordered matrix numerically singular; an SVD of that row
     counts the null space), or one that is not positive.
     """
-    systems = list(systems)
-    if len({s.dim for s in systems}) != 1:
-        raise InvalidParameterError("steady_states needs systems, all of one dimension")
-    n = systems[0].dim
-    lv = _liouvillians(systems)
+    n = math.isqrt(lv.shape[-1])
     bordered = lv.copy()
     bordered[:, 0] = np.eye(n).reshape(-1)
     # batched solve raises for the whole stack if one matrix is singular
     unique = np.linalg.cond(bordered, 1) < _BORDERED_CONDITION_LIMIT
-    rho = np.zeros((len(systems), n * n), dtype=complex)
+    rho = np.zeros((len(lv), n * n), dtype=complex)
     rho[unique] = np.linalg.solve(bordered[unique], np.eye(n * n)[0])
     rho = rho.reshape(-1, n, n)
     rho = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
@@ -402,6 +468,48 @@ def steady_states(systems) -> np.ndarray:
                                    f"dimension {np.sum(s < 1e-10 * s[0])}")
         raise SteadyStateError(f"steady state not positive (min eig {w_min[i]:.2e})")
     return rho
+
+
+def steady_states(systems) -> np.ndarray:
+    """Stationary density matrices of same-dimension systems, shape (N, n, n).
+
+    One trace-bordered solve over the stacked Liouvillians (see
+    `_bordered_steady_states`); the first failing system raises.
+    """
+    systems = list(systems)
+    if len({s.dim for s in systems}) != 1:
+        raise InvalidParameterError("steady_states needs systems, all of one dimension")
+    return _bordered_steady_states(_liouvillians(systems))
+
+
+def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
+    """Steady states of `template` with its laser detunings replaced by each
+    row of `detunings` (shape (N, n_drives), Hz, in drive order); (N, n, n).
+
+    Detunings enter the rotating-frame Liouvillian only on its diagonal:
+    L = L0 - i 2 pi (s_a - s_b) at vec index (a, b), with s the frame shifts.
+    So L0 (drives and dissipation) is assembled once, each row adds its
+    diagonal, and the stack takes the solve, checks and messages of
+    `steady_states`; the first failing row raises. The result equals
+    `steady_states` of the per-row systems.
+    """
+    detunings = np.asarray(detunings, dtype=float)
+    if (detunings.ndim != 2 or len(detunings) == 0
+            or detunings.shape[1] != len(template.drives)):
+        raise InvalidParameterError(
+            "detuned_steady_states needs detunings of shape (N >= 1, n_drives)")
+    if not np.all(np.isfinite(detunings)):
+        raise InvalidParameterError("laser_detuning must be finite")
+    template._check_loops(detunings)
+    n = template.dim
+    drive_h = template.hamiltonian()
+    np.fill_diagonal(drive_h, 0.0)
+    lv0 = _hamiltonian_superoperators(drive_h[None])[0] + _dissipator(template)
+    w = TWO_PI * template._frame_shifts(detunings)
+    lv = np.repeat(lv0[None], len(detunings), axis=0)
+    diag = np.arange(n * n)
+    lv[:, diag, diag] += -1j * (w[:, :, None] - w[:, None, :]).reshape(-1, n * n)
+    return _bordered_steady_states(lv)
 
 
 def steady_state(sys: LevelSystem) -> DensityState:

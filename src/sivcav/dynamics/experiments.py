@@ -24,10 +24,10 @@ from .engine import (
     Level,
     LevelSystem,
     Trace,
+    detuned_steady_states,
     evolve,
     evolve_with_final,
     final_state,
-    steady_states,
 )
 
 __all__ = [
@@ -226,19 +226,16 @@ class CptParams:
         return 2.0 * self.gamma_s
 
 
-def _cpt_system(p: CptParams, delta: float) -> LevelSystem:
-    if p.detuning_split == "symmetric":
-        d_pump, d_probe = 0.5 * delta, -0.5 * delta
-    else:
-        d_pump, d_probe = 0.0, -delta
+def _cpt_system(p: CptParams) -> LevelSystem:
+    """The lambda system with both lasers on resonance: the scan template."""
     levels = (
         Level("g1", 0.0),
         Level("g2", p.f_s),
         Level("e", 4.068e14),
     )
     drives = (
-        Drive("g1", "e", p.rabi_pump, d_pump),
-        Drive("g2", "e", p.rabi_probe, d_probe),
+        Drive("g1", "e", p.rabi_pump),
+        Drive("g2", "e", p.rabi_probe),
     )
     decays = [
         Decay("e", "g1", 0.5 * p.optical_rate),
@@ -252,10 +249,10 @@ def _cpt_system(p: CptParams, delta: float) -> LevelSystem:
     return LevelSystem(levels, drives, tuple(decays), dephasings)
 
 
-def _steady_signals(systems) -> np.ndarray:
-    """Steady-state radiative flux (Hz) of each same-dimension system."""
-    return np.array([float(np.real(np.diag(rho)) @ sys_.radiative_rates())
-                     for rho, sys_ in zip(steady_states(systems), systems)])
+def _steady_signal(template: LevelSystem, detunings) -> np.ndarray:
+    """Steady-state radiative flux (Hz) of `template` at each detuning row."""
+    rho = detuned_steady_states(template, detunings)
+    return np.real(np.diagonal(rho, axis1=1, axis2=2)) @ template.radiative_rates()
 
 
 def simulate_cpt_scan(p: CptParams, detunings) -> Spectrum:
@@ -265,7 +262,11 @@ def simulate_cpt_scan(p: CptParams, detunings) -> Spectrum:
     equal Rabi frequencies the fluorescence vanishes there exactly.
     """
     detunings = np.asarray(detunings, dtype=float)
-    signal = _steady_signals([_cpt_system(p, float(delta)) for delta in detunings])
+    if p.detuning_split == "symmetric":
+        drive_detunings = np.stack([0.5 * detunings, -0.5 * detunings], axis=-1)
+    else:
+        drive_detunings = np.stack([np.zeros_like(detunings), -detunings], axis=-1)
+    signal = _steady_signal(_cpt_system(p), drive_detunings)
     return Spectrum(detunings, signal, x_unit="Hz")
 
 
@@ -375,15 +376,15 @@ def _lower_branch_transitions(table: TransitionTable):
 
 def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
                        t1=None, cutoff_linewidths=50.0):
-    """Two-laser steady state over a reduced system built per scan point.
+    """Two-laser steady state over a reduced system per choice of lines.
 
     Only transitions starting from the lower (thermally occupied) orbital
     ground branch participate; each laser couples to its nearest transition
     within the cutoff window. Excited-state decay branches to the two ground
     sublevels with the table's dipole weights, renormalized over that pair
     (standing in for fast orbital relaxation of any population that leaves
-    the doublet). The points are solved in one stack per reduced-system
-    dimension.
+    the doublet). The scan points that drive the same lines share one
+    template system and are solved in one stack over their detunings.
     """
     candidates, grounds = _lower_branch_transitions(emitter.table)
     if len(grounds) != 2:
@@ -392,40 +393,20 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
     cutoff = cutoff_linewidths * emitter.linewidth
     gam = emitter.linewidth
 
-    def nearest(freq):
-        best = min(candidates, key=lambda t: abs(t.frequency - freq))
-        return best if abs(best.frequency - freq) <= cutoff else None
-
-    t_pump = nearest(pump_freq)
-
     # decay branching per excited state, renormalized over the ground doublet
     branch = {}
     for t in candidates:
         branch.setdefault(t.excited_energy, {})[t.ground_energy] = t.dipole_weight
 
-    out = np.zeros_like(freqs)
-    groups = {}  # system dimension -> {scan index: system}
-    for i, nu in enumerate(freqs):
-        t_probe = nearest(float(nu))
-        chosen = []
-        if t_pump is not None:
-            chosen.append((t_pump, pump_rabi, pump_freq - t_pump.frequency))
-        if t_probe is not None and not (
-                t_pump is not None
-                and t_probe.ground_energy == t_pump.ground_energy
-                and t_probe.excited_energy == t_pump.excited_energy):
-            chosen.append((t_probe, emitter.rabi, float(nu) - t_probe.frequency))
-        if not chosen:
-            continue
-
+    def template(chosen):
         levels = [Level("g1", grounds[0]), Level("g2", grounds[1])]
         excited = sorted({t.excited_energy for t, _, _ in chosen})
         e_label = {e: f"e{k}" for k, e in enumerate(excited)}
         levels += [Level(e_label[e], 4.068e14 + e) for e in excited]
         drives = [
             Drive(g_label[t.ground_energy], e_label[t.excited_energy],
-                  rabi * math.sqrt(t.dipole_weight), det)
-            for t, rabi, det in chosen
+                  rabi * math.sqrt(t.dipole_weight))
+            for t, rabi, _ in chosen
         ]
         decays = []
         for e in excited:
@@ -437,10 +418,35 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
             r = 1.0 / (4.0 * math.pi * t1)
             decays += [Decay("g1", "g2", r, radiative=False),
                        Decay("g2", "g1", r, radiative=False)]
-        sys_ = LevelSystem(tuple(levels), tuple(drives), tuple(decays))
-        groups.setdefault(sys_.dim, {})[i] = sys_
-    for group in groups.values():
-        out[list(group)] = _steady_signals(list(group.values()))
+        return LevelSystem(tuple(levels), tuple(drives), tuple(decays))
+
+    # nearest line to each scan point and to the pump (first of equals);
+    # -1 beyond the cutoff
+    line_freqs = np.array([t.frequency for t in candidates])
+    dist = np.abs(line_freqs - np.append(freqs, pump_freq)[:, None])
+    nearest = np.argmin(dist, axis=1)
+    nearest[dist[np.arange(len(dist)), nearest] > cutoff] = -1
+    t_pump = candidates[nearest[-1]] if nearest[-1] >= 0 else None
+
+    groups = {}  # probe line -> scan indices; -1 where the probe adds no line
+    for i, j in enumerate(nearest[:-1].tolist()):
+        if j >= 0 and t_pump is not None and (
+                candidates[j].ground_energy == t_pump.ground_energy
+                and candidates[j].excited_energy == t_pump.excited_energy):
+            j = -1
+        groups.setdefault(j, []).append(i)
+    out = np.zeros_like(freqs)
+    for j, idx in groups.items():
+        chosen = []  # (line, Rabi frequency, detuning at each scan index)
+        if t_pump is not None:
+            chosen.append((t_pump, pump_rabi,
+                           np.full(len(idx), pump_freq - t_pump.frequency)))
+        if j >= 0:
+            chosen.append((candidates[j], emitter.rabi,
+                           freqs[idx] - candidates[j].frequency))
+        if chosen:
+            detunings = np.stack([det for _, _, det in chosen], axis=-1)
+            out[idx] = _steady_signal(template(chosen), detunings)
     return out
 
 

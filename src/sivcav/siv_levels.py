@@ -50,8 +50,14 @@ _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
-# normalized orbital operator basis used for the polarization-summed dipole
-_ORBITAL_BASIS = (_ID, _SX, _SY, _SZ)
+# normalized orbital operator basis used for the polarization-summed dipole,
+# lifted to the orbit x spin space
+_ORBITAL_BASIS = tuple(np.kron(op, _ID) for op in (_ID, _SX, _SY, _SZ))
+# orbit x spin operators of the manifold Hamiltonian
+_LZ = np.kron(_SZ, _ID)                # Lz/hbar
+_LZ_SZ = 0.5 * np.kron(_SZ, _SZ)       # (Lz/hbar)(Sz/hbar)
+_S_XYZ = (np.kron(_ID, _SX), np.kron(_ID, _SY), np.kron(_ID, _SZ))  # 2 S/hbar
+_SZ_FULL = 0.5 * np.kron(_ID, _SZ)     # Sz/hbar
 
 #: |B| below this (tesla) is treated as exactly zero field.
 _ZERO_FIELD_TESLA = 1e-12
@@ -132,16 +138,14 @@ def build_hamiltonian(m: ManifoldParams, b_field) -> np.ndarray:
     b = np.asarray(b_field, dtype=float)
     if b.shape != (3,) or not np.all(np.isfinite(b)):
         raise InvalidParameterError("b_field must be a finite 3-vector")
-    lz = np.kron(_SZ, _ID)                 # Lz/hbar
-    lz_sz = 0.5 * np.kron(_SZ, _SZ)        # (Lz/hbar)(Sz/hbar)
     strain_orb = np.array(
         [[0.0, m.strain_alpha - 1j * m.strain_beta],
          [m.strain_alpha + 1j * m.strain_beta, 0.0]], dtype=complex)
-    h = -m.lambda_so * lz_sz
+    h = -m.lambda_so * _LZ_SZ
     h = h + np.kron(strain_orb, _ID)
-    h = h + m.quench_f * MU_B_OVER_H * b[2] * lz
+    h = h + m.quench_f * MU_B_OVER_H * b[2] * _LZ
     h = h + 0.5 * m.g_spin * MU_B_OVER_H * (
-        b[0] * np.kron(_ID, _SX) + b[1] * np.kron(_ID, _SY) + b[2] * np.kron(_ID, _SZ))
+        b[0] * _S_XYZ[0] + b[1] * _S_XYZ[1] + b[2] * _S_XYZ[2])
     return h
 
 
@@ -152,7 +156,6 @@ def _fix_degenerate_eigenvectors(w, v):
     by the dense solver is arbitrary; re-diagonalize Sz there and order by
     ascending <Sz> so the table is deterministic at zero field.
     """
-    sz_full = 0.5 * np.kron(_ID, _SZ)
     scale = max(np.max(np.abs(w)), 1.0)
     i = 0
     n = len(w)
@@ -162,7 +165,7 @@ def _fix_degenerate_eigenvectors(w, v):
             j += 1
         if j - i > 1:
             block = v[:, i:j]
-            sz_block = block.conj().T @ sz_full @ block
+            sz_block = block.conj().T @ _SZ_FULL @ block
             sz_vals, sz_vecs = np.linalg.eigh(sz_block)
             v[:, i:j] = block @ sz_vecs  # eigh returns ascending <Sz>
         i = j
@@ -189,7 +192,7 @@ def _spin_overlap_sq(v_ground: np.ndarray, v_excited: np.ndarray) -> float:
     """
     total = 0.0
     for op in _ORBITAL_BASIS:
-        total += abs(np.vdot(v_excited, np.kron(op, _ID) @ v_ground)) ** 2
+        total += abs(np.vdot(v_excited, op @ v_ground)) ** 2
     return 0.5 * total
 
 

@@ -13,11 +13,14 @@ from sivcav.dynamics import (
     Drive,
     Level,
     LevelSystem,
+    SpinPumpParams,
     Trace,
     build_liouvillian,
+    detuned_steady_states,
     evolve,
     final_state,
     propagate,
+    simulate_t1_recovery,
     steady_state,
     steady_states,
 )
@@ -134,6 +137,14 @@ class TestLiouvillian:
         lx = (lv @ x.reshape(-1)).reshape(n, n)
         assert (np.linalg.norm(lx - lx.conj().T)
                 <= 1e-12 * norm_lv * np.linalg.norm(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4))
+    def test_assembly_equals_per_operator_kron(self, seed, n):
+        # the broadcast Kronecker products add the collapse operators in the
+        # same order as the np.kron reference, so they agree bit for bit
+        sys = random_system(np.random.default_rng(seed), n)
+        assert np.array_equal(build_liouvillian(sys), kron_liouvillian(sys))
 
     def test_two_level_decay_rate_convention(self):
         gamma = 93.6e6
@@ -273,6 +284,56 @@ class TestPropagate:
         assert len(calls) == len(ts)
         ref = np.array([expm(lv * t) @ y0 for t in ts])
         assert np.max(np.abs(ys - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+    def test_eigenbasis_computed_once_per_system(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(a):
+            calls.append(a)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        p = SpinPumpParams(rabi_freq=20e6, optical_rate=90e6, eta=0.1, t1=1e-6,
+                           samples_per_pulse=40)
+        simulate_t1_recovery(p, [0.0, 1e-7, 1e-6, 5e-6])
+        assert len(calls) == 2  # laser-on and dark system
+
+    def test_cached_eigenbasis_is_read_only_and_reused(self, monkeypatch):
+        sys = two_level(rabi=20e6, decay=40e6)
+        rho0 = DensityState.from_populations([1, 0])
+        final_state(sys, rho0, 1e-7)
+        basis = sys._eigenbasis
+        assert len(basis) == 2
+        for part in basis:
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+        monkeypatch.setattr(np.linalg, "eig", None)  # a second eig would fail
+        evolve(sys, rho0, np.linspace(0.0, 1e-7, 5))
+        assert sys._eigenbasis is basis
+
+    def test_exceptional_point_system_keeps_expm(self, monkeypatch):
+        sys = LevelSystem((Level("a", 0.0), Level("b", OPT)),
+                          drives=(Drive("a", "b", 1e6),),
+                          dephasings=(Dephasing("a", "b", 2e6),))
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        rho0 = DensityState.pure(2, 0)
+        ts = np.linspace(0.0, 1e-6, 5)
+        tr = evolve(sys, rho0, ts)
+        evolve(sys, rho0, ts)
+        assert sys._eigenbasis == ()
+        assert len(calls) == 2 * len(ts)
+        lv = build_liouvillian(sys)
+        ref = np.array([np.real(np.diag((expm(lv * t) @ rho0.rho.reshape(-1))
+                                        .reshape(2, 2))) for t in ts])
+        assert np.max(np.abs(tr.populations - ref)) <= 1e-12
 
 
 class TestSteadyState:
@@ -449,7 +510,122 @@ class TestSteadyStates:
             cached[0, 0] = 1.0
 
 
+def lambda_template(rng):
+    """Lambda system g1, g2 -> e with random drives, decays and dephasing."""
+    gamma = rng.uniform(1e6, 100e6)
+    branch = rng.uniform(0.1, 0.9)
+    return LevelSystem(
+        (Level("g1", 0.0), Level("g2", rng.uniform(1e9, 20e9)), Level("e", OPT)),
+        drives=(Drive("g1", "e", rng.uniform(1e6, 50e6), rng.uniform(-30e6, 30e6)),
+                Drive("g2", "e", rng.uniform(1e6, 50e6), rng.uniform(-30e6, 30e6))),
+        decays=(Decay("e", "g1", branch * gamma), Decay("e", "g2", (1 - branch) * gamma)),
+        dephasings=(Dephasing("g1", "g2", rng.uniform(0, 5e6)),))
+
+
+def v_template(rng):
+    """V system g -> e1, e2 with a metastable shelf m that relaxes to g."""
+    return LevelSystem(
+        (Level("g", 0.0), Level("e1", OPT), Level("e2", OPT + 2e9),
+         Level("m", rng.uniform(1e9, 20e9))),
+        drives=(Drive("g", "e1", rng.uniform(1e6, 50e6)),
+                Drive("g", "e2", rng.uniform(1e6, 50e6))),
+        decays=(Decay("e1", "g", rng.uniform(1e6, 100e6)),
+                Decay("e2", "g", rng.uniform(1e6, 100e6)),
+                Decay("e1", "m", rng.uniform(1e5, 10e6)),
+                Decay("m", "g", rng.uniform(1e5, 10e6), radiative=False)))
+
+
+def with_detunings(template, row):
+    return LevelSystem(template.levels,
+                       tuple(Drive(d.lower, d.upper, d.rabi_freq, float(x))
+                             for d, x in zip(template.drives, row)),
+                       template.decays, template.dephasings)
+
+
+class TestDetunedSteadyStates:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), v_type=st.booleans(),
+           count=st.integers(1, 8))
+    def test_matches_per_point_systems(self, seed, v_type, count):
+        rng = np.random.default_rng(seed)
+        template = v_template(rng) if v_type else lambda_template(rng)
+        detunings = rng.uniform(-50e6, 50e6, size=(count, 2))
+        rhos = detuned_steady_states(template, detunings)
+        ref = steady_states([with_detunings(template, row) for row in detunings])
+        assert rhos.shape == ref.shape
+        assert np.max(np.abs(rhos - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_row_equals_its_system_bit_for_bit(self):
+        # the template's own detunings are replaced, not added to
+        template = lambda_template(np.random.default_rng(1))
+        rows = [[3e6, -1e6], [0.0, 2.5e6]]
+        assert np.array_equal(detuned_steady_states(template, rows),
+                              steady_states([with_detunings(template, r) for r in rows]))
+
+    def test_non_finite_detuning_rejected(self):
+        template = lambda_template(np.random.default_rng(2))
+        with pytest.raises(InvalidParameterError, match="^laser_detuning must be finite$"):
+            detuned_steady_states(template, [[1e6, 0.0], [np.nan, 0.0]])
+
+    def test_bad_shape_rejected(self):
+        template = lambda_template(np.random.default_rng(3))
+        for bad in ([1e6, 0.0], np.zeros((0, 2)), np.zeros((3, 3))):
+            with pytest.raises(InvalidParameterError):
+                detuned_steady_states(template, bad)
+
+    def test_non_closing_loop_row_rejected(self):
+        # a -> b -> c and a -> c: the loop closes when d_ac = d_ab + d_bc
+        template = LevelSystem(
+            (Level("a", 0.0), Level("b", 1e9), Level("c", 3e9)),
+            drives=(Drive("a", "b", 1e6, 2e6), Drive("b", "c", 1e6, 3e6),
+                    Drive("a", "c", 1e6, 5e6)),
+            decays=(Decay("b", "a", 1e6), Decay("c", "a", 1e6)))
+        good = [[1e6, 2e6, 3e6], [-4e6, 1e6, -3e6]]
+        assert detuned_steady_states(template, good).shape == (2, 3, 3)
+        bad = [1e6, 2e6, 8e6]
+        with pytest.raises(RotatingFrameError) as per_point:
+            with_detunings(template, bad)
+        assert str(per_point.value).endswith("5e+06 Hz frequency mismatch")
+        with pytest.raises(RotatingFrameError) as stacked:
+            detuned_steady_states(template, good + [bad, [0.0, 0.0, 1e9]])
+        assert str(stacked.value) == str(per_point.value)
+
+    def test_first_failing_row_raises_the_per_point_message(self):
+        # row 1 is detuned so far (1e30 Hz) that its bordered matrix is
+        # numerically singular; rows 0 and 2 solve
+        template = two_level(rabi=10e6, decay=50e6)
+        rows = [[1e6], [1e30], [2e6]]
+        with pytest.raises(SteadyStateError) as per_point:
+            steady_states([with_detunings(template, r) for r in rows])
+        assert str(per_point.value).startswith("steady state is not unique")
+        with pytest.raises(SteadyStateError) as stacked:
+            detuned_steady_states(template, rows)
+        assert str(stacked.value) == str(per_point.value)
+
+    def test_zero_liouvillian_row_raises_first(self):
+        # no coupling and no dissipation: every row is degenerate, and a zero
+        # detuning row has a zero Liouvillian
+        template = LevelSystem((Level("g", 0.0), Level("e", OPT)),
+                               drives=(Drive("g", "e", 0.0),))
+        with pytest.raises(SteadyStateError, match="^zero Liouvillian"):
+            detuned_steady_states(template, [[0.0], [1e6]])
+        with pytest.raises(SteadyStateError,
+                           match="^steady state is not unique: null space dimension 2$"):
+            detuned_steady_states(template, [[1e6], [0.0]])
+
+
 class TestRotatingFrame:
+    def test_shifts_are_exact_sums_of_detunings(self):
+        # optical-scale level energies no longer round the shifts
+        d_pump, d_probe = 1e6 + 0.3, -2e6 + 0.7
+        sys = LevelSystem(
+            (Level("g1", 0.0), Level("g2", 6.8e9), Level("e", 4.068e14)),
+            drives=(Drive("g1", "e", 1e6, d_pump), Drive("g2", "e", 1e6, d_probe)))
+        shifts = sys.rotating_frame_shifts()
+        assert shifts[sys.index("g1")] == 0.0
+        assert shifts[sys.index("e")] == -d_pump
+        assert shifts[sys.index("g2")] == d_probe - d_pump
+
     def test_consistent_lambda_system(self):
         sys = LevelSystem(
             (Level("g1", 0.0), Level("g2", 6.8e9), Level("e", OPT)),

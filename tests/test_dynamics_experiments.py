@@ -4,6 +4,10 @@ from dataclasses import replace
 
 from sivcav.dynamics import (
     CptParams,
+    Decay,
+    Drive,
+    Level,
+    LevelSystem,
     PleEmitter,
     SpinPumpParams,
     Trace,
@@ -12,6 +16,7 @@ from sivcav.dynamics import (
     simulate_ple_scan,
     simulate_spin_pumping,
     simulate_t1_recovery,
+    steady_state,
 )
 from sivcav.errors import FitError, InvalidParameterError
 from sivcav.fitting import Spectrum, fit_exponential, fit_lorentzian
@@ -154,6 +159,12 @@ class TestCpt:
             pair = simulate_cpt_scan(p, np.array([-delta, delta]))
             assert abs(pair.y[0] - pair.y[1]) <= 1e-6 * pair.y[0]
 
+    def test_empty_scan_rejected(self):
+        p = CptParams(rabi_pump=5e6, rabi_probe=5e6, optical_rate=157e6,
+                      gamma_s=1e6)
+        with pytest.raises(InvalidParameterError):
+            simulate_cpt_scan(p, np.array([]))
+
     def test_t2_star_constructor(self):
         p = CptParams.from_t2_star(97e-9, rabi_pump=1e6, rabi_probe=1e6,
                                    optical_rate=157e6)
@@ -243,6 +254,56 @@ class TestPleScan:
         # the revealed feature sits one ground spin splitting from the pump
         centroid = float(np.sum(window * probed.y) / np.sum(probed.y))
         assert centroid - pump.frequency == pytest.approx(fs, abs=30e6)
+
+    def test_pump_probe_matches_per_point_systems(self):
+        # per scan point: pick each laser's nearest line, build the reduced
+        # system with that point's detunings and solve it alone
+        table = transition_table(DEMO_MODEL)
+        emitter = PleEmitter(table=table, linewidth=157e6, rabi=15e6)
+        lines = {t.label: t for t in table.lines_of("C")}
+        pump_freq, pump_rabi, t1 = lines["2"].frequency + 20e6, 30e6, 630e-9
+        grounds = sorted({t.ground_energy for t in table.sublevel})[:2]
+        cands = [t for t in table.sublevel if t.ground_energy in grounds]
+        g_label = {grounds[0]: "g1", grounds[1]: "g2"}
+        cutoff = 50 * emitter.linewidth
+
+        def nearest(freq):
+            best = min(cands, key=lambda t: abs(t.frequency - freq))
+            return best if abs(best.frequency - freq) <= cutoff else None
+
+        def point_signal(nu):
+            t_pump, t_probe = nearest(pump_freq), nearest(nu)
+            chosen = [(t_pump, pump_rabi, pump_freq - t_pump.frequency)]
+            if (t_probe is not None
+                    and (t_probe.ground_energy, t_probe.excited_energy)
+                    != (t_pump.ground_energy, t_pump.excited_energy)):
+                chosen.append((t_probe, emitter.rabi, nu - t_probe.frequency))
+            excited = sorted({t.excited_energy for t, _, _ in chosen})
+            e_label = {e: f"e{k}" for k, e in enumerate(excited)}
+            levels = [Level("g1", grounds[0]), Level("g2", grounds[1])]
+            levels += [Level(e_label[e], 4.068e14 + e) for e in excited]
+            drives = [Drive(g_label[t.ground_energy], e_label[t.excited_energy],
+                            rabi * np.sqrt(t.dipole_weight), det)
+                      for t, rabi, det in chosen]
+            decays = [Decay("g1", "g2", 1 / (4 * np.pi * t1), radiative=False),
+                      Decay("g2", "g1", 1 / (4 * np.pi * t1), radiative=False)]
+            for e in excited:
+                weights = {t.ground_energy: t.dipole_weight for t in cands
+                           if t.excited_energy == e}
+                total = sum(weights.values())
+                decays += [Decay(e_label[e], g_label[g], emitter.linewidth * w / total)
+                           for g, w in weights.items()]
+            sys_ = LevelSystem(tuple(levels), tuple(drives), tuple(decays))
+            return float(np.real(np.diag(steady_state(sys_).rho))
+                         @ sys_.radiative_rates())
+
+        # spans probe lines of both excited states, the pump's own line and
+        # points beyond every line's cutoff
+        freqs = np.linspace(min(t.frequency for t in cands) - 12e9,
+                            max(t.frequency for t in cands) + 12e9, 61)
+        spec = simulate_ple_scan([emitter], freqs, pump=(pump_freq, pump_rabi), t1=t1)
+        ref = np.array([point_signal(float(nu)) for nu in freqs])
+        assert np.max(np.abs(spec.y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_multiple_emitters_superpose(self):
         e1 = PleEmitter(table=single_line_table(406.80e12), linewidth=200e6,
