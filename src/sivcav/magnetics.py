@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import csv_text
 from .errors import DomainError, InvalidParameterError
 
 __all__ = [
@@ -107,6 +108,11 @@ def cuboid_field(magnet: CuboidMagnet, points) -> np.ndarray:
         raise InvalidParameterError("points must be finite, of shape (3,) or (N, 3)")
     _reject(p, magnet.surface_distance(p) < SURFACE_MARGIN,
             f"is inside or within {SURFACE_MARGIN} m of the magnet surface")
+    return _exterior_field(magnet, p)
+
+
+def _exterior_field(magnet: CuboidMagnet, p: np.ndarray) -> np.ndarray:
+    """`cuboid_field` at finite points `p` known to lie outside the magnet."""
     d = p - np.array(magnet.center)
     half = 0.5 * np.array(magnet.dimensions)
     j = np.array(magnet.magnetization)
@@ -175,19 +181,20 @@ def field_map_grid(magnets, x_values, y_values, z_values):
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=float))
             for a in (x_values, y_values, z_values)]
-    if any(a.size == 0 for a in axes):
-        raise InvalidParameterError("grid axes must be non-empty")
+    if any(a.size == 0 or not np.all(np.isfinite(a)) for a in axes):
+        raise InvalidParameterError("grid axes must be non-empty and finite")
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     masked = np.zeros(len(points), dtype=bool)
     for m in magnets:
         masked |= m.surface_distance(points) < SURFACE_MARGIN
     b = np.zeros(points.shape)
-    b[~masked] = assembly_field(magnets, points[~masked])
+    # the mask holds every surface test; sum in magnet order, as assembly_field
+    b[~masked] = sum(_exterior_field(m, points[~masked]) for m in magnets)
     return points, b, masked
 
 
 def field_map_to_csv(points, b, masked) -> str:
     """Serialize a field map with header x_m,y_m,z_m,bx_t,by_t,bz_t,masked."""
-    row = ",".join(["%.9e"] * 6) + ",%d"
-    lines = [row % (*xb, m) for xb, m in zip(np.hstack([points, b]).tolist(), masked)]
-    return "\n".join(["x_m,y_m,z_m,bx_t,by_t,bz_t,masked"] + lines) + "\n"
+    return csv_text(["x_m", "y_m", "z_m", "bx_t", "by_t", "bz_t", "masked"],
+                    [*np.transpose(points), *np.transpose(b), masked],
+                    ["%.9e"] * 6 + ["%d"])

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from ._table import csv_text
 from .config import ProtocolConfig
 from .constants import TWO_PI
 from .cqed import (
@@ -147,10 +148,6 @@ def build_magnets(items: list) -> list:
 # deterministic output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.12e}"
-
-
 def _write_atomic(path: str, text: str):
     d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
@@ -165,11 +162,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _csv(headers, columns) -> str:
-    lines = [",".join(headers)]
-    n = len(columns[0])
-    for i in range(n):
-        lines.append(",".join(_fmt(float(c[i])) for c in columns))
-    return "\n".join(lines) + "\n"
+    return csv_text(headers, columns, ["%.12e"] * len(columns))
 
 
 def _json_text(payload: dict) -> str:

@@ -239,6 +239,32 @@ class TestFieldMap:
         assert len(lines) == 3
         assert lines[1].endswith(",0")
 
+    def test_one_surface_distance_pass_per_magnet(self, monkeypatch):
+        calls = []
+        original = CuboidMagnet.surface_distance
+
+        def counted(self, points):
+            calls.append(self)
+            return original(self, points)
+
+        monkeypatch.setattr(CuboidMagnet, "surface_distance", counted)
+        _points, _b, masked = field_map_grid(ASSEMBLY, np.linspace(-20e-3, 20e-3, 9),
+                                             [0.0], np.linspace(-10e-3, 10e-3, 5))
+        assert masked.any() and not masked.all()
+        assert calls == ASSEMBLY
+
+    def test_edge_line_extension_on_grid_rejected(self):
+        m = CuboidMagnet((0, 0, 0), (0.01, 0.01, 0.01), (0, 0, 1.0))
+        with pytest.raises(DomainError, match="edge") as on_grid:
+            field_map_grid([m], [0.03, -0.02], [0.005], [0.005])
+        with pytest.raises(DomainError) as direct:
+            cuboid_field(m, (-0.02, 0.005, 0.005))
+        assert str(on_grid.value) == str(direct.value)
+
+    def test_non_finite_axis_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            field_map_grid(ASSEMBLY, [np.nan], [0.0], [0.0])
+
 
 def random_magnets(rng, n):
     return [CuboidMagnet(tuple(rng.uniform(-0.01, 0.01, 3)),

@@ -1,4 +1,8 @@
+import copy
+import functools
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -7,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from sivcav.cli import main as cli_main
-from sivcav.config import load_config, validate_tree
+from sivcav.config import ProtocolConfig, load_config, validate_tree
 from sivcav.errors import ConfigError
 from sivcav.protocols import run_protocol
 
@@ -48,6 +53,42 @@ def write_cfg(tmp_path, tree, name="test.cfg"):
     return str(path)
 
 
+def shuffled(tree, rnd):
+    """The same tree with the keys of every mapping in a random order."""
+    if isinstance(tree, dict):
+        keys = list(tree)
+        rnd.shuffle(keys)
+        return {k: shuffled(tree[k], rnd) for k in keys}
+    if isinstance(tree, list):
+        return [shuffled(v, rnd) for v in tree]
+    return tree
+
+
+def leaf_paths(tree, path=()):
+    """Key/index paths of every scalar in a nested dict/list tree."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return [path]
+    return [p for k, v in items for p in leaf_paths(v, path + (k,))]
+
+
+def changed(value):
+    """A different value of the same type; floats move by one ulp."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return math.nextafter(value, math.inf)
+    if isinstance(value, str):
+        return value + "x"
+    assert value is None
+    return 0
+
+
 class TestConfigLoading:
     def test_minimal_cpt_parses_with_defaults(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL_CPT))
@@ -76,6 +117,23 @@ class TestConfigLoading:
         a = load_config(write_cfg(tmp_path, MINIMAL_CPT, "a.cfg"))
         b = load_config(write_cfg(tmp_path, reordered, "b.cfg"))
         assert a.config_hash() == b.config_hash()
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.cfg"))),
+           rnd=st.randoms(), pick=st.integers(0, 10 ** 6))
+    def test_hash_sees_every_leaf_but_no_key_order(self, name, rnd, pick):
+        cfg = load_config(str(CONFIGS / name))
+        tree = yaml.safe_load((CONFIGS / name).read_text())
+        assert validate_tree(shuffled(tree, rnd)).config_hash() == cfg.config_hash()
+        reordered = ProtocolConfig(cfg.protocol, cfg.seed, shuffled(cfg.blocks, rnd))
+        assert reordered.config_hash() == cfg.config_hash()
+        paths = leaf_paths(cfg.blocks)
+        path = paths[pick % len(paths)]
+        blocks = copy.deepcopy(cfg.blocks)
+        owner = functools.reduce(operator.getitem, path[:-1], blocks)
+        owner[path[-1]] = changed(owner[path[-1]])
+        altered = ProtocolConfig(cfg.protocol, cfg.seed, blocks)
+        assert altered.config_hash() != cfg.config_hash(), path
 
     def test_negative_rate_names_field(self, tmp_path):
         bad = dict(MINIMAL_CPT, cpt=dict(MINIMAL_CPT["cpt"], optical_rate_mhz=-3.0))
