@@ -1,11 +1,10 @@
 """Cavity-QED parameter algebra.
 
 Relates measured linewidths to the coupled-system figures of merit: Lorentzian
-cavity lines, detuning-dependent Purcell broadening, cooperativity
+cavity lines, detuning-dependent Purcell broadening and the cooperativity
 
-    C = 4 g^2 / (kappa * gamma0),
+    C = 4 g^2 / (kappa * gamma0).
 
-and the square-root power-broadening law gamma(P) = gamma0*sqrt(1 + P/Psat).
 All linewidths are FWHM in ordinary frequency (Hz). The detuning dependence of
 the Purcell enhancement uses the bad-cavity Lorentzian filter
 
@@ -17,65 +16,19 @@ valid here since kappa greatly exceeds both g and gamma0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
 
 __all__ = [
-    "CavityParams",
-    "SaturationModel",
     "lorentzian",
     "q_factor",
     "lorentz_filter",
     "purcell_broadened_linewidth",
     "cooperativity_from_linewidths",
     "g_from_cooperativity",
-    "power_broadened_linewidth",
 ]
-
-
-@dataclass(frozen=True)
-class CavityParams:
-    """Coupled emitter-cavity parameter set {g, kappa, gamma0, Delta}."""
-
-    g: float                  # single-photon Rabi frequency, Hz
-    kappa: float              # cavity energy decay linewidth (FWHM), Hz
-    gamma0: float             # bare emitter linewidth (FWHM), Hz
-    detuning: float = 0.0     # emitter-cavity detuning, Hz
-    resonance_freq: float = 0.0  # cavity resonance, Hz (optional)
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in
-                   (self.g, self.kappa, self.gamma0, self.detuning, self.resonance_freq)):
-            raise InvalidParameterError("CavityParams fields must be finite")
-        if self.kappa <= 0 or self.gamma0 <= 0:
-            raise InvalidParameterError("kappa and gamma0 must be positive")
-        if self.g < 0:
-            raise InvalidParameterError("g must be non-negative")
-
-    @property
-    def cooperativity(self) -> float:
-        return 4.0 * self.g ** 2 / (self.kappa * self.gamma0)
-
-    @property
-    def broadened_linewidth(self) -> float:
-        """Purcell-broadened emitter linewidth at the stored detuning, Hz."""
-        return purcell_broadened_linewidth(
-            self.cooperativity, self.detuning, self.kappa, self.gamma0)
-
-
-@dataclass(frozen=True)
-class SaturationModel:
-    """Square-root power broadening: gamma(P) = gamma0 * sqrt(1 + P/p_sat)."""
-
-    gamma0: float  # zero-power linewidth, Hz
-    p_sat: float   # saturation power (consistent units per dataset)
-
-    def __post_init__(self):
-        if not (self.gamma0 > 0 and self.p_sat > 0):
-            raise InvalidParameterError("gamma0 and p_sat must be positive")
 
 
 def lorentzian(nu, center, fwhm, amplitude=1.0, offset=0.0):
@@ -135,12 +88,3 @@ def g_from_cooperativity(c, kappa, gamma0):
     if kappa <= 0 or gamma0 <= 0:
         raise InvalidParameterError("kappa and gamma0 must be positive")
     return math.sqrt(c * kappa * gamma0 / 4.0)
-
-
-def power_broadened_linewidth(model: SaturationModel, p):
-    """Evaluate gamma(P) = gamma0 * sqrt(1 + P/p_sat) for P >= 0."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise DomainError("power must be non-negative")
-    out = model.gamma0 * np.sqrt(1.0 + p / model.p_sat)
-    return float(out) if out.ndim == 0 else out

@@ -14,7 +14,6 @@ from .engine import (
     evolve_with_final,
     final_state,
     steady_state,
-    steady_states,
     detuned_steady_states,
 )
 from .experiments import (
@@ -32,7 +31,7 @@ from .experiments import (
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "DensityState",
     "Trace", "build_liouvillian", "propagate", "evolve", "evolve_with_final",
-    "final_state", "steady_state", "steady_states", "detuned_steady_states",
+    "final_state", "steady_state", "detuned_steady_states",
     "SpinPumpParams", "CptParams", "PleEmitter",
     "simulate_spin_pumping", "extract_initialization_fidelity",
     "simulate_t1_recovery", "simulate_cpt_scan", "fit_cpt_scan_forward",

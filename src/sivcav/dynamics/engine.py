@@ -29,8 +29,7 @@ from ..errors import (
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem",
     "DensityState", "Trace", "build_liouvillian", "propagate", "evolve",
-    "evolve_with_final", "final_state", "steady_state", "steady_states",
-    "detuned_steady_states",
+    "evolve_with_final", "final_state", "steady_state", "detuned_steady_states",
 ]
 
 #: loop-closure tolerance of the rotating-frame check, Hz: the largest
@@ -54,7 +53,7 @@ _EIGENBASIS_CONDITION_LIMIT = 1e4
 @dataclass(frozen=True)
 class Level:
     label: str
-    energy: float  # Hz
+    energy: float  # Hz; only checked for finiteness: the frame uses detunings
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class LevelSystem:
         self._index = {lv.label: i for i, lv in enumerate(self.levels)}
         self._frame_map, self._loop_labels, self._loop_rows = self._solve_rotating_frame()
         self._check_loops(np.array([d.laser_detuning for d in self.drives]))
-        self._liouvillian = None  # assembled on first use, then read-only
+        self._l0 = None           # detuning-free Liouvillian; first use, then read-only
         self._eigenbasis = None   # (lam, V) or (); computed on first propagation
 
     @property
@@ -292,56 +291,50 @@ class Trace:
                 "trace populations must sum to 1 within 1e-8 at every time")
 
 
-def _hamiltonian_superoperators(h) -> np.ndarray:
-    """-i (kron(h, 1) - kron(1, h^T)) for an (N, n, n) stack; (N, n^2, n^2)."""
-    n = h.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    ht = np.swapaxes(h, 1, 2)
-    lv = h[:, :, None, :, None] * eye[:, None, :]  # kron(h, 1)
-    lv -= eye[:, None, :, None] * ht[:, None, :, None, :]  # kron(1, h.T)
-    lv *= -1j
-    return lv.reshape(len(h), n * n, n * n)
+def _frame_free_liouvillian(sys: LevelSystem) -> np.ndarray:
+    """L0 of `sys`, 1/s: the (n^2, n^2) superoperator of the drive
+    Hamiltonian with its diagonal zeroed plus the Lindblad dissipator.
 
-
-def _dissipator(sys: LevelSystem) -> np.ndarray:
-    """(n^2, n^2) Lindblad dissipator, 1/s, added collapse operator by
-    collapse operator; each Kronecker product is a broadcast on an
-    (n, n, n, n) view."""
-    n = sys.dim
-    eye = np.eye(n, dtype=complex)
-    d = np.zeros((n, n, n, n), dtype=complex)
-    for c in sys.collapse_operators():
-        cdc = c.conj().T @ c
-        d += c[:, None, :, None] * c.conj()[None, :, None, :]  # kron(c, c*)
-        d -= 0.5 * (cdc[:, None, :, None] * eye[None, :, None, :]  # kron(cdc, 1)
-                    + eye[:, None, :, None] * cdc.T[None, :, None, :])  # kron(1, cdc.T)
-    return d.reshape(n * n, n * n)
-
-
-def _liouvillians(systems) -> np.ndarray:
-    """(N, n^2, n^2) Lindblad superoperators of same-dimension systems, 1/s.
-
-    New systems are assembled together (one broadcast Kronecker product for
-    the Hamiltonians, one dissipator per distinct (levels, decays,
-    dephasings)); each result is kept on its system, read-only, and reused.
+    Assembled on first use and kept on the system, read-only. Each Kronecker
+    product is a broadcast on an (n, n, n, n) view; the collapse operators
+    are added one by one, in the order of `collapse_operators`.
     """
-    todo = [s for s in systems if s._liouvillian is None]
-    if todo:
-        lv = _hamiltonian_superoperators(np.stack([s.hamiltonian() for s in todo]))
-        dissipators = {}
-        for s, row in zip(todo, lv):
-            key = (tuple(level.label for level in s.levels), s.decays, s.dephasings)
-            if key not in dissipators:
-                dissipators[key] = _dissipator(s)
-            row += dissipators[key]
-            row.flags.writeable = False
-            s._liouvillian = row
-    return np.stack([s._liouvillian for s in systems])
+    if sys._l0 is None:
+        n = sys.dim
+        eye = np.eye(n, dtype=complex)
+        h = sys.hamiltonian()
+        np.fill_diagonal(h, 0.0)
+        lv = h[:, None, :, None] * eye[None, :, None, :]  # kron(h, 1)
+        lv -= eye[:, None, :, None] * h.T[None, :, None, :]  # kron(1, h.T)
+        lv *= -1j
+        for c in sys.collapse_operators():
+            cdc = c.conj().T @ c
+            lv += c[:, None, :, None] * c.conj()[None, :, None, :]  # kron(c, c*)
+            lv -= 0.5 * (cdc[:, None, :, None] * eye[None, :, None, :]  # kron(cdc, 1)
+                         + eye[:, None, :, None] * cdc.T[None, :, None, :])  # kron(1, cdc.T)
+        sys._l0 = lv.reshape(n * n, n * n)
+        sys._l0.flags.writeable = False
+    return sys._l0
+
+
+def _detuned_liouvillians(sys: LevelSystem, detunings) -> np.ndarray:
+    """(N, n^2, n^2) Lindblad superoperators of `sys`, 1/s, with its laser
+    detunings replaced by each row of `detunings` (shape (N, n_drives)).
+
+    Detunings enter the rotating-frame Liouvillian only on its diagonal:
+    L = L0 - i 2 pi (s_a - s_b) at vec index (a, b), with s the frame shifts.
+    """
+    n = sys.dim
+    w = TWO_PI * sys._frame_shifts(detunings)
+    lv = np.repeat(_frame_free_liouvillian(sys)[None], len(w), axis=0)
+    diag = np.arange(n * n)
+    lv[:, diag, diag] += -1j * (w[:, :, None] - w[:, None, :]).reshape(-1, n * n)
+    return lv
 
 
 def build_liouvillian(sys: LevelSystem) -> np.ndarray:
     """Dense N^2 x N^2 Lindblad superoperator in angular units (1/s)."""
-    return _liouvillians([sys])[0]
+    return _detuned_liouvillians(sys, [[d.laser_detuning for d in sys.drives]])[0]
 
 
 def _signal_from_populations(sys: LevelSystem, pops: np.ndarray) -> np.ndarray:
@@ -389,7 +382,7 @@ def _propagate_states(sys: LevelSystem, rho0: DensityState, dts) -> np.ndarray:
     """Re-Hermitized density matrices at each elapsed time in `dts`.
 
     The eigenbasis of the system's Liouvillian is computed on first use and
-    kept on the system, read-only, next to the Liouvillian.
+    kept on the system, read-only, next to its L0.
     """
     n = sys.dim
     if rho0.rho.shape[0] != n:
@@ -470,28 +463,14 @@ def _bordered_steady_states(lv: np.ndarray) -> np.ndarray:
     return rho
 
 
-def steady_states(systems) -> np.ndarray:
-    """Stationary density matrices of same-dimension systems, shape (N, n, n).
-
-    One trace-bordered solve over the stacked Liouvillians (see
-    `_bordered_steady_states`); the first failing system raises.
-    """
-    systems = list(systems)
-    if len({s.dim for s in systems}) != 1:
-        raise InvalidParameterError("steady_states needs systems, all of one dimension")
-    return _bordered_steady_states(_liouvillians(systems))
-
-
 def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
     """Steady states of `template` with its laser detunings replaced by each
     row of `detunings` (shape (N, n_drives), Hz, in drive order); (N, n, n).
 
-    Detunings enter the rotating-frame Liouvillian only on its diagonal:
-    L = L0 - i 2 pi (s_a - s_b) at vec index (a, b), with s the frame shifts.
-    So L0 (drives and dissipation) is assembled once, each row adds its
-    diagonal, and the stack takes the solve, checks and messages of
-    `steady_states`; the first failing row raises. The result equals
-    `steady_states` of the per-row systems.
+    The template's L0 is assembled once and each row adds its frame
+    diagonal (see `_detuned_liouvillians`); the stack takes the solve,
+    checks and messages of `steady_state`, and the first failing row
+    raises. Each row equals `steady_state` of its own system bit for bit.
     """
     detunings = np.asarray(detunings, dtype=float)
     if (detunings.ndim != 2 or len(detunings) == 0
@@ -501,17 +480,10 @@ def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
     if not np.all(np.isfinite(detunings)):
         raise InvalidParameterError("laser_detuning must be finite")
     template._check_loops(detunings)
-    n = template.dim
-    drive_h = template.hamiltonian()
-    np.fill_diagonal(drive_h, 0.0)
-    lv0 = _hamiltonian_superoperators(drive_h[None])[0] + _dissipator(template)
-    w = TWO_PI * template._frame_shifts(detunings)
-    lv = np.repeat(lv0[None], len(detunings), axis=0)
-    diag = np.arange(n * n)
-    lv[:, diag, diag] += -1j * (w[:, :, None] - w[:, None, :]).reshape(-1, n * n)
-    return _bordered_steady_states(lv)
+    return _bordered_steady_states(_detuned_liouvillians(template, detunings))
 
 
 def steady_state(sys: LevelSystem) -> DensityState:
-    """Stationary density matrix: the one-system case of `steady_states`."""
-    return DensityState(steady_states([sys])[0])
+    """Stationary density matrix: one trace-bordered solve (see
+    `_bordered_steady_states`)."""
+    return DensityState(_bordered_steady_states(build_liouvillian(sys)[None])[0])

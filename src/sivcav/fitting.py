@@ -4,8 +4,7 @@ A small Levenberg-Marquardt trust region with multiplicative damping (factor
 10 up/down, initial lambda 1e-3) drives all fits; each shipped model carries
 an analytic Jacobian and a deterministic initial-guess heuristic, so the
 default path contains no randomness. Parameter uncertainties are 1-sigma
-values from the residual-scaled covariance (J^T J)^-1; confidence bands come
-from linear error propagation.
+values from the residual-scaled covariance (J^T J)^-1.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "fit_exponential",
     "fit_saturation",
     "fit_cpt_dip",
-    "confidence_band",
 ]
 
 _LAMBDA0 = 1e-3
@@ -513,11 +511,11 @@ def fit_saturation(spectrum: Spectrum, p0=None) -> FitResult:
     return lm_fit(SATURATION, spectrum, p0)
 
 
-def fit_cpt_dip(spectrum: Spectrum, p0=None):
-    """Fit an inverted-Lorentzian dip; returns (FitResult, 3-sigma band fn).
+def fit_cpt_dip(spectrum: Spectrum, p0=None) -> FitResult:
+    """Fit an inverted-Lorentzian dip.
 
-    The band callable maps x to (lower, upper) bounds of the prediction at
-    three standard deviations, by linear propagation of the fit covariance.
+    A fit whose depth is consistent with zero gets the
+    'width_unidentifiable' flag: a flat scan constrains no dip width.
     """
     result = lm_fit(CPT_DIP, spectrum, p0)
     depth = abs(result["depth"])
@@ -525,19 +523,4 @@ def fit_cpt_dip(spectrum: Spectrum, p0=None):
     if depth < max(result.sigma_of("depth"), 1e-12 * span):
         result = FitResult(**{**result.__dict__,
                               "flags": result.flags + ("width_unidentifiable",)})
-    band = confidence_band(CPT_DIP, result, n_sigma=3.0)
-    return result, band
-
-
-def confidence_band(model: Model, result: FitResult, n_sigma: float = 3.0):
-    """Linear-propagation confidence band evaluator for a fitted model."""
-
-    def band(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = model.func(x, result.params)
-        jac = model.jac(x, result.params)
-        var = np.einsum("ij,jk,ik->i", jac, result.covariance, jac)
-        half = n_sigma * np.sqrt(np.maximum(var, 0.0))
-        return y - half, y + half
-
-    return band
+    return result

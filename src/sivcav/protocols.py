@@ -269,7 +269,7 @@ def _run_cpt_scan(cfg, rng):
     detunings = np.linspace(-half, half, scan["points"])
     spec = simulate_cpt_scan(params, detunings)
     y = _maybe_noise(spec.y, cfg, rng)
-    result, _band = fit_cpt_dip(Spectrum(detunings, y, x_unit="Hz"))
+    result = fit_cpt_dip(Spectrum(detunings, y, x_unit="Hz"))
     fits = {
         "cpt_dip": {
             "dip_fwhm_mhz": result["dip_fwhm"] / 1e6,

@@ -24,7 +24,6 @@ into the defect frame.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +42,6 @@ __all__ = [
     "manifold_eigensystem",
     "transition_table",
     "spin_splitting",
-    "transition_table_to_csv",
 ]
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -314,13 +312,3 @@ def spin_splitting(model: SivModel) -> dict:
         "f_s_excited": float(we[1] - we[0]),
         "degenerate": False,
     }
-
-
-def transition_table_to_csv(table: TransitionTable) -> str:
-    """CSV export, header: label,parent,frequency_hz,dipole_weight,spin_character."""
-    buf = io.StringIO()
-    buf.write("label,parent,frequency_hz,dipole_weight,spin_character\n")
-    for t in table.sublevel:
-        buf.write(f"{t.label},{t.parent},{t.frequency:.6f},"
-                  f"{t.dipole_weight:.12f},{t.spin_character}\n")
-    return buf.getvalue()

@@ -163,7 +163,7 @@ def test_criterion_06_cpt():
     for om in (12e6, 6e6, 3e6):
         p = CptParams(rabi_pump=om, rabi_probe=om, optical_rate=157e6,
                       gamma_s=gamma_s)
-        res, _ = fit_cpt_dip(simulate_cpt_scan(p, det))
+        res = fit_cpt_dip(simulate_cpt_scan(p, det))
         assert res.converged
         widths.append(res["dip_fwhm"])
     assert widths[0] > widths[1] > widths[2]  # power broadening

@@ -4,12 +4,9 @@ from scipy.integrate import quad
 
 from sivcav.constants import C_LIGHT
 from sivcav.cqed import (
-    CavityParams,
-    SaturationModel,
     cooperativity_from_linewidths,
     g_from_cooperativity,
     lorentzian,
-    power_broadened_linewidth,
     purcell_broadened_linewidth,
     q_factor,
 )
@@ -129,25 +126,6 @@ class TestCooperativity:
             g_from_cooperativity(-0.1, KAPPA, GAMMA0)
 
 
-class TestPowerBroadening:
-    def test_zero_power(self):
-        m = SaturationModel(GAMMA0, 1.0)
-        assert power_broadened_linewidth(m, 0.0) == GAMMA0
-
-    def test_three_saturation_powers_double(self):
-        m = SaturationModel(GAMMA0, 0.4)
-        assert power_broadened_linewidth(m, 3 * 0.4) == pytest.approx(2 * GAMMA0)
-
-    def test_monotone(self):
-        m = SaturationModel(GAMMA0, 1.0)
-        p = np.linspace(0, 20, 100)
-        assert np.all(np.diff(power_broadened_linewidth(m, p)) > 0)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(DomainError):
-            power_broadened_linewidth(SaturationModel(GAMMA0, 1.0), -1.0)
-
-
 class TestScaleCovariance:
     def test_frequency_scaling(self):
         # scaling every frequency by s scales frequency outputs by s and
@@ -163,18 +141,3 @@ class TestScaleCovariance:
         b1 = purcell_broadened_linewidth(0.3, 2e9, KAPPA, GAMMA0)
         b2 = purcell_broadened_linewidth(0.3, s * 2e9, s * KAPPA, s * GAMMA0)
         assert b2 == pytest.approx(s * b1, rel=1e-12)
-
-
-class TestCavityParams:
-    def test_derived_quantities(self):
-        p = CavityParams(g=1.78e9, kappa=KAPPA, gamma0=GAMMA0, detuning=0.0)
-        assert p.cooperativity == pytest.approx(4 * 1.78e9 ** 2 / (KAPPA * GAMMA0))
-        assert p.broadened_linewidth > GAMMA0
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            CavityParams(g=-1.0, kappa=KAPPA, gamma0=GAMMA0)
-        with pytest.raises(InvalidParameterError):
-            CavityParams(g=0.0, kappa=0.0, gamma0=GAMMA0)
-        with pytest.raises(InvalidParameterError):
-            SaturationModel(gamma0=GAMMA0, p_sat=0.0)

@@ -22,7 +22,6 @@ from sivcav.dynamics import (
     propagate,
     simulate_t1_recovery,
     steady_state,
-    steady_states,
 )
 from sivcav.dynamics import engine
 from sivcav.dynamics.experiments import _two_level_excited_population
@@ -57,23 +56,6 @@ def random_system(rng, n_levels):
     if n_levels >= 2 and rng.random() < 0.5:
         dephasings.append(Dephasing("l0", "l1", rng.uniform(0, 5e6)))
     return LevelSystem(levels, tuple(drives), tuple(decays), tuple(dephasings))
-
-
-def scan_variant(rng, base):
-    """`base` with redrawn drive strengths and detunings, like one scan point.
-
-    Its decays and dephasings are either kept or redrawn, so a stack of
-    variants mixes shared and distinct dissipators.
-    """
-    drives = tuple(Drive(d.lower, d.upper, rng.uniform(1e6, 50e6),
-                         rng.uniform(-30e6, 30e6)) for d in base.drives)
-    decays = base.decays
-    if rng.random() < 0.3:
-        decays = random_system(rng, base.dim).decays
-    dephasings = base.dephasings
-    if rng.random() < 0.3:
-        dephasings = (Dephasing("l0", "l1", rng.uniform(0, 5e6)),)
-    return LevelSystem(base.levels, drives, decays, dephasings)
 
 
 def random_density(rng, n):
@@ -125,7 +107,7 @@ class TestLiouvillian:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4))
     def test_trace_preservation_left_null_vector(self, seed, n):
-        # vec(1)^T L = 0 lets steady_states replace a population row by the
+        # vec(1)^T L = 0 lets steady_state replace a population row by the
         # trace row; L also maps Hermitian matrices to Hermitian ones
         rng = np.random.default_rng(seed)
         lv = build_liouvillian(random_system(rng, n))
@@ -417,15 +399,17 @@ def disconnected_four_level():
 
 class TestSteadyStates:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+    @given(seed=st.integers(0, 2 ** 32 - 1), v_type=st.booleans(),
            count=st.integers(1, 8))
-    def test_stack_matches_per_system_null_vectors(self, seed, n, count):
+    def test_stack_matches_per_system_null_vectors(self, seed, v_type, count):
         rng = np.random.default_rng(seed)
-        base = random_system(rng, n)
-        systems = [base] + [scan_variant(rng, base) for _ in range(count - 1)]
-        rhos = steady_states(systems)
+        template = v_template(rng) if v_type else lambda_template(rng)
+        detunings = rng.uniform(-50e6, 50e6, size=(count, 2))
+        rhos = detuned_steady_states(template, detunings)
+        n = template.dim
         assert rhos.shape == (count, n, n)
-        for sys, rho in zip(systems, rhos):
+        for row, rho in zip(detunings, rhos):
+            sys = with_detunings(template, row)
             ref = null_vector_state(sys)
             assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert abs(np.trace(rho) - 1.0) <= 1e-12
@@ -437,27 +421,27 @@ class TestSteadyStates:
 
     def test_single_system_is_one_row_of_the_stack(self):
         rng = np.random.default_rng(11)
-        systems = [random_system(rng, 3) for _ in range(4)]
-        rhos = steady_states(systems)
-        for sys, rho in zip(systems, rhos):
+        template = v_template(rng)
+        rows = rng.uniform(-50e6, 50e6, size=(4, 2))
+        rhos = detuned_steady_states(template, rows)
+        for row, rho in zip(rows, rhos):
+            sys = with_detunings(template, row)
             assert np.array_equal(steady_state(sys).rho, rho)
             assert np.array_equal(build_liouvillian(sys), kron_liouvillian(sys))
 
     def test_degenerate_system_inside_a_stack(self):
-        rng = np.random.default_rng(5)
-        systems = [random_system(rng, 4), disconnected_four_level(),
-                   random_system(rng, 4)]
-        with pytest.raises(SteadyStateError,
-                           match="^steady state is not unique: null space dimension 4$"):
-            steady_states(systems)
+        message = "^steady state is not unique: null space dimension 4$"
+        with pytest.raises(SteadyStateError, match=message):
+            steady_state(disconnected_four_level())
+        with pytest.raises(SteadyStateError, match=message):
+            detuned_steady_states(disconnected_four_level(), np.zeros((3, 0)))
 
     def test_first_failing_system_raises(self):
-        rng = np.random.default_rng(6)
         static = LevelSystem(tuple(Level(f"l{i}", i * 1e9) for i in range(4)))
         with pytest.raises(SteadyStateError, match="^zero Liouvillian"):
-            steady_states([random_system(rng, 4), static, disconnected_four_level()])
+            steady_state(static)
         with pytest.raises(SteadyStateError, match="^steady state is not unique"):
-            steady_states([random_system(rng, 4), disconnected_four_level(), static])
+            steady_state(disconnected_four_level())
 
     @pytest.mark.parametrize("gamma", [1e6, 1.0, 0.1, 1e-2, 1e-3])
     def test_two_level_oracle_down_to_slow_decay(self, gamma):
@@ -475,13 +459,6 @@ class TestSteadyStates:
         rho = steady_state(sys)
         assert np.max(np.abs(rho.rho - np.diag([0.5, 0.0, 0.5, 0.0]))) <= 1e-12
 
-    def test_mixed_dimensions_and_empty_stack_rejected(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(InvalidParameterError):
-            steady_states([random_system(rng, 3), random_system(rng, 4)])
-        with pytest.raises(InvalidParameterError):
-            steady_states([])
-
     def test_liouvillian_assembled_once_per_system(self, monkeypatch):
         sys = two_level(rabi=20e6, decay=40e6)
         calls = []
@@ -498,14 +475,22 @@ class TestSteadyStates:
         engine.evolve_with_final(sys, rho0, ts)
         final_state(sys, rho0, 1e-7)
         steady_state(sys)
-        steady_states([sys, two_level(rabi=5e6, decay=40e6)])
+        detuned_steady_states(sys, [[0.0], [3e6]])
         assert len(calls) == 1
 
     def test_cached_liouvillian_is_read_only(self):
-        sys = two_level(rabi=20e6, decay=40e6)
+        # the one cache is the detuning-free L0: a resonant system's
+        # Liouvillian equals it, a detuned one differs on the diagonal only
+        sys = two_level(rabi=20e6, detuning=3e6, decay=40e6)
         final_state(sys, DensityState.from_populations([1, 0]), 1e-7)
-        cached = sys._liouvillian
-        assert np.array_equal(cached, build_liouvillian(sys))
+        cached = sys._l0
+        lv = build_liouvillian(sys)
+        off = ~np.eye(4, dtype=bool)
+        assert np.array_equal(cached[off], lv[off])
+        assert not np.array_equal(np.diag(cached), np.diag(lv))
+        resonant = two_level(rabi=20e6, decay=40e6)
+        assert np.array_equal(build_liouvillian(resonant),
+                              engine._frame_free_liouvillian(resonant))
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
 
@@ -551,7 +536,8 @@ class TestDetunedSteadyStates:
         template = v_template(rng) if v_type else lambda_template(rng)
         detunings = rng.uniform(-50e6, 50e6, size=(count, 2))
         rhos = detuned_steady_states(template, detunings)
-        ref = steady_states([with_detunings(template, row) for row in detunings])
+        ref = np.stack([steady_state(with_detunings(template, row)).rho
+                        for row in detunings])
         assert rhos.shape == ref.shape
         assert np.max(np.abs(rhos - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -559,8 +545,8 @@ class TestDetunedSteadyStates:
         # the template's own detunings are replaced, not added to
         template = lambda_template(np.random.default_rng(1))
         rows = [[3e6, -1e6], [0.0, 2.5e6]]
-        assert np.array_equal(detuned_steady_states(template, rows),
-                              steady_states([with_detunings(template, r) for r in rows]))
+        ref = [steady_state(with_detunings(template, r)).rho for r in rows]
+        assert np.array_equal(detuned_steady_states(template, rows), np.stack(ref))
 
     def test_non_finite_detuning_rejected(self):
         template = lambda_template(np.random.default_rng(2))
@@ -596,7 +582,8 @@ class TestDetunedSteadyStates:
         template = two_level(rabi=10e6, decay=50e6)
         rows = [[1e6], [1e30], [2e6]]
         with pytest.raises(SteadyStateError) as per_point:
-            steady_states([with_detunings(template, r) for r in rows])
+            for r in rows:
+                steady_state(with_detunings(template, r))
         assert str(per_point.value).startswith("steady state is not unique")
         with pytest.raises(SteadyStateError) as stacked:
             detuned_steady_states(template, rows)

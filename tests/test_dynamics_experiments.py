@@ -137,7 +137,7 @@ class TestCpt:
                                    optical_rate=157e6)
         det = np.linspace(-5e6, 5e6, 121)
         from sivcav.fitting import fit_cpt_dip
-        res, _ = fit_cpt_dip(simulate_cpt_scan(p, det))
+        res = fit_cpt_dip(simulate_cpt_scan(p, det))
         assert res["dip_fwhm"] == pytest.approx(p.dark_dip_fwhm(), rel=0.05)
         assert res["dip_fwhm"] / 1e6 == pytest.approx(3.3, rel=0.1)
 
@@ -148,7 +148,7 @@ class TestCpt:
         for om in (12e6, 8e6, 5e6):
             p = CptParams.from_t2_star(97e-9, rabi_pump=om, rabi_probe=om,
                                        optical_rate=157e6)
-            res, _ = fit_cpt_dip(simulate_cpt_scan(p, det))
+            res = fit_cpt_dip(simulate_cpt_scan(p, det))
             widths.append(res["dip_fwhm"])
         assert widths[0] > widths[1] > widths[2]
 

@@ -10,7 +10,6 @@ from sivcav.siv_levels import (
     manifold_eigensystem,
     spin_splitting,
     transition_table,
-    transition_table_to_csv,
 )
 
 GROUND = ManifoldParams(lambda_so=46e9, quench_f=0.1, g_spin=2.0)
@@ -226,14 +225,6 @@ class TestTransitionTable:
             table = transition_table(SivModel(g, e, ZPL))
             assert table.delta_gs >= 46e9 * (1 - 1e-12)
             assert table.delta_es >= 255e9 * (1 - 1e-12)
-
-    def test_csv_export(self):
-        model = SivModel(GROUND, EXCITED, ZPL, b_field=(0, 0, 0.243))
-        text = transition_table_to_csv(transition_table(model))
-        lines = text.strip().split("\n")
-        assert lines[0] == "label,parent,frequency_hz,dipole_weight,spin_character"
-        assert len(lines) == 17
-        assert lines[1].split(",")[1] == "A"
 
 
 class TestSpinSplitting:
