@@ -275,6 +275,10 @@ def _parse_axis_spec(b: _Block, key) -> dict:
     if out["points"] > 1 and out["stop"] <= out["start"]:
         raise ConfigError("stop must exceed start for multi-point axes",
                           field=sub.path)
+    if out["points"] == 1 and out["stop"] != out["start"]:
+        # a single-point axis samples `start` only
+        raise ConfigError("stop must equal start for single-point axes",
+                          field=sub.path)
     sub.finish()
     return out
 

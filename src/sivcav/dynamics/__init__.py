@@ -11,8 +11,6 @@ from .engine import (
     build_liouvillian,
     propagate,
     evolve,
-    evolve_with_final,
-    final_state,
     steady_state,
     detuned_steady_states,
 )
@@ -30,8 +28,8 @@ from .experiments import (
 
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "DensityState",
-    "Trace", "build_liouvillian", "propagate", "evolve", "evolve_with_final",
-    "final_state", "steady_state", "detuned_steady_states",
+    "Trace", "build_liouvillian", "propagate", "evolve", "steady_state",
+    "detuned_steady_states",
     "SpinPumpParams", "CptParams", "PleEmitter",
     "simulate_spin_pumping", "extract_initialization_fidelity",
     "simulate_t1_recovery", "simulate_cpt_scan", "fit_cpt_scan_forward",

@@ -29,7 +29,7 @@ from ..errors import (
 __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem",
     "DensityState", "Trace", "build_liouvillian", "propagate", "evolve",
-    "evolve_with_final", "final_state", "steady_state", "detuned_steady_states",
+    "steady_state", "detuned_steady_states",
 ]
 
 #: loop-closure tolerance of the rotating-frame check, Hz: the largest
@@ -236,6 +236,28 @@ class LevelSystem:
         return rates
 
 
+def _check_density(rho: np.ndarray) -> None:
+    """Raise InvalidParameterError unless every matrix of the (..., n, n)
+    stack `rho` is a density matrix, within the tolerances in the messages."""
+    if not np.all(np.isfinite(rho)):
+        raise InvalidParameterError("rho must be finite")
+    herm = np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))
+    if np.max(herm, initial=0.0) > 1e-10:
+        raise InvalidParameterError("rho must be Hermitian within 1e-10")
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.max(np.abs(trace - 1.0), initial=0.0) > 1e-9:
+        raise InvalidParameterError("rho must have unit trace within 1e-9")
+    if np.min(np.linalg.eigvalsh(rho), initial=0.0) < -1e-9:
+        raise InvalidParameterError("rho must be positive within -1e-9")
+
+
+def _normalized(rho: np.ndarray) -> np.ndarray:
+    """Each matrix of the (..., n, n) stack `rho` over its trace, checked."""
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    _check_density(rho)
+    return rho
+
+
 @dataclass(frozen=True)
 class DensityState:
     """Validated density matrix."""
@@ -246,14 +268,7 @@ class DensityState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise InvalidParameterError("rho must be a square matrix")
-        if not np.all(np.isfinite(rho)):
-            raise InvalidParameterError("rho must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise InvalidParameterError("rho must be Hermitian within 1e-10")
-        if abs(np.trace(rho).real - 1.0) > 1e-9:
-            raise InvalidParameterError("rho must have unit trace within 1e-9")
-        if np.min(np.linalg.eigvalsh(rho)) < -1e-9:
-            raise InvalidParameterError("rho must be positive within -1e-9")
+        _check_density(rho)
         object.__setattr__(self, "rho", rho)
 
     @classmethod
@@ -286,9 +301,21 @@ class Trace:
         if np.any(np.asarray(self.signal) < 0):
             raise InvalidParameterError("trace signal must be non-negative")
         sums = np.asarray(self.populations).sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-8:
+        if np.max(np.abs(sums - 1.0), initial=0.0) > 1e-8:
             raise InvalidParameterError(
                 "trace populations must sum to 1 within 1e-8 at every time")
+
+
+def _trace(sys: LevelSystem, times, rhos: np.ndarray, background=0.0) -> Trace:
+    """Trace of the (m, n, n) states `rhos` of `sys` sampled at `times`: the
+    level populations and the radiative decay flux (Hz) plus `background`."""
+    pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
+    raw = pops @ sys.radiative_rates()
+    # clamp propagation roundoff only; genuinely negative flux still surfaces
+    # through the Trace validation
+    scale = np.max(np.abs(raw), initial=1.0)
+    signal = np.where((raw < 0) & (raw > -1e-9 * scale), 0.0, raw) + background
+    return Trace(times, signal, pops, tuple(lv.label for lv in sys.levels))
 
 
 def _frame_free_liouvillian(sys: LevelSystem) -> np.ndarray:
@@ -337,79 +364,53 @@ def build_liouvillian(sys: LevelSystem) -> np.ndarray:
     return _detuned_liouvillians(sys, [[d.laser_detuning for d in sys.drives]])[0]
 
 
-def _signal_from_populations(sys: LevelSystem, pops: np.ndarray) -> np.ndarray:
-    raw = pops @ sys.radiative_rates()
-    # clamp propagation roundoff only; genuinely negative flux still surfaces
-    # through the Trace validation
-    scale = max(float(np.max(np.abs(raw))), 1.0)
-    return np.where((raw < 0) & (raw > -1e-9 * scale), 0.0, raw)
+def _eigenbasis(sys: LevelSystem):
+    """(lam, V) with L = V diag(lam) V^-1 for the Liouvillian L of `sys`, or
+    () when V is too ill-conditioned and `propagate` uses `expm`. Computed
+    on first use and kept on the system, read-only, next to its L0."""
+    if sys._eigenbasis is None:
+        lam, vecs = np.linalg.eig(build_liouvillian(sys))
+        if np.linalg.cond(vecs) > _EIGENBASIS_CONDITION_LIMIT:
+            sys._eigenbasis = ()
+        else:
+            lam.flags.writeable = vecs.flags.writeable = False
+            sys._eigenbasis = (lam, vecs)
+    return sys._eigenbasis
 
 
-def _eigenbasis(lv: np.ndarray):
-    """(lam, V) with lv = V diag(lam) V^-1, or () when V is too
-    ill-conditioned and `propagate` has to use the matrix exponential."""
-    lam, vecs = np.linalg.eig(lv)
-    if np.linalg.cond(vecs) > _EIGENBASIS_CONDITION_LIMIT:
-        return ()
-    return lam, vecs
+def propagate(sys: LevelSystem, rho0, dts) -> np.ndarray:
+    """States exp(L t) rho0 of `sys` at every elapsed time t in `dts`.
 
-
-def _propagate(lv: np.ndarray, basis, y0: np.ndarray, dts) -> np.ndarray:
-    """`propagate` with the eigenbasis of `lv` given (see `_eigenbasis`)."""
-    dts = np.asarray(dts, dtype=float)
-    if not basis:
-        from scipy.linalg import expm
-        return np.array([expm(lv * t) @ y0 for t in dts])
-    lam, vecs = basis
-    coeffs = np.linalg.solve(vecs, y0)
-    return (np.exp(np.outer(dts, lam)) * coeffs) @ vecs.T
-
-
-def propagate(lv: np.ndarray, y0: np.ndarray, dts) -> np.ndarray:
-    """exp(lv * t) @ y0 for every t in `dts`; shape (len(dts), len(y0)).
-
-    Exact for a time-independent generator: one eigendecomposition
-    lv = V diag(lam) V^-1 serves all times. When the eigenbasis is
-    ill-conditioned (near an exceptional point) the matrix exponential is
-    evaluated per time by scaling and squaring instead (Moler & Van Loan,
-    SIAM Rev. 45, 3 (2003); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-    970 (2009)).
-    """
-    return _propagate(lv, _eigenbasis(lv), y0, dts)
-
-
-def _propagate_states(sys: LevelSystem, rho0: DensityState, dts) -> np.ndarray:
-    """Re-Hermitized density matrices at each elapsed time in `dts`.
-
-    The eigenbasis of the system's Liouvillian is computed on first use and
-    kept on the system, read-only, next to its L0.
+    `rho0` is one (n, n) state or an (m, n, n) stack; the result has shape
+    rho0.shape[:-2] + (len(dts), n, n) and is re-Hermitized, not
+    renormalized. Exact: the cached eigenbasis of L serves every state and
+    time. Near an exceptional point it is ill-conditioned, and the matrix
+    exponential is evaluated once per time by scaling and squaring instead
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 31, 970 (2009)).
     """
     n = sys.dim
-    if rho0.rho.shape[0] != n:
-        raise InvalidParameterError("rho0 dimension does not match the system")
-    lv = build_liouvillian(sys)
-    if sys._eigenbasis is None:
-        sys._eigenbasis = _eigenbasis(lv)
-        for part in sys._eigenbasis:
-            part.flags.writeable = False
-    ys = _propagate(lv, sys._eigenbasis, rho0.rho.reshape(-1), dts)
-    rhos = ys.reshape(-1, n, n)
-    return 0.5 * (rhos + np.conj(np.transpose(rhos, (0, 2, 1))))
-
-
-def evolve_with_final(sys: LevelSystem, rho0: DensityState, times):
-    """Like `evolve`, but also returns the density matrix at the last time."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise InvalidParameterError("times must be a non-empty 1-d array")
-    if len(times) > 1 and not np.all(np.diff(times) > 0):
-        raise InvalidParameterError("times must be strictly increasing")
-    rhos = _propagate_states(sys, rho0, times - times[0])
-    pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-    trace = Trace(times, _signal_from_populations(sys, pops), pops,
-                  tuple(lv.label for lv in sys.levels))
-    rho_end = rhos[-1] / np.trace(rhos[-1]).real
-    return trace, DensityState(rho_end)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (n, n):
+        raise InvalidParameterError(
+            f"rho0 must have shape ({n}, {n}) or (m, {n}, {n}) for this system")
+    dts = np.asarray(dts, dtype=float)
+    if dts.ndim != 1 or not np.all(np.isfinite(dts) & (dts >= 0)):
+        raise InvalidParameterError("duration must be finite and >= 0")
+    y0 = rho0.reshape(-1, n * n)
+    basis = _eigenbasis(sys)
+    if basis:
+        lam, vecs = basis
+        coeffs = np.linalg.solve(vecs, y0.T).T
+        ys = (np.exp(np.outer(dts, lam)) * coeffs[:, None, :]) @ vecs.T
+    else:
+        from scipy.linalg import expm
+        lv = build_liouvillian(sys)
+        ys = np.empty((len(y0), len(dts), n * n), dtype=complex)
+        for k, t in enumerate(dts):
+            ys[:, k] = y0 @ expm(lv * t).T
+    rhos = ys.reshape(rho0.shape[:-2] + (len(dts), n, n))
+    return 0.5 * (rhos + np.conj(np.swapaxes(rhos, -1, -2)))
 
 
 def evolve(sys: LevelSystem, rho0: DensityState, times) -> Trace:
@@ -417,17 +418,12 @@ def evolve(sys: LevelSystem, rho0: DensityState, times) -> Trace:
 
     `times` must be strictly increasing; the first entry is the start time.
     """
-    trace, _ = evolve_with_final(sys, rho0, times)
-    return trace
-
-
-def final_state(sys: LevelSystem, rho0: DensityState,
-                duration: float) -> DensityState:
-    """Density matrix after evolving for `duration` seconds."""
-    if not (math.isfinite(duration) and duration >= 0):
-        raise InvalidParameterError("duration must be finite and >= 0")
-    rho = _propagate_states(sys, rho0, [duration])[0]
-    return DensityState(rho / np.trace(rho).real)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise InvalidParameterError("times must be a non-empty 1-d array")
+    if len(times) > 1 and not np.all(np.diff(times) > 0):
+        raise InvalidParameterError("times must be strictly increasing")
+    return _trace(sys, times, propagate(sys, rho0.rho, times - times[0]))
 
 
 def _bordered_steady_states(lv: np.ndarray) -> np.ndarray:

@@ -24,10 +24,10 @@ from .engine import (
     Level,
     LevelSystem,
     Trace,
+    _normalized,
+    _trace,
     detuned_steady_states,
-    evolve,
-    evolve_with_final,
-    final_state,
+    propagate,
 )
 
 __all__ = [
@@ -110,17 +110,17 @@ def simulate_spin_pumping(p: SpinPumpParams):
     """
     sys_on = _spin_pump_system(p, laser_on=True)
     sys_off = _spin_pump_system(p, laser_on=False)
-    rho = thermal_ground_state()
+    rho = thermal_ground_state().rho
     traces = []
     t0 = 0.0
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
     for _ in range(p.n_pulses):
-        tr, rho = evolve_with_final(sys_on, rho, grid)
-        traces.append(Trace(tr.times + t0, tr.signal + p.background,
-                            tr.populations, tr.labels))
+        rhos = propagate(sys_on, rho, grid)
+        traces.append(_trace(sys_on, grid + t0, rhos, p.background))
+        rho = _normalized(rhos[-1])
         t0 += p.pulse_length
         if p.pulse_gap > 0:
-            rho = final_state(sys_off, rho, p.pulse_gap)
+            rho = _normalized(propagate(sys_off, rho, [p.pulse_gap])[0])
             t0 += p.pulse_gap
     return traces
 
@@ -161,7 +161,8 @@ def simulate_t1_recovery(p: SpinPumpParams, taus) -> Spectrum:
     The first pulse pumps the spin from thermal equilibrium; after a dark
     interval tau the next pulse's signal is sampled at the (fixed) time where
     the thermal-start pulse peaks. In the rate-equation limit the recovery is
-    A - B*exp(-tau/t1) exactly.
+    A - B*exp(-tau/t1) exactly. The delays are one dark propagation of the
+    pumped state, and the probes one laser-on propagation of that stack.
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0) or not np.all(np.diff(taus) > 0):
@@ -169,17 +170,16 @@ def simulate_t1_recovery(p: SpinPumpParams, taus) -> Spectrum:
     sys_on = _spin_pump_system(p, laser_on=True)
     sys_off = _spin_pump_system(p, laser_on=False)
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
-    first, rho_end = evolve_with_final(sys_on, thermal_ground_state(), grid)
-    i_star = int(np.argmax(first.signal))
-    t_star = max(float(first.times[i_star]), float(first.times[1]))
+    rhos = propagate(sys_on, thermal_ground_state().rho, grid)
+    i_star = int(np.argmax(_trace(sys_on, grid, rhos).signal))
+    t_star = max(float(grid[i_star]), float(grid[1]))
 
-    probe_grid = np.linspace(0.0, t_star, 16)
-    peaks = []
-    for tau in taus:
-        rho = rho_end if tau == 0 else final_state(sys_off, rho_end, float(tau))
-        probe = evolve(sys_on, rho, probe_grid)
-        peaks.append(float(probe.signal[-1]) + p.background)
-    return Spectrum(taus, np.asarray(peaks), x_unit="s")
+    rho_end = _normalized(rhos[-1])
+    rhos = _normalized(propagate(sys_off, rho_end, taus))
+    rhos[taus == 0] = rho_end
+    # the probe signal at t* versus delay, checked like any trace
+    probe = _trace(sys_on, taus, propagate(sys_on, rhos, [t_star])[:, 0])
+    return Spectrum(taus, probe.signal + p.background, x_unit="s")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from sivcav.dynamics import (
     build_liouvillian,
     detuned_steady_states,
     evolve,
-    final_state,
     propagate,
     simulate_t1_recovery,
     steady_state,
@@ -223,10 +222,19 @@ class TestEvolve:
         assert np.max(np.abs(tr.populations - ref)) < 0.01
 
 
-    def test_negative_duration_rejected(self):
-        sys = two_level(decay=1e6)
-        with pytest.raises(InvalidParameterError):
-            final_state(sys, DensityState.from_populations([1, 0]), -1e-9)
+def exceptional_point_system():
+    # drive and dephasing tuned so that two Liouvillian eigenvectors nearly
+    # coalesce: cond(V) ~ 1e8
+    return LevelSystem((Level("a", 0.0), Level("b", OPT)),
+                       drives=(Drive("a", "b", 1e6),),
+                       dephasings=(Dephasing("a", "b", 2e6),))
+
+
+def expm_states(sys, rho0, ts):
+    """Reference propagation: one dense matrix exponential per time."""
+    n = sys.dim
+    lv = build_liouvillian(sys)
+    return np.array([(expm(lv * t) @ rho0.reshape(-1)).reshape(n, n) for t in ts])
 
 
 class TestPropagate:
@@ -235,22 +243,51 @@ class TestPropagate:
            horizon=st.floats(1e-9, 1e-6))
     def test_matches_expm_and_keeps_trace_and_hermiticity(self, seed, n, horizon):
         rng = np.random.default_rng(seed)
-        lv = build_liouvillian(random_system(rng, n))
-        y0 = random_density(rng, n).rho.reshape(-1)
+        sys = random_system(rng, n)
+        rho0 = random_density(rng, n).rho
         ts = np.linspace(0.0, horizon, 6)
-        ys = propagate(lv, y0, ts)
-        ref = np.array([expm(lv * t) @ y0 for t in ts])
-        assert np.max(np.abs(ys - ref)) <= 1e-12 * np.max(np.abs(ref))
-        rhos = ys.reshape(-1, n, n)
+        rhos = propagate(sys, rho0, ts)
+        ref = expm_states(sys, rho0, ts)
+        assert rhos.shape == (len(ts), n, n)
+        assert np.max(np.abs(rhos - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) < 1e-12
         assert np.max(np.abs(rhos - np.conj(np.transpose(rhos, (0, 2, 1))))) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+           m=st.integers(1, 5), horizon=st.floats(1e-9, 1e-6))
+    def test_stack_equals_single_state_calls(self, seed, n, m, horizon):
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, n)
+        stack = np.stack([random_density(rng, n).rho for _ in range(m)])
+        ts = np.linspace(0.0, horizon, 6)
+        rhos = propagate(sys, stack, ts)
+        assert rhos.shape == (m, len(ts), n, n)
+        for rho0, batched in zip(stack, rhos):
+            single = propagate(sys, rho0, ts)
+            ref = expm_states(sys, rho0, ts)
+            bound = 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(single - ref)) <= bound
+            # each row of the stack takes the single-state product itself
+            assert np.array_equal(batched, single)
+
+    def test_negative_duration_rejected(self):
+        sys = two_level(decay=1e6)
+        rho0 = DensityState.from_populations([1, 0]).rho
+        for bad in ([-1e-9], [0.0, np.nan], [np.inf]):
+            with pytest.raises(InvalidParameterError,
+                               match="^duration must be finite and >= 0$"):
+                propagate(sys, rho0, bad)
+
+    def test_rho0_of_wrong_shape_rejected(self):
+        sys = two_level(decay=1e6)
+        for bad in (np.eye(3) / 3, np.ones(4) / 2, np.zeros((2, 2, 3)),
+                    np.zeros((1, 1, 2, 2))):
+            with pytest.raises(InvalidParameterError, match="^rho0 must have shape"):
+                propagate(sys, bad, [1e-9])
+
     def test_exceptional_point_falls_back_to_expm(self, monkeypatch):
-        # drive and dephasing tuned so that two Liouvillian eigenvectors
-        # nearly coalesce: cond(V) ~ 1e8
-        sys = LevelSystem((Level("a", 0.0), Level("b", OPT)),
-                          drives=(Drive("a", "b", 1e6),),
-                          dephasings=(Dephasing("a", "b", 2e6),))
+        sys = exceptional_point_system()
         lv = build_liouvillian(sys)
         assert np.linalg.cond(np.linalg.eig(lv)[1]) > engine._EIGENBASIS_CONDITION_LIMIT
         calls = []
@@ -260,12 +297,31 @@ class TestPropagate:
             return expm(a)
 
         monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        y0 = DensityState.pure(2, 0).rho.reshape(-1)
+        rho0 = DensityState.pure(2, 0).rho
         ts = np.linspace(0.0, 1e-6, 5)
-        ys = propagate(lv, y0, ts)
+        rhos = propagate(sys, rho0, ts)
         assert len(calls) == len(ts)
-        ref = np.array([expm(lv * t) @ y0 for t in ts])
-        assert np.max(np.abs(ys - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = expm_states(sys, rho0, ts)
+        assert np.max(np.abs(rhos - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_exceptional_point_stack_takes_one_expm_per_time(self, monkeypatch):
+        sys = exceptional_point_system()
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        stack = np.stack([DensityState.pure(2, 0).rho, DensityState.pure(2, 1).rho,
+                          np.full((2, 2), 0.5, dtype=complex)])
+        ts = np.linspace(0.0, 1e-6, 5)
+        rhos = propagate(sys, stack, ts)
+        assert sys._eigenbasis == ()
+        assert len(calls) == len(ts)
+        for rho0, batched in zip(stack, rhos):
+            ref = expm_states(sys, rho0, ts)
+            assert np.max(np.abs(batched - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
     def test_eigenbasis_computed_once_per_system(self, monkeypatch):
@@ -282,10 +338,26 @@ class TestPropagate:
         simulate_t1_recovery(p, [0.0, 1e-7, 1e-6, 5e-6])
         assert len(calls) == 2  # laser-on and dark system
 
+    def test_liouvillian_built_once_per_system(self, monkeypatch):
+        # the cached eigenbasis needs L only for its one eigendecomposition
+        systems = []
+        build = engine.build_liouvillian
+
+        def counting_build(sys):
+            systems.append(sys)
+            return build(sys)
+
+        monkeypatch.setattr(engine, "build_liouvillian", counting_build)
+        p = SpinPumpParams(rabi_freq=20e6, optical_rate=90e6, eta=0.1, t1=1e-6,
+                           samples_per_pulse=40)
+        simulate_t1_recovery(p, [0.0, 1e-7, 1e-6, 5e-6])
+        assert len(systems) == 2  # laser-on and dark system
+        assert len({id(sys) for sys in systems}) == 2
+
     def test_cached_eigenbasis_is_read_only_and_reused(self, monkeypatch):
         sys = two_level(rabi=20e6, decay=40e6)
         rho0 = DensityState.from_populations([1, 0])
-        final_state(sys, rho0, 1e-7)
+        propagate(sys, rho0.rho, [1e-7])
         basis = sys._eigenbasis
         assert len(basis) == 2
         for part in basis:
@@ -296,9 +368,7 @@ class TestPropagate:
         assert sys._eigenbasis is basis
 
     def test_exceptional_point_system_keeps_expm(self, monkeypatch):
-        sys = LevelSystem((Level("a", 0.0), Level("b", OPT)),
-                          drives=(Drive("a", "b", 1e6),),
-                          dephasings=(Dephasing("a", "b", 2e6),))
+        sys = exceptional_point_system()
         calls = []
 
         def counting_expm(a):
@@ -341,9 +411,9 @@ class TestSteadyState:
             dephasings=(Dephasing("g1", "g2", 1e6),))
         rho_ss = steady_state(sys)
         slowest = 1.0 / (TWO_PI * 1e6)
-        rho_long = final_state(sys, DensityState.from_populations([0.2, 0.8, 0]),
-                               50.0 * slowest)
-        assert np.max(np.abs(rho_ss.rho - rho_long.rho)) < 1e-6
+        rho_long = propagate(sys, DensityState.from_populations([0.2, 0.8, 0]).rho,
+                             [50.0 * slowest])[0]
+        assert np.max(np.abs(rho_ss.rho - rho_long)) < 1e-6
 
     def test_initial_state_independence(self):
         rng = np.random.default_rng(3)
@@ -352,9 +422,10 @@ class TestSteadyState:
             drives=(Drive("g1", "e", 25e6, 1e6), Drive("g2", "e", 10e6, -3e6)),
             decays=(Decay("e", "g1", 50e6), Decay("e", "g2", 50e6)),
             dephasings=(Dephasing("g1", "g2", 2e6),))
-        rho_a = final_state(sys, random_density(rng, 3), 3e-5)
-        rho_b = final_state(sys, random_density(rng, 3), 3e-5)
-        assert np.max(np.abs(rho_a.rho - rho_b.rho)) < 1e-7
+        rho_a, rho_b = propagate(sys, np.stack([random_density(rng, 3).rho,
+                                                random_density(rng, 3).rho]),
+                                 [3e-5])[:, 0]
+        assert np.max(np.abs(rho_a - rho_b)) < 1e-7
 
     def test_degenerate_null_space_detected(self):
         # two disconnected two-level decay systems: steady state not unique
@@ -472,8 +543,7 @@ class TestSteadyStates:
         rho0 = DensityState.from_populations([1, 0])
         ts = np.linspace(0.0, 1e-7, 5)
         evolve(sys, rho0, ts)
-        engine.evolve_with_final(sys, rho0, ts)
-        final_state(sys, rho0, 1e-7)
+        propagate(sys, np.stack([rho0.rho, rho0.rho]), ts)
         steady_state(sys)
         detuned_steady_states(sys, [[0.0], [3e6]])
         assert len(calls) == 1
@@ -482,7 +552,7 @@ class TestSteadyStates:
         # the one cache is the detuning-free L0: a resonant system's
         # Liouvillian equals it, a detuned one differs on the diagonal only
         sys = two_level(rabi=20e6, detuning=3e6, decay=40e6)
-        final_state(sys, DensityState.from_populations([1, 0]), 1e-7)
+        propagate(sys, DensityState.from_populations([1, 0]).rho, [1e-7])
         cached = sys._l0
         lv = build_liouvillian(sys)
         off = ~np.eye(4, dtype=bool)

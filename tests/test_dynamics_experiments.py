@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from sivcav.dynamics import (
     CptParams,
     Decay,
+    DensityState,
     Drive,
     Level,
     LevelSystem,
     PleEmitter,
     SpinPumpParams,
     Trace,
+    evolve,
     extract_initialization_fidelity,
     simulate_cpt_scan,
     simulate_ple_scan,
     simulate_spin_pumping,
+    propagate,
     simulate_t1_recovery,
     steady_state,
 )
+from sivcav.dynamics.experiments import _spin_pump_system, thermal_ground_state
 from sivcav.errors import FitError, InvalidParameterError
 from sivcav.fitting import Spectrum, fit_exponential, fit_lorentzian
 from sivcav.siv_levels import (
@@ -123,6 +128,42 @@ class TestT1Recovery:
         taus = np.linspace(20e-9, 3e-6, 12)
         spec = simulate_t1_recovery(CALIB, taus)
         assert np.all(np.diff(spec.y) > 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rabi=st.floats(1e6, 100e6), rate=st.floats(20e6, 200e6),
+           eta=st.floats(0.0, 0.5), t1=st.floats(50e-9, 5e-6),
+           background=st.floats(0.0, 1e7), samples=st.integers(8, 60),
+           delays=st.lists(st.floats(1e-9, 2e-5), min_size=0, max_size=8,
+                           unique=True))
+    def test_batch_matches_per_delay_loop(self, rabi, rate, eta, t1, background,
+                                          samples, delays):
+        p = SpinPumpParams(rabi_freq=rabi, optical_rate=rate, eta=eta, t1=t1,
+                           background=background, samples_per_pulse=samples)
+        taus = np.array([0.0] + sorted(delays))
+        ref = per_delay_t1_recovery(p, taus)
+        spec = simulate_t1_recovery(p, taus)
+        assert np.array_equal(spec.x, taus)
+        assert np.max(np.abs(spec.y - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def per_delay_t1_recovery(p, taus):
+    """Reference T1 recovery: one dark propagation and one probe per delay."""
+    sys_on = _spin_pump_system(p, laser_on=True)
+    sys_off = _spin_pump_system(p, laser_on=False)
+    grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
+    first = evolve(sys_on, thermal_ground_state(), grid)
+    t_star = max(float(grid[int(np.argmax(first.signal))]), float(grid[1]))
+    rho = propagate(sys_on, thermal_ground_state().rho, grid)[-1]
+    rho_end = DensityState(rho / np.trace(rho).real)
+    peaks = []
+    for tau in taus:
+        state = rho_end
+        if tau > 0:
+            rho = propagate(sys_off, rho_end.rho, [tau])[0]
+            state = DensityState(rho / np.trace(rho).real)
+        probe = evolve(sys_on, state, [0.0, t_star])
+        peaks.append(float(probe.signal[-1]) + p.background)
+    return np.array(peaks)
 
 
 class TestCpt:

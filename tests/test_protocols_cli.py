@@ -159,6 +159,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="noise"):
             load_config(write_cfg(tmp_path, tree))
 
+    def test_single_point_axis_needs_stop_equal_to_start(self, tmp_path):
+        # one point samples `start` only, so a different `stop` has no effect
+        tree = yaml.safe_load((CONFIGS / "fig2_magnet_map.cfg").read_text())
+        assert tree["grid"]["y_mm"] == {"start": 0.0, "stop": 0.0, "points": 1}
+        load_config(write_cfg(tmp_path, tree))
+        tree["grid"]["y_mm"]["stop"] = 1.0
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, tree))
+        assert str(err.value) == ("stop must equal start for single-point axes "
+                                  "(field: grid.y_mm)")
+        assert err.value.field == "grid.y_mm"
+
     @pytest.mark.parametrize("name,needle", MALFORMED)
     def test_curated_malformed_set(self, name, needle):
         with pytest.raises(ConfigError) as err:
