@@ -14,6 +14,7 @@ vec(A rho B) = (A kron B^T) vec(rho).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -431,21 +432,31 @@ def _bordered_steady_states(lv: np.ndarray) -> np.ndarray:
 
     The direct method (Johansson, Nation & Nori, Comput. Phys. Commun. 184,
     1234 (2013)): row 0 of each Liouvillian, the rho_00 equation, becomes the
-    trace row vec(1)^T, and the stack is solved against e_0 in one batched
-    call. A Lindblad generator preserves the trace, so the replaced row is a
-    combination of the other population rows. SteadyStateError names the
-    first failing row's fault: a zero Liouvillian, a steady state that is
-    not unique (bordered matrix numerically singular; an SVD of that row
-    counts the null space), or one that is not positive.
+    trace row vec(1)^T, and the state is column 0 of the bordered inverse,
+    one batched factorisation that also gives the 1-norm condition number
+    ||B||_1 ||B^-1||_1. A Lindblad generator preserves the trace, so the
+    replaced row is a combination of the other population rows.
+    SteadyStateError names the first failing row's fault: a zero
+    Liouvillian, a steady state that is not unique (bordered matrix
+    numerically singular; an SVD of that row counts the null space), or one
+    that is not positive.
     """
     n = math.isqrt(lv.shape[-1])
     bordered = lv.copy()
     bordered[:, 0] = np.eye(n).reshape(-1)
-    # batched solve raises for the whole stack if one matrix is singular
-    unique = np.linalg.cond(bordered, 1) < _BORDERED_CONDITION_LIMIT
-    rho = np.zeros((len(lv), n * n), dtype=complex)
-    rho[unique] = np.linalg.solve(bordered[unique], np.eye(n * n)[0])
-    rho = rho.reshape(-1, n, n)
+    try:
+        inv = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        # an exactly singular row fails the batch; it keeps a NaN inverse
+        inv = np.full_like(bordered, np.nan)
+        for i, b in enumerate(bordered):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = (np.linalg.norm(bordered, 1, axis=(1, 2))
+                * np.linalg.norm(inv, 1, axis=(1, 2)))
+    unique = cond < _BORDERED_CONDITION_LIMIT  # False for a NaN condition
+    rho = np.where(unique[:, None], inv[:, :, 0], 0.0).reshape(-1, n, n)
     rho = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
     w_min = np.linalg.eigvalsh(rho).min(axis=1)
     for i in np.flatnonzero(~unique | (w_min < -1e-9)):

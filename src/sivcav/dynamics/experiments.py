@@ -133,6 +133,12 @@ def extract_initialization_fidelity(trace: Trace) -> float:
     the pulse is too short to reach a plateau (shorter than five fitted
     pumping time constants after the peak).
     """
+    return _fit_initialization(trace)[1]
+
+
+def _fit_initialization(trace: Trace):
+    """(exponential fit of the pumped tail after the signal peak, fidelity);
+    see `extract_initialization_fidelity`."""
     sig = np.asarray(trace.signal, dtype=float)
     t = np.asarray(trace.times, dtype=float)
     ipk = int(np.argmax(sig))
@@ -143,7 +149,7 @@ def extract_initialization_fidelity(trace: Trace) -> float:
     t_tail = t[ipk:] - t[ipk]
     if len(tail) < 8:
         raise FitError("too few samples after the signal peak")
-    fit = fit_exponential(Spectrum(t_tail, tail, x_unit="s"), kind="decay")
+    fit = fit_exponential(Spectrum(t_tail, tail), kind="decay")
     if "timescale_unidentifiable" not in fit.flags:
         if t_tail[-1] < 5.0 * fit["timescale"]:
             raise FitError(
@@ -152,7 +158,7 @@ def extract_initialization_fidelity(trace: Trace) -> float:
                 "past the peak (need 5)")
     n_last = max(len(sig) // 10, 2)
     s_steady = float(np.mean(sig[-n_last:]))
-    return 1.0 - 0.5 * (s_steady / s_peak)
+    return fit, 1.0 - 0.5 * (s_steady / s_peak)
 
 
 def simulate_t1_recovery(p: SpinPumpParams, taus) -> Spectrum:
@@ -179,7 +185,7 @@ def simulate_t1_recovery(p: SpinPumpParams, taus) -> Spectrum:
     rhos[taus == 0] = rho_end
     # the probe signal at t* versus delay, checked like any trace
     probe = _trace(sys_on, taus, propagate(sys_on, rhos, [t_star])[:, 0])
-    return Spectrum(taus, probe.signal + p.background, x_unit="s")
+    return Spectrum(taus, probe.signal + p.background)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +273,7 @@ def simulate_cpt_scan(p: CptParams, detunings) -> Spectrum:
     else:
         drive_detunings = np.stack([np.zeros_like(detunings), -detunings], axis=-1)
     signal = _steady_signal(_cpt_system(p), drive_detunings)
-    return Spectrum(detunings, signal, x_unit="Hz")
+    return Spectrum(detunings, signal)
 
 
 def fit_cpt_scan_forward(spectrum: Spectrum, p_template: CptParams,
@@ -305,7 +311,6 @@ def fit_cpt_scan_forward(spectrum: Spectrum, p_template: CptParams,
         jac=fd_jac,
         guess=lambda s: np.array([p_template.gamma_s, p_template.rabi_pump, 1.0]),
         lower=(0.0, 1e-300, 1e-300),
-        upper=None,
     )
     return lm_fit(model, spectrum, p0)
 
@@ -471,4 +476,4 @@ def simulate_ple_scan(emitters, frequencies, pump=None, t1=None) -> Spectrum:
             pump_freq, pump_rabi = pump
             total += _pump_probe_signal(emitter, freqs, float(pump_freq),
                                         float(pump_rabi), t1=t1)
-    return Spectrum(freqs, total, x_unit="Hz")
+    return Spectrum(freqs, total)

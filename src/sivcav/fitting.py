@@ -3,15 +3,17 @@
 A small Levenberg-Marquardt trust region with multiplicative damping (factor
 10 up/down, initial lambda 1e-3) drives all fits; each shipped model carries
 an analytic Jacobian and a deterministic initial-guess heuristic, so the
-default path contains no randomness. Parameter uncertainties are 1-sigma
-values from the residual-scaled covariance (J^T J)^-1.
+default path contains no randomness. The CPT dip and the exponential recovery
+are mirrors of the Lorentzian and the exponential decay (see `_mirror`).
+Parameter uncertainties are 1-sigma values from the residual-scaled
+covariance (J^T J)^-1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,12 +41,11 @@ _MAX_ITER = 200
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled 1-d trace. `x_unit` tags the abscissa (Hz, s or W)."""
+    """Sampled 1-d trace with optional per-point standard deviations."""
 
     x: np.ndarray
     y: np.ndarray
     sigma: np.ndarray | None = None
-    x_unit: str = "Hz"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -108,17 +109,16 @@ class Model:
     func: callable
     jac: callable
     guess: callable            # Spectrum -> p0
-    lower: tuple = None        # optional per-parameter bounds
-    upper: tuple = None
+    lower: tuple = None        # optional per-parameter lower bounds
 
 
-def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
-           max_iter: int = _MAX_ITER) -> FitResult:
+def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     """Levenberg-Marquardt fit of `model` to `spectrum`.
 
     Damping update is multiplicative (factor 10); convergence is declared
     when the gradient norm falls below 1e-10 relative to its initial value,
     or when an accepted step changes every parameter by at most 1e-12 of it.
+    Steps are clipped to `model.lower`, for at most 200 iterations.
     Non-convergence returns the best parameters found with converged=False.
     """
     x, y = spectrum.x, spectrum.y
@@ -134,14 +134,9 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
     if p.shape != (npar,):
         raise InvalidParameterError(f"expected {npar} initial parameters")
 
-    if bounds is None:
-        lo = np.array(model.lower, dtype=float) if model.lower is not None \
-            else np.full(npar, -np.inf)
-        hi = np.array(model.upper, dtype=float) if model.upper is not None \
-            else np.full(npar, np.inf)
-    else:
-        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    if np.any(p < lo) or np.any(p > hi):
+    lo = np.array(model.lower, dtype=float) if model.lower is not None \
+        else np.full(npar, -np.inf)
+    if np.any(p < lo):
         raise InvalidParameterError("initial parameters violate the bounds")
 
     def residuals(params):
@@ -161,7 +156,7 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
     flags = []
     converged = float(np.max(np.abs(grad))) <= _GRAD_RTOL * g0
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < _MAX_ITER:
         it += 1
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
@@ -173,7 +168,7 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(jtj + lam * np.diag(diag), -grad,
                                            rcond=None)
-            p_try = np.clip(p + step, lo, hi)
+            p_try = np.maximum(p + step, lo)
             r_try = residuals(p_try)
             cost_try = 0.5 * float(r_try @ r_try)
             if np.isfinite(cost_try) and cost_try <= cost:
@@ -197,7 +192,7 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None, bounds=None,
         # one undamped Gauss-Newton polish step; exact for linear models
         try:
             step = np.linalg.solve(jac.T @ jac, -grad)
-            p_try = np.clip(p + step, lo, hi)
+            p_try = np.maximum(p + step, lo)
             r_try = residuals(p_try)
             cost_try = 0.5 * float(r_try @ r_try)
             if np.isfinite(cost_try) and cost_try <= cost:
@@ -286,7 +281,6 @@ LORENTZIAN = Model(
     jac=_lorentz_jac,
     guess=_lorentz_guess,
     lower=(-np.inf, 1e-300, -np.inf, -np.inf),
-    upper=None,
 )
 
 
@@ -326,47 +320,6 @@ EXP_DECAY = Model(
     jac=_exp_decay_jac,
     guess=_exp_decay_guess,
     lower=(-np.inf, 1e-300, -np.inf),
-    upper=None,
-)
-
-
-def _exp_recovery(t, p):
-    amplitude, timescale, offset = p
-    return offset - amplitude * np.exp(-t / timescale)
-
-
-def _exp_recovery_jac(t, p):
-    amplitude, timescale, offset = p
-    e = np.exp(-t / timescale)
-    jac = np.empty((len(t), 3))
-    jac[:, 0] = -e
-    jac[:, 1] = -amplitude * e * t / timescale ** 2
-    jac[:, 2] = 1.0
-    return jac
-
-
-def _exp_recovery_guess(spec: Spectrum):
-    t, y = spec.x, spec.y
-    offset = float(np.mean(y[max(len(y) - max(len(y) // 10, 2), 1):]))
-    amplitude = float(offset - y[0])
-    target = offset - amplitude / math.e
-    timescale = (t[-1] - t[0]) / 3.0
-    sgn = 1.0 if amplitude >= 0 else -1.0
-    for i in range(1, len(t)):
-        if sgn * (target - y[i]) <= 0:
-            timescale = max(t[i] - t[0], (t[1] - t[0]) / 10.0)
-            break
-    return np.array([amplitude, timescale, offset])
-
-
-EXP_RECOVERY = Model(
-    name="exponential_recovery",
-    param_names=("amplitude", "timescale", "offset"),
-    func=_exp_recovery,
-    jac=_exp_recovery_jac,
-    guess=_exp_recovery_guess,
-    lower=(-np.inf, 1e-300, -np.inf),
-    upper=None,
 )
 
 
@@ -403,48 +356,35 @@ SATURATION = Model(
     jac=_saturation_jac,
     guess=_saturation_guess,
     lower=(1e-300, 1e-300),
-    upper=None,
 )
 
 
-def _cpt_dip(x, p):
-    dip_center, dip_fwhm, depth, background = p
-    h = 0.5 * dip_fwhm
-    return background - depth * h * h / ((x - dip_center) ** 2 + h * h)
+def _mirror(base: Model, name: str, param_names: tuple) -> Model:
+    """`base` turned upside down: mirror(x, p) = -base(x, S p), where S
+    negates the last (baseline) parameter, which must be unbounded.
+
+    The Jacobian is -J_base(x, S p) S and the guess is S times the base
+    guess on -y. IEEE negation is exact, so a mirror fit to y takes exactly
+    the iterates of a base fit to -y, with the baseline negated.
+    """
+    flip = np.ones(len(param_names))
+    flip[-1] = -1.0
+    return Model(
+        name=name,
+        param_names=param_names,
+        func=lambda x, p: -base.func(x, p * flip),
+        jac=lambda x, p: -base.jac(x, p * flip) * flip,
+        guess=lambda spec: flip * base.guess(Spectrum(spec.x, -spec.y)),
+        lower=base.lower,
+    )
 
 
-def _cpt_dip_jac(x, p):
-    dip_center, dip_fwhm, depth, background = p
-    h = 0.5 * dip_fwhm
-    d2 = (x - dip_center) ** 2
-    den = d2 + h * h
-    jac = np.empty((len(x), 4))
-    jac[:, 0] = -depth * h * h * 2.0 * (x - dip_center) / den ** 2
-    jac[:, 1] = -depth * h * d2 / den ** 2
-    jac[:, 2] = -h * h / den
-    jac[:, 3] = 1.0
-    return jac
-
-
-def _cpt_dip_guess(spec: Spectrum):
-    x, y = spec.x, spec.y
-    background = float(np.max(y))
-    dip = int(np.argmin(y))
-    depth = float(background - y[dip])
-    inverted = background - y
-    fwhm = _peak_width_guess(x, inverted, 0.0, dip)
-    return np.array([x[dip], fwhm, depth, background])
-
-
-CPT_DIP = Model(
-    name="cpt_dip",
-    param_names=("dip_center", "dip_fwhm", "depth", "background"),
-    func=_cpt_dip,
-    jac=_cpt_dip_jac,
-    guess=_cpt_dip_guess,
-    lower=(-np.inf, 1e-300, -np.inf, -np.inf),
-    upper=None,
-)
+# recovery(t; A, tau, o) = o - A exp(-t/tau)
+EXP_RECOVERY = _mirror(EXP_DECAY, "exponential_recovery",
+                       ("amplitude", "timescale", "offset"))
+# dip(x; c, w, d, b) = b - d (w/2)^2 / ((x - c)^2 + (w/2)^2)
+CPT_DIP = _mirror(LORENTZIAN, "cpt_dip",
+                  ("dip_center", "dip_fwhm", "depth", "background"))
 
 
 def _linear(x, p):
@@ -479,6 +419,16 @@ MODELS = {m.name: m for m in
 # convenience wrappers
 # ---------------------------------------------------------------------------
 
+def _flag_if_null(result: FitResult, spectrum: Spectrum, name: str,
+                  flag: str) -> FitResult:
+    """Add `flag` when parameter `name` is consistent with zero: |value|
+    below its own sigma (or 1e-12 of the data span)."""
+    span = max(abs(np.max(spectrum.y) - np.min(spectrum.y)), 1e-300)
+    if abs(result[name]) < max(result.sigma_of(name), 1e-12 * span):
+        return replace(result, flags=result.flags + (flag,))
+    return result
+
+
 def fit_lorentzian(spectrum: Spectrum, p0=None) -> FitResult:
     """Fit a Lorentzian peak; initial guess from peak location and half-max width."""
     return lm_fit(LORENTZIAN, spectrum, p0)
@@ -494,13 +444,8 @@ def fit_exponential(spectrum: Spectrum, kind: str = "decay", p0=None) -> FitResu
     if kind not in ("decay", "recovery"):
         raise InvalidParameterError("kind must be 'decay' or 'recovery'")
     model = EXP_DECAY if kind == "decay" else EXP_RECOVERY
-    result = lm_fit(model, spectrum, p0)
-    amp = abs(result["amplitude"])
-    scale = max(abs(np.max(spectrum.y) - np.min(spectrum.y)), 1e-300)
-    if amp < max(result.sigma_of("amplitude"), 1e-12 * scale):
-        result = FitResult(**{**result.__dict__,
-                              "flags": result.flags + ("timescale_unidentifiable",)})
-    return result
+    return _flag_if_null(lm_fit(model, spectrum, p0), spectrum, "amplitude",
+                         "timescale_unidentifiable")
 
 
 def fit_saturation(spectrum: Spectrum, p0=None) -> FitResult:
@@ -517,10 +462,5 @@ def fit_cpt_dip(spectrum: Spectrum, p0=None) -> FitResult:
     A fit whose depth is consistent with zero gets the
     'width_unidentifiable' flag: a flat scan constrains no dip width.
     """
-    result = lm_fit(CPT_DIP, spectrum, p0)
-    depth = abs(result["depth"])
-    span = max(abs(np.max(spectrum.y) - np.min(spectrum.y)), 1e-300)
-    if depth < max(result.sigma_of("depth"), 1e-12 * span):
-        result = FitResult(**{**result.__dict__,
-                              "flags": result.flags + ("width_unidentifiable",)})
-    return result
+    return _flag_if_null(lm_fit(CPT_DIP, spectrum, p0), spectrum, "depth",
+                         "width_unidentifiable")

@@ -34,18 +34,18 @@ from .dynamics import (
     CptParams,
     PleEmitter,
     SpinPumpParams,
-    extract_initialization_fidelity,
     simulate_cpt_scan,
     simulate_ple_scan,
     simulate_spin_pumping,
     simulate_t1_recovery,
 )
+from .dynamics.experiments import _fit_initialization
 from .errors import SivCavError
 from .fitting import Spectrum, fit_cpt_dip, fit_exponential, fit_lorentzian, \
     fit_saturation
 from .magnetics import CuboidMagnet, assembly_field, field_angle, \
     field_map_grid, field_map_to_csv
-from .siv_levels import ManifoldParams, SivModel, spin_splitting, transition_table
+from .siv_levels import ManifoldParams, SivModel, transition_table
 
 __all__ = ["RunManifest", "run_protocol", "build_siv_model", "build_ple_emitter",
            "build_spin_pump_params", "build_cpt_params", "build_magnets"]
@@ -212,11 +212,14 @@ def _run_pump_probe(cfg, rng):
                                   t1=t1)
     without = simulate_ple_scan([emitter], freqs)
     y_pump = _maybe_noise(with_pump.y, cfg, rng)
+    # spin_splitting(model), read from the table built of the same model
+    table = emitter.table
+    split = ((table.f_s_ground, table.f_s_excited) if table.spin_resolved
+             else (0.0, 0.0))
     fits = {"pump_frequency_hz": pump_freq,
-            "spin_splitting_ghz": {
-                k: v / 1e9 if isinstance(v, float) else v
-                for k, v in spin_splitting(
-                    build_siv_model(cfg.blocks["emitter"]["model"])).items()}}
+            "spin_splitting_ghz": {"f_s_ground": float(split[0]) / 1e9,
+                                   "f_s_excited": float(split[1]) / 1e9,
+                                   "degenerate": not table.spin_resolved}}
     return _csv(["x", "value", "value_no_pump"],
                 [freqs, y_pump, without.y]), fits
 
@@ -227,15 +230,12 @@ def _run_spin_pumping(cfg, rng):
     times = np.concatenate([t.times for t in traces])
     signal = np.concatenate([t.signal for t in traces])
     pops = np.vstack([t.populations for t in traces])
-    first = traces[0]
-    i_peak = int(np.argmax(first.signal))
-    fit = fit_exponential(Spectrum(first.times[i_peak:] - first.times[i_peak],
-                                   first.signal[i_peak:], x_unit="s"), "decay")
+    fit, fidelity = _fit_initialization(traces[0])
     fits = {
         "initialization": {
             "timescale_ns": fit["timescale"] * 1e9,
             "timescale_sigma_ns": fit.sigma_of("timescale") * 1e9,
-            "fidelity": extract_initialization_fidelity(first),
+            "fidelity": fidelity,
             "converged": fit.converged,
         }
     }
@@ -269,7 +269,7 @@ def _run_cpt_scan(cfg, rng):
     detunings = np.linspace(-half, half, scan["points"])
     spec = simulate_cpt_scan(params, detunings)
     y = _maybe_noise(spec.y, cfg, rng)
-    result = fit_cpt_dip(Spectrum(detunings, y, x_unit="Hz"))
+    result = fit_cpt_dip(Spectrum(detunings, y))
     fits = {
         "cpt_dip": {
             "dip_fwhm_mhz": result["dip_fwhm"] / 1e6,
@@ -293,7 +293,7 @@ def _run_cavity_fit(cfg, rng):
     y = lorentzian(nu, center, kappa, s["amplitude"], s["offset"])
     if s["noise_rel"] > 0:
         y = y + rng.normal(0.0, s["noise_rel"] * s["amplitude"], size=y.shape)
-    fit = fit_lorentzian(Spectrum(nu, y, x_unit="Hz"))
+    fit = fit_lorentzian(Spectrum(nu, y))
     fits = {
         "cavity": {
             "kappa_ghz": fit["fwhm"] / 1e9,
@@ -313,7 +313,7 @@ def _run_saturation(cfg, rng):
     y = gamma0 * np.sqrt(1.0 + powers / s["p_sat"])
     if s["noise_rel"] > 0:
         y = y * (1.0 + rng.normal(0.0, s["noise_rel"], size=y.shape))
-    fit = fit_saturation(Spectrum(powers, y, x_unit="W"))
+    fit = fit_saturation(Spectrum(powers, y))
     fits = {
         "saturation": {
             "gamma0_mhz": fit["gamma0"] / 1e6,

@@ -98,7 +98,7 @@ def test_criterion_03_saturation_closure():
     gamma0 = s["gamma0_mhz"] * 1e6
     y = gamma0 * np.sqrt(1 + powers / s["p_sat"]) \
         * (1 + rng.normal(0, s["noise_rel"], s["points"]))
-    fit = fit_saturation(Spectrum(powers, y, x_unit="W"))
+    fit = fit_saturation(Spectrum(powers, y))
     elapsed = time.perf_counter() - t0
     rel = abs(fit["gamma0"] - gamma0) / gamma0
     assert rel < 0.05
@@ -138,7 +138,7 @@ def test_criterion_05_spin_pumping_calibration():
     trace = simulate_spin_pumping(params)[0]
     i_pk = int(np.argmax(trace.signal))
     fit = fit_exponential(Spectrum(trace.times[i_pk:] - trace.times[i_pk],
-                                   trace.signal[i_pk:], x_unit="s"), "decay")
+                                   trace.signal[i_pk:]), "decay")
     tau = fit["timescale"]
     fidelity = extract_initialization_fidelity(trace)
     assert abs(tau - 70e-9) <= 0.2 * 70e-9

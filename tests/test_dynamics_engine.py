@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -669,6 +672,67 @@ class TestDetunedSteadyStates:
         with pytest.raises(SteadyStateError,
                            match="^steady state is not unique: null space dimension 2$"):
             detuned_steady_states(template, [[1e6], [0.0]])
+
+
+def cond_solve_steady_states(lv):
+    """Reference bordered kernel: a 1-norm `np.linalg.cond` pass, then a
+    batched `solve` of the rows it finds unique; same checks and messages."""
+    n = math.isqrt(lv.shape[-1])
+    bordered = lv.copy()
+    bordered[:, 0] = np.eye(n).reshape(-1)
+    unique = np.linalg.cond(bordered, 1) < engine._BORDERED_CONDITION_LIMIT
+    rho = np.zeros((len(lv), n * n), dtype=complex)
+    rho[unique] = np.linalg.solve(bordered[unique], np.eye(n * n)[0])
+    rho = rho.reshape(-1, n, n)
+    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
+    w_min = np.linalg.eigvalsh(rho).min(axis=1)
+    for i in np.flatnonzero(~unique | (w_min < -1e-9)):
+        if not np.any(lv[i]):
+            raise SteadyStateError("zero Liouvillian has no unique steady state")
+        if not unique[i]:
+            s = np.linalg.svd(lv[i], compute_uv=False)
+            raise SteadyStateError("steady state is not unique: null space "
+                                   f"dimension {np.sum(s < 1e-10 * s[0])}")
+        raise SteadyStateError(f"steady state not positive (min eig {w_min[i]:.2e})")
+    return rho
+
+
+def outcome(kernel, lv):
+    try:
+        return kernel(lv)
+    except SteadyStateError as exc:
+        return str(exc)
+
+
+class TestBorderedKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), v_type=st.booleans(),
+           count=st.integers(1, 8))
+    def test_one_inverse_matches_cond_and_solve(self, seed, v_type, count):
+        rng = np.random.default_rng(seed)
+        template = v_template(rng) if v_type else lambda_template(rng)
+        # 100 MHz drives against decays and dephasing 1e10 times slower:
+        # cond(B) above 1e10 but under the limit, so still unique
+        slow = LevelSystem(
+            template.levels,
+            tuple(replace(d, rabi_freq=100e6) for d in template.drives),
+            tuple(replace(d, rate=1e-10 * d.rate) for d in template.decays),
+            tuple(replace(d, rate=1e-10 * d.rate) for d in template.dephasings))
+        bordered = build_liouvillian(slow).copy()
+        bordered[0] = np.eye(slow.dim).reshape(-1)
+        assert 1e10 < np.linalg.cond(bordered, 1) < engine._BORDERED_CONDITION_LIMIT
+        detunings = rng.uniform(-50e6, 50e6, size=(count, 2))
+        rows = np.concatenate([engine._detuned_liouvillians(template, detunings),
+                               build_liouvillian(slow)[None]])
+        rows = rows[rng.permutation(len(rows))]
+        rho = engine._bordered_steady_states(rows)
+        assert np.array_equal(rho, cond_solve_steady_states(rows))
+        # a zero row makes the batched inverse raise; every other row keeps
+        # its inverse, so the zero row is the first and only failure
+        with_zero = np.insert(rows, rng.integers(0, len(rows) + 1), 0.0, axis=0)
+        message = outcome(engine._bordered_steady_states, with_zero)
+        assert message == outcome(cond_solve_steady_states, with_zero)
+        assert message == "zero Liouvillian has no unique steady state"
 
 
 class TestRotatingFrame:

@@ -54,7 +54,7 @@ class TestSpinPumping:
         i_pk = int(np.argmax(trace.signal))
         fit = fit_exponential(
             Spectrum(trace.times[i_pk:] - trace.times[i_pk],
-                     trace.signal[i_pk:], x_unit="s"), "decay")
+                     trace.signal[i_pk:]), "decay")
         assert fit["timescale"] == pytest.approx(70e-9, rel=0.2)
         assert extract_initialization_fidelity(trace) == pytest.approx(0.75, abs=0.05)
 

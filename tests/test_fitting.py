@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sivcav.cqed import cooperativity_from_linewidths
 from sivcav.dynamics.experiments import SpinPumpParams, simulate_spin_pumping
@@ -82,7 +84,7 @@ class TestLmCore:
         trace = simulate_spin_pumping(params)[0]
         i = int(np.argmax(trace.signal))
         fit = fit_exponential(Spectrum(trace.times[i:] - trace.times[i],
-                                       trace.signal[i:], x_unit="s"), "decay")
+                                       trace.signal[i:]), "decay")
         assert fit.converged
         assert fit.n_iterations < 20
         assert fit["timescale"] == pytest.approx(71.0e-9, rel=0.01)
@@ -111,13 +113,14 @@ class TestLmCore:
                                         np.array([1.0, 2.0, 1.0])))
 
     def test_bounds_respected(self):
+        # a non-negative slope against falling data: the bound is active at
+        # the optimum, the flat line through the mean
+        model = replace(LINEAR, lower=(0.0, -np.inf))
         x = np.linspace(-3, 3, 40)
-        y = LORENTZIAN.func(x, [0.0, 1.0, 1.0, 0.0])
-        result = lm_fit(LORENTZIAN, Spectrum(x, y),
-                        p0=np.array([0.2, 1.5, 0.8, 0.1]),
-                        bounds=(np.array([-1, 0.5, 0, -1]),
-                                np.array([1, 2.0, 2, 1])))
-        assert 0.5 <= result["fwhm"] <= 2.0
+        y = 1.0 - 0.5 * x
+        result = lm_fit(model, Spectrum(x, y), p0=np.array([0.3, 0.0]))
+        assert result["slope"] == 0.0
+        assert result["intercept"] == pytest.approx(np.mean(y), abs=1e-12)
 
     def test_result_json_round_trip(self):
         x = np.linspace(-3, 3, 40)
@@ -156,13 +159,13 @@ class TestExponentialFit:
     def test_decay_closure_70ns(self):
         t = np.linspace(0, 1e-6, 300)
         y = EXP_DECAY.func(t, [5.0, 70e-9, 1.0])
-        result = fit_exponential(Spectrum(t, y, x_unit="s"), kind="decay")
+        result = fit_exponential(Spectrum(t, y), kind="decay")
         assert result["timescale"] == pytest.approx(70e-9, rel=0.01)
 
     def test_recovery_closure_630ns(self):
         t = np.linspace(0, 4e-6, 200)
         y = EXP_RECOVERY.func(t, [2.0, 630e-9, 6.0])
-        result = fit_exponential(Spectrum(t, y, x_unit="s"), kind="recovery")
+        result = fit_exponential(Spectrum(t, y), kind="recovery")
         assert result["timescale"] == pytest.approx(630e-9, rel=0.01)
 
     def test_constant_trace_flagged(self):
@@ -180,7 +183,7 @@ class TestSaturationFit:
     def test_noiseless_recovery(self):
         p = np.linspace(0.5, 8, 12)
         y = SATURATION.func(p, [157e6, 1.3])
-        result = fit_saturation(Spectrum(p, y, x_unit="W"))
+        result = fit_saturation(Spectrum(p, y))
         assert result["gamma0"] == pytest.approx(157e6, rel=0.005)
         assert result["p_sat"] == pytest.approx(1.3, rel=0.005)
 
@@ -193,7 +196,7 @@ class TestSaturationFit:
         # which against gamma0 = 157 MHz gives the measured cooperativity
         p = np.linspace(0.3, 6, 10)
         y = SATURATION.func(p, [203e6, 0.9])
-        fit = fit_saturation(Spectrum(p, y, x_unit="W"))
+        fit = fit_saturation(Spectrum(p, y))
         c, ok = cooperativity_from_linewidths(fit["gamma0"], 157e6, 0.0, 273e9)
         assert ok
         assert c == pytest.approx(0.293, abs=0.005)
@@ -210,6 +213,51 @@ class TestCptDipFit:
         x = np.linspace(-5e6, 5e6, 101)
         result = fit_cpt_dip(Spectrum(x, np.full(101, 4.0)))
         assert "width_unidentifiable" in result.flags
+
+
+MIRROR_BASES = {"cpt_dip": LORENTZIAN, "exponential_recovery": EXP_DECAY}
+
+
+class TestMirrors:
+    def test_mirrors_are_the_closed_forms(self):
+        x = np.linspace(-5, 5, 41)
+        c, w, d, b = 0.2, 1.1, 0.8, 2.0
+        h = 0.5 * w
+        assert np.array_equal(CPT_DIP.func(x, [c, w, d, b]),
+                              b - d * h * h / ((x - c) ** 2 + h * h))
+        t = np.linspace(0, 5, 41)
+        assert np.array_equal(EXP_RECOVERY.func(t, [1.5, 0.8, 3.0]),
+                              3.0 - 1.5 * np.exp(-t / 0.8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(sorted(MIRROR_BASES)),
+           upside_down=st.booleans(), noise=st.sampled_from([0.0, 1e-3, 0.05]))
+    def test_mirror_fit_is_the_base_fit_of_negated_data(self, seed, name,
+                                                        upside_down, noise):
+        # peaks and decays, or (upside down) dips and recoveries
+        rng = np.random.default_rng(seed)
+        base = MIRROR_BASES[name]
+        n = int(rng.integers(10, 150))
+        if base is LORENTZIAN:
+            x = np.linspace(-10.0, 10.0, n)
+            p = [rng.uniform(-4, 4), rng.uniform(0.2, 8), rng.uniform(0.1, 10),
+                 rng.uniform(-5, 5)]
+        else:
+            x = np.linspace(0.0, rng.uniform(1, 10), n)
+            p = [rng.uniform(0.1, 10), rng.uniform(0.05, 4), rng.uniform(-5, 5)]
+        y = base.func(x, p) * (-1.0 if upside_down else 1.0)
+        y = y + rng.normal(0.0, noise * np.ptp(y), n)
+        mirrored = lm_fit(MODELS[name], Spectrum(x, y))
+        direct = lm_fit(base, Spectrum(x, -y))
+        flip = np.ones(len(p))
+        flip[-1] = -1.0
+        # a fit that ends with 'jacobian_overflow' has NaN sigmas on both sides
+        assert np.array_equal(mirrored.params, flip * direct.params, equal_nan=True)
+        assert np.array_equal(mirrored.sigmas, direct.sigmas, equal_nan=True)
+        assert mirrored.n_iterations == direct.n_iterations
+        assert mirrored.flags == direct.flags
+        assert mirrored.converged == direct.converged
+        assert mirrored.residual_norm == direct.residual_norm
 
 
 class TestFitProperties:

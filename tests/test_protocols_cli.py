@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from sivcav.cli import main as cli_main
 from sivcav.config import ProtocolConfig, load_config, validate_tree
 from sivcav.errors import ConfigError
-from sivcav.protocols import run_protocol
+from sivcav.protocols import build_siv_model, run_protocol
+from sivcav.siv_levels import spin_splitting
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -225,6 +226,23 @@ class TestRunProtocol:
         assert data[0] == "x_m,y_m,z_m,bx_t,by_t,bz_t,masked"
         masked = [row for row in data[1:] if row.endswith(",1")]
         assert masked  # grid crosses the magnet volumes
+
+    @pytest.mark.parametrize("b_field_t", [[0.0, 0.0, 0.0], None])
+    def test_pump_probe_spin_splitting_is_the_models(self, tmp_path, b_field_t):
+        # at zero field and at the shipped field
+        tree = yaml.safe_load((CONFIGS / "fig2_pump_probe.cfg").read_text())
+        tree["scan"]["points"] = 21
+        if b_field_t is not None:
+            tree["emitter"]["model"]["b_field_t"] = b_field_t
+        cfg = load_config(write_cfg(tmp_path, tree))
+        manifest = run_protocol(cfg, out_dir=str(tmp_path / "o"))
+        fits = json.loads((Path(manifest.out_dir) / "fits.json").read_text())
+        expected = spin_splitting(build_siv_model(cfg.blocks["emitter"]["model"]))
+        assert expected["degenerate"] == (b_field_t is not None)
+        assert fits["spin_splitting_ghz"] == {
+            "f_s_ground": expected["f_s_ground"] / 1e9,
+            "f_s_excited": expected["f_s_excited"] / 1e9,
+            "degenerate": expected["degenerate"]}
 
     def test_failed_run_leaves_no_partial_dir(self, tmp_path, monkeypatch):
         import sivcav.protocols as protocols_mod
