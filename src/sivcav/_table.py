@@ -1,6 +1,10 @@
-"""Columnar CSV text: each distinct value of a column is formatted once."""
+"""Output text: columnar CSV, each distinct value of a column formatted once,
+and strict JSON."""
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
@@ -30,3 +34,23 @@ def csv_text(headers, columns, formats) -> str:
         text = ((fmt + "\n") * len(first) % tuple(a[first].tolist())).split("\n")
         cells.append(np.array(text[:-1], dtype=object)[inverse].tolist())
     return "\n".join([",".join(headers), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def json_text(payload, indent=2) -> str:
+    """Sorted-key JSON with every non-finite float written as null.
+
+    NaN and infinities are not JSON; `allow_nan=False` makes any that slip
+    past the substitution raise instead of printing bare `NaN`.
+    """
+    return json.dumps(_finite_or_null(payload), indent=indent, sort_keys=True,
+                      allow_nan=False)

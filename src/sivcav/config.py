@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import yaml
 
@@ -31,15 +31,16 @@ PROTOCOLS = (
 )
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Validated configuration with defaults filled in."""
+class ProtocolConfig(namedtuple(
+        "ProtocolConfig", "protocol seed blocks output_dir source_path",
+        defaults=("runs", ""))):
+    """Validated configuration with defaults filled in.
 
-    protocol: str
-    seed: int
-    blocks: dict       # normalized tree, defaults applied
-    output_dir: str = "runs"
-    source_path: str = ""
+    `blocks` is the normalized tree with defaults applied. A named tuple, not
+    a dataclass, so that loading a config does not import `dataclasses`.
+    """
+
+    __slots__ = ()
 
     def config_hash(self) -> str:
         """SHA-256 of the canonical JSON form; stable under key reordering."""

@@ -15,7 +15,6 @@ import numpy as np
 from ..constants import K_B_OVER_H, TWO_PI
 from ..errors import FitError, InvalidParameterError
 from ..fitting import Spectrum, fit_exponential
-from ..siv_levels import TransitionTable
 from .engine import (
     Decay,
     DensityState,

@@ -11,12 +11,12 @@ covariance (J^T J)^-1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._table import json_text
 from .errors import FitError, InvalidParameterError
 
 __all__ = [
@@ -97,7 +97,8 @@ class FitResult:
         }
 
     def to_json(self, indent=2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        """JSON of `as_dict()`; a non-finite value (a NaN sigma) is null."""
+        return json_text(self.as_dict(), indent=indent)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,10 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
         if not accepted:
             flags.append("damping_exhausted")
             break
-        jac = jacobian(p)
+        # a step can clip a timescale to its tiny lower bound; the Jacobian
+        # there overflows, which the flag below reports instead of a warning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            jac = jacobian(p)
         if not np.all(np.isfinite(jac)):
             flags.append("jacobian_overflow")
             break

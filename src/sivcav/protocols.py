@@ -5,61 +5,41 @@ Each protocol writes `data.csv`, `fits.json` and `manifest.json` into
 (config, seed) pair, byte for byte; the manifest additionally carries wall
 clock timestamps. All files are written atomically (temp file + rename) and
 partial outputs are removed if a run fails.
+
+The seed changes a run only where it draws noise: a `noise:` block for
+`ple_scan`, `pump_probe_scan` and `cpt_scan`, or `noise_rel > 0` for
+`cavity_fit` and `saturation_study`. Each such run draws once from a fresh
+`np.random.default_rng(seed)`.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import json
 import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from . import __version__
-from ._table import csv_text
+from ._table import csv_text, json_text
 from .config import ProtocolConfig
 from .constants import TWO_PI
-from .cqed import (
-    cooperativity_from_linewidths,
-    g_from_cooperativity,
-    lorentzian,
-    purcell_broadened_linewidth,
-    q_factor,
-)
-from .dynamics import (
-    CptParams,
-    PleEmitter,
-    SpinPumpParams,
-    simulate_cpt_scan,
-    simulate_ple_scan,
-    simulate_spin_pumping,
-    simulate_t1_recovery,
-)
-from .dynamics.experiments import _fit_initialization
 from .errors import SivCavError
-from .fitting import Spectrum, fit_cpt_dip, fit_exponential, fit_lorentzian, \
-    fit_saturation
-from .magnetics import CuboidMagnet, assembly_field, field_angle, \
-    field_map_grid, field_map_to_csv
-from .siv_levels import ManifoldParams, SivModel, transition_table
+
+# Each runner and builder imports the physics it uses when it is called, so a
+# run loads only its own protocol's modules (and `numpy.random` only where it
+# draws noise).
 
 __all__ = ["RunManifest", "run_protocol", "build_siv_model", "build_ple_emitter",
            "build_spin_pump_params", "build_cpt_params", "build_magnets"]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    config_hash: str
-    version: str
-    protocol: str
-    outputs: tuple
-    started: str
-    finished: str
-    out_dir: str
+class RunManifest(namedtuple("RunManifest", "config_hash version protocol "
+                                            "outputs started finished out_dir")):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -76,7 +56,9 @@ class RunManifest:
 # config-to-domain builders
 # ---------------------------------------------------------------------------
 
-def _build_manifold(d: dict) -> ManifoldParams:
+def _build_manifold(d: dict):
+    from .siv_levels import ManifoldParams
+
     return ManifoldParams(
         lambda_so=d["lambda_so_ghz"] * 1e9,
         strain_alpha=d["strain_alpha_ghz"] * 1e9,
@@ -86,7 +68,9 @@ def _build_manifold(d: dict) -> ManifoldParams:
     )
 
 
-def build_siv_model(d: dict) -> SivModel:
+def build_siv_model(d: dict):
+    from .siv_levels import SivModel
+
     return SivModel(
         ground=_build_manifold(d["ground"]),
         excited=_build_manifold(d["excited"]),
@@ -96,7 +80,10 @@ def build_siv_model(d: dict) -> SivModel:
     )
 
 
-def build_ple_emitter(d: dict) -> PleEmitter:
+def build_ple_emitter(d: dict):
+    from .dynamics import PleEmitter
+    from .siv_levels import transition_table
+
     model = build_siv_model(d["model"])
     return PleEmitter(
         table=transition_table(model),
@@ -106,7 +93,9 @@ def build_ple_emitter(d: dict) -> PleEmitter:
     )
 
 
-def build_spin_pump_params(d: dict) -> SpinPumpParams:
+def build_spin_pump_params(d: dict):
+    from .dynamics import SpinPumpParams
+
     return SpinPumpParams(
         rabi_freq=d["rabi_mhz"] * 1e6,
         optical_rate=d["optical_rate_mhz"] * 1e6,
@@ -122,7 +111,9 @@ def build_spin_pump_params(d: dict) -> SpinPumpParams:
     )
 
 
-def build_cpt_params(d: dict) -> CptParams:
+def build_cpt_params(d: dict):
+    from .dynamics import CptParams
+
     if d["t2_star_ns"] is not None:
         gamma_s = 1.0 / (TWO_PI * d["t2_star_ns"] * 1e-9)
     else:
@@ -138,6 +129,8 @@ def build_cpt_params(d: dict) -> CptParams:
 
 
 def build_magnets(items: list) -> list:
+    from .magnetics import CuboidMagnet
+
     return [CuboidMagnet(center=tuple(1e-3 * np.array(m["center_mm"])),
                          dimensions=tuple(1e-3 * np.array(m["dimensions_mm"])),
                          magnetization=tuple(m["remanence_t"]))
@@ -166,32 +159,37 @@ def _csv(headers, columns) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload) + "\n"
 
 
-def _maybe_noise(y: np.ndarray, cfg: ProtocolConfig, rng) -> np.ndarray:
+def _maybe_noise(y: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
     noise = cfg.blocks.get("noise")
     if not noise or noise["sigma_rel"] == 0.0:
         return y
     scale = float(np.max(np.abs(y)))
-    return y + rng.normal(0.0, noise["sigma_rel"] * scale, size=y.shape)
+    return y + np.random.default_rng(cfg.seed).normal(
+        0.0, noise["sigma_rel"] * scale, size=y.shape)
 
 
 # ---------------------------------------------------------------------------
 # protocol implementations: each returns (data_csv_text, fits_payload)
 # ---------------------------------------------------------------------------
 
-def _run_ple_scan(cfg, rng):
+def _run_ple_scan(cfg):
+    from .dynamics import simulate_ple_scan
+
     emitters = [build_ple_emitter(e) for e in cfg.blocks["emitters"]]
     scan = cfg.blocks["scan"]
     freqs = np.linspace(scan["start_thz"] * 1e12, scan["stop_thz"] * 1e12,
                         scan["points"])
     spec = simulate_ple_scan(emitters, freqs)
-    y = _maybe_noise(spec.y, cfg, rng)
+    y = _maybe_noise(spec.y, cfg)
     return _csv(["x", "value"], [spec.x, y]), {}
 
 
-def _run_pump_probe(cfg, rng):
+def _run_pump_probe(cfg):
+    from .dynamics import simulate_ple_scan
+
     emitter = build_ple_emitter(cfg.blocks["emitter"])
     pump_cfg = cfg.blocks["pump"]
     target = [t for t in emitter.table.sublevel
@@ -211,7 +209,7 @@ def _run_pump_probe(cfg, rng):
                                   pump=(pump_freq, pump_cfg["rabi_mhz"] * 1e6),
                                   t1=t1)
     without = simulate_ple_scan([emitter], freqs)
-    y_pump = _maybe_noise(with_pump.y, cfg, rng)
+    y_pump = _maybe_noise(with_pump.y, cfg)
     # spin_splitting(model), read from the table built of the same model
     table = emitter.table
     split = ((table.f_s_ground, table.f_s_excited) if table.spin_resolved
@@ -224,7 +222,10 @@ def _run_pump_probe(cfg, rng):
                 [freqs, y_pump, without.y]), fits
 
 
-def _run_spin_pumping(cfg, rng):
+def _run_spin_pumping(cfg):
+    from .dynamics import simulate_spin_pumping
+    from .dynamics.experiments import _fit_initialization
+
     params = build_spin_pump_params(cfg.blocks["spin_pump"])
     traces = simulate_spin_pumping(params)
     times = np.concatenate([t.times for t in traces])
@@ -244,7 +245,10 @@ def _run_spin_pumping(cfg, rng):
     return _csv(headers, cols), fits
 
 
-def _run_t1_recovery(cfg, rng):
+def _run_t1_recovery(cfg):
+    from .dynamics import simulate_t1_recovery
+    from .fitting import fit_exponential
+
     params = build_spin_pump_params(cfg.blocks["spin_pump"])
     taus_cfg = cfg.blocks["taus"]
     taus = np.linspace(taus_cfg["start_ns"] * 1e-9, taus_cfg["stop_ns"] * 1e-9,
@@ -262,13 +266,16 @@ def _run_t1_recovery(cfg, rng):
     return _csv(["x", "value"], [spec.x, spec.y]), fits
 
 
-def _run_cpt_scan(cfg, rng):
+def _run_cpt_scan(cfg):
+    from .dynamics import simulate_cpt_scan
+    from .fitting import Spectrum, fit_cpt_dip
+
     params = build_cpt_params(cfg.blocks["cpt"])
     scan = cfg.blocks["scan"]
     half = 0.5 * scan["span_mhz"] * 1e6
     detunings = np.linspace(-half, half, scan["points"])
     spec = simulate_cpt_scan(params, detunings)
-    y = _maybe_noise(spec.y, cfg, rng)
+    y = _maybe_noise(spec.y, cfg)
     result = fit_cpt_dip(Spectrum(detunings, y))
     fits = {
         "cpt_dip": {
@@ -284,7 +291,10 @@ def _run_cpt_scan(cfg, rng):
     return _csv(["x", "value"], [detunings, y]), fits
 
 
-def _run_cavity_fit(cfg, rng):
+def _run_cavity_fit(cfg):
+    from .cqed import lorentzian, q_factor
+    from .fitting import Spectrum, fit_lorentzian
+
     s = cfg.blocks["synthetic"]
     center = s["resonance_thz"] * 1e12
     kappa = s["kappa_ghz"] * 1e9
@@ -292,7 +302,8 @@ def _run_cavity_fit(cfg, rng):
     nu = np.linspace(center - half_span, center + half_span, s["points"])
     y = lorentzian(nu, center, kappa, s["amplitude"], s["offset"])
     if s["noise_rel"] > 0:
-        y = y + rng.normal(0.0, s["noise_rel"] * s["amplitude"], size=y.shape)
+        y = y + np.random.default_rng(cfg.seed).normal(
+            0.0, s["noise_rel"] * s["amplitude"], size=y.shape)
     fit = fit_lorentzian(Spectrum(nu, y))
     fits = {
         "cavity": {
@@ -306,13 +317,16 @@ def _run_cavity_fit(cfg, rng):
     return _csv(["x", "value"], [nu, y]), fits
 
 
-def _run_saturation(cfg, rng):
+def _run_saturation(cfg):
+    from .fitting import Spectrum, fit_saturation
+
     s = cfg.blocks["synthetic"]
     powers = np.linspace(s["power_max"] / s["points"], s["power_max"], s["points"])
     gamma0 = s["gamma0_mhz"] * 1e6
     y = gamma0 * np.sqrt(1.0 + powers / s["p_sat"])
     if s["noise_rel"] > 0:
-        y = y * (1.0 + rng.normal(0.0, s["noise_rel"], size=y.shape))
+        y = y * (1.0 + np.random.default_rng(cfg.seed).normal(
+            0.0, s["noise_rel"], size=y.shape))
     fit = fit_saturation(Spectrum(powers, y))
     fits = {
         "saturation": {
@@ -326,7 +340,10 @@ def _run_saturation(cfg, rng):
     return _csv(["x", "value"], [powers, y]), fits
 
 
-def _run_magnet_map(cfg, rng):
+def _run_magnet_map(cfg):
+    from .magnetics import assembly_field, field_angle, field_map_grid, \
+        field_map_to_csv
+
     magnets = build_magnets(cfg.blocks["magnets"])
     axes = []
     for key in ("x_mm", "y_mm", "z_mm"):
@@ -346,7 +363,10 @@ def _run_magnet_map(cfg, rng):
     return field_map_to_csv(points, b, masked), fits
 
 
-def _run_cooperativity(cfg, rng):
+def _run_cooperativity(cfg):
+    from .cqed import cooperativity_from_linewidths, g_from_cooperativity, \
+        purcell_broadened_linewidth
+
     c = cfg.blocks["cooperativity"]
     gamma_on = c["gamma_on_mhz"] * 1e6
     gamma0 = c["gamma0_mhz"] * 1e6
@@ -392,20 +412,17 @@ def run_protocol(cfg: ProtocolConfig, out_dir: str | None = None,
     `out_dir` falls back to the config's output_dir when not given.
     """
     if seed is not None:
-        cfg = ProtocolConfig(protocol=cfg.protocol, seed=int(seed),
-                             blocks=cfg.blocks, output_dir=cfg.output_dir,
-                             source_path=cfg.source_path)
+        cfg = cfg._replace(seed=int(seed))
     if out_dir is None:
         out_dir = cfg.output_dir
     run_hash = cfg.config_hash()
     run_dir = os.path.join(out_dir, f"{cfg.protocol}-{run_hash[:8]}")
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    rng = np.random.default_rng(cfg.seed)
     created = not os.path.isdir(run_dir)
     os.makedirs(run_dir, exist_ok=True)
     try:
         try:
-            data_text, fits_payload = _RUNNERS[cfg.protocol](cfg, rng)
+            data_text, fits_payload = _RUNNERS[cfg.protocol](cfg)
         except SivCavError as exc:
             raise SivCavError(f"protocol '{cfg.protocol}': {exc}") from exc
         data_path = os.path.join(run_dir, "data.csv")

@@ -131,6 +131,25 @@ class TestLmCore:
         assert {"value", "sigma"} <= set(payload["params"]["fwhm"])
         assert isinstance(payload["converged"], bool)
 
+    def test_overflowing_jacobian_is_a_flag_and_null_sigmas(self):
+        # noise at half the span pulls the timescale to its 1e-300 bound after
+        # one step; the Jacobian there overflows. That must surface as the flag
+        # (no RuntimeWarning, which the test settings turn into an error) and
+        # the NaN sigmas as JSON null, not as bare NaN
+        t = np.linspace(0.0, 9.14, 5)
+        y = np.array([-14.07, -3.88, 5.05, -6.08, 0.076])
+        result = fit_exponential(Spectrum(t, y), kind="recovery")
+        assert result.flags == ("jacobian_overflow",)
+        assert not result.converged
+        assert np.all(np.isnan(result.sigmas))
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        payload = json.loads(result.to_json(), parse_constant=reject)
+        assert [v["sigma"] for v in payload["params"].values()] == [None] * 3
+        assert payload["params"]["timescale"]["value"] == 1e-300
+
 
 class TestLorentzianFit:
     def test_noiseless_recovery(self):

@@ -47,6 +47,26 @@ MALFORMED = [
     ("10_noise_not_allowed.cfg", "noise"),
 ]
 
+# sivcav modules any `sivcav run` loads, and those each protocol adds to them
+RUN_MODULES = {"sivcav", "sivcav.cli", "sivcav.config", "sivcav.errors",
+               "sivcav.protocols", "sivcav._table", "sivcav.constants"}
+_DYNAMICS = {"sivcav.dynamics", "sivcav.dynamics.engine",
+             "sivcav.dynamics.experiments", "sivcav.fitting"}
+PROTOCOL_MODULES = {
+    "ple_scan": _DYNAMICS | {"sivcav.siv_levels"},
+    "pump_probe_scan": _DYNAMICS | {"sivcav.siv_levels"},
+    "spin_pumping": _DYNAMICS,
+    "t1_recovery": _DYNAMICS,
+    "cpt_scan": _DYNAMICS,
+    "cavity_fit": {"sivcav.cqed", "sivcav.fitting"},
+    "saturation_study": {"sivcav.fitting"},
+    "magnet_map": {"sivcav.magnetics"},
+    "cooperativity_report": {"sivcav.cqed"},
+}
+SHIPPED = sorted(p.name for p in CONFIGS.glob("*.cfg"))
+# the shipped configs that draw noise: both set synthetic.noise_rel > 0
+DRAWS_NOISE = {"fig1_cavity_fit.cfg", "fig3_saturation.cfg"}
+
 
 def write_cfg(tmp_path, tree, name="test.cfg"):
     path = tmp_path / name
@@ -120,7 +140,7 @@ class TestConfigLoading:
         assert a.config_hash() == b.config_hash()
 
     @settings(max_examples=60, deadline=None)
-    @given(name=st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.cfg"))),
+    @given(name=st.sampled_from(SHIPPED),
            rnd=st.randoms(), pick=st.integers(0, 10 ** 6))
     def test_hash_sees_every_leaf_but_no_key_order(self, name, rnd, pick):
         cfg = load_config(str(CONFIGS / name))
@@ -200,6 +220,50 @@ class TestRunProtocol:
         m2 = run_protocol(cfg, out_dir=str(tmp_path / "o"), seed=2)
         assert m1.out_dir != m2.out_dir
 
+    @pytest.mark.parametrize("name", sorted(set(SHIPPED) - DRAWS_NOISE))
+    def test_seed_changes_nothing_without_noise(self, tmp_path, name):
+        cfg = load_config(str(CONFIGS / name))
+        m0 = run_protocol(cfg, out_dir=str(tmp_path), seed=0)
+        m3 = run_protocol(cfg, out_dir=str(tmp_path), seed=3)
+        assert m0.out_dir != m3.out_dir
+        for out in ("data.csv", "fits.json"):
+            assert (Path(m0.out_dir) / out).read_bytes() \
+                == (Path(m3.out_dir) / out).read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["fig1_cavity_fit.cfg", "fig3_saturation.cfg",
+                                      "fig4_cpt.cfg"])
+    def test_noise_is_the_first_draw_of_a_fresh_generator(self, tmp_path, name,
+                                                          seed):
+        tree = yaml.safe_load((CONFIGS / name).read_text())
+        if name == "fig4_cpt.cfg":
+            tree["noise"] = {"sigma_rel": 0.05}
+            clean_tree = {k: v for k, v in tree.items() if k != "noise"}
+        else:
+            clean_tree = copy.deepcopy(tree)
+            clean_tree["synthetic"]["noise_rel"] = 0.0
+
+        def values(t, label):
+            cfg = load_config(write_cfg(tmp_path, t, f"{label}.cfg"))
+            run_dir = run_protocol(cfg, out_dir=str(tmp_path / label),
+                                   seed=seed).out_dir
+            return np.loadtxt(Path(run_dir) / "data.csv", delimiter=",",
+                              skiprows=1, usecols=1)
+
+        clean, noisy = values(clean_tree, "clean"), values(tree, "noisy")
+        z = np.random.default_rng(seed).normal(size=clean.shape)
+        if name == "fig1_cavity_fit.cfg":
+            s = tree["synthetic"]
+            expected = clean + s["noise_rel"] * s["amplitude"] * z
+        elif name == "fig3_saturation.cfg":
+            expected = clean * (1.0 + tree["synthetic"]["noise_rel"] * z)
+        else:
+            scale = tree["noise"]["sigma_rel"] * np.max(np.abs(clean))
+            expected = clean + scale * z
+        # data.csv keeps 13 significant digits of both columns
+        np.testing.assert_allclose(noisy, expected, rtol=1e-10,
+                                   atol=1e-10 * np.max(np.abs(clean)))
+
     def test_manifest_contents(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL_CPT))
         manifest = run_protocol(cfg, out_dir=str(tmp_path / "o"))
@@ -247,7 +311,7 @@ class TestRunProtocol:
     def test_failed_run_leaves_no_partial_dir(self, tmp_path, monkeypatch):
         import sivcav.protocols as protocols_mod
 
-        def boom(cfg, rng):
+        def boom(cfg):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(protocols_mod._RUNNERS, "cpt_scan", boom)
@@ -343,6 +407,22 @@ class TestCli:
         assert payload["params"]["fwhm"]["value"] == pytest.approx(1.8, rel=1e-6)
         assert payload["converged"]
 
+    def test_fit_prints_strict_json_for_a_collapsed_fit(self, tmp_path, capsys):
+        # the timescale collapses to its bound and the sigmas are NaN
+        csv_path = tmp_path / "recovery.csv"
+        csv_path.write_text("t,y\n0,-14.07\n2.285,-3.88\n4.57,5.05\n"
+                            "6.855,-6.08\n9.14,0.076\n")
+        assert cli_main(["fit", "exponential_recovery", str(csv_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["flags"] == ["jacobian_overflow"]
+        assert {v["sigma"] for v in payload["params"].values()} == {None}
+
     def test_fit_missing_csv_exit_two(self, capsys):
         rc = cli_main(["fit", "lorentzian", "/no/such/file.csv"])
         assert rc == 2
@@ -369,7 +449,8 @@ class TestCli:
     def test_import_loads_no_physics_stack(self):
         # `validate` must stay cheap: importing the CLI may not pull in
         # scipy or the protocol runners, and validating a config only parses
-        # YAML, so it may not load numpy either
+        # YAML, so it may not load numpy, nor `dataclasses` (and through it
+        # `inspect`)
         import sivcav
 
         src = str(Path(sivcav.__file__).resolve().parents[1])
@@ -377,11 +458,36 @@ class TestCli:
         code = ("import sys, sivcav.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy' or m.startswith('sivcav.protocols'))); "
                 f"rc = sivcav.cli.main(['validate', {cfg!r}]); "
-                "print(rc, 'numpy' in sys.modules)")
+                "print(rc, 'numpy' in sys.modules, 'dataclasses' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["[]", "0 False"]
+        assert proc.stdout.split("\n")[:2] == ["[]", "0 False False"]
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_run_loads_only_its_protocols_modules(self, tmp_path, name):
+        # a fresh `sivcav run` imports the physics of its own protocol only,
+        # and `numpy.random` only when the run draws noise
+        import sivcav
+
+        src = str(Path(sivcav.__file__).resolve().parents[1])
+        cfg = str(CONFIGS / name)
+        code = ("import json, sys, sivcav.cli\n"
+                f"rc = sivcav.cli.main(['run', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+                "print(json.dumps([rc, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'sivcav'), 'numpy.random' in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        rc, loaded, random_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        protocol = load_config(cfg).protocol
+        assert set(loaded) - RUN_MODULES - PROTOCOL_MODULES[protocol] == set()
+        if protocol in ("magnet_map", "cooperativity_report"):
+            assert not {m for m in loaded
+                        if m.startswith(("sivcav.dynamics", "sivcav.fitting",
+                                         "sivcav.siv_levels"))}
+        assert random_loaded == (name in DRAWS_NOISE)
 
     def test_steady_state_and_propagation_runs_load_no_scipy(self, tmp_path):
         # the stacked steady-state kernel and the eigenbasis propagator use

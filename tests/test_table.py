@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sivcav._table import csv_text
+from sivcav._table import csv_text, json_text
 from sivcav.errors import InvalidParameterError
 from sivcav.magnetics import CuboidMagnet, field_map_grid, field_map_to_csv
 from sivcav.protocols import _csv
@@ -103,3 +104,17 @@ class TestShapes:
     def test_header_count_must_match(self):
         with pytest.raises(InvalidParameterError, match="3 headers"):
             csv_text(["a", "b", "c"], [np.zeros(2), np.zeros(2)], ["%.12e"] * 2)
+
+
+class TestJson:
+    def test_non_finite_floats_are_null(self):
+        payload = {"fit": {"sigma": math.nan, "bounds": [-math.inf, 1.5, math.inf]},
+                   "value": np.float64("nan"), "ok": True}
+        assert json.loads(json_text(payload)) == {
+            "fit": {"sigma": None, "bounds": [None, 1.5, None]},
+            "value": None, "ok": True}
+
+    def test_finite_payload_is_plain_sorted_json(self):
+        payload = {"b": [np.float64(0.1), 2], "a": {"d": -0.0, "c": "x"},
+                   "t": (1e-300, 5e-324)}
+        assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
