@@ -11,6 +11,7 @@ Diagnostics go to stderr; data goes to files or stdout only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import load_config
@@ -49,19 +50,21 @@ def _read_xy_csv(path: str):
     import numpy as np
 
     xs, ys = [], []
+    seen_row = False
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            header, seen_row = not seen_row, True
             cells = line.split(",")
             if len(cells) < 2:
                 raise SivCavError(f"{path}:{line_no}: need at least two columns")
             try:
                 x, y = float(cells[0]), float(cells[1])
             except ValueError:
-                if line_no == 1:
-                    continue  # header row
+                if header:
+                    continue  # the first non-empty row may be a header
                 raise SivCavError(f"{path}:{line_no}: non-numeric data")
             xs.append(x)
             ys.append(y)
@@ -124,5 +127,27 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Process entry point of `sivcav` and `python -m sivcav.cli`.
+
+    Runs `main`, flushes stdout and then stderr, and ends the process with
+    `os._exit`: no interpreter teardown runs, so neither do `atexit`
+    handlers. Output files are closed before `main` returns. A failed
+    stdout flush (a closed pipe) is a runtime error: one `error:` line and
+    exit 2. `SystemExit` from argparse and uncaught exceptions propagate
+    and end the process normally. In-process callers use `main`.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            code = 2
+            if stream is sys.stdout and sys.stderr is not None:
+                print(f"error: {exc}", file=sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

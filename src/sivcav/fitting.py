@@ -120,7 +120,8 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     when the gradient norm falls below 1e-10 relative to its initial value,
     or when an accepted step changes every parameter by at most 1e-12 of it.
     Steps are clipped to `model.lower`, for at most 200 iterations.
-    Non-convergence returns the best parameters found with converged=False.
+    Non-convergence returns the best parameters found with converged=False;
+    so does a fit whose covariance is singular ('singular_covariance').
     """
     x, y = spectrum.x, spectrum.y
     w = 1.0 / spectrum.sigma if spectrum.sigma is not None else np.ones_like(y)
@@ -211,8 +212,11 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     try:
         cov = np.linalg.inv(jtj) * s2
     except np.linalg.LinAlgError:
+        # a rank-deficient Jacobian leaves some parameters unidentified:
+        # a vanishing gradient there is no evidence of convergence
         cov = np.linalg.pinv(jtj) * s2
         flags.append("singular_covariance")
+        converged = False
     sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         model=model.name,

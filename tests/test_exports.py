@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,16 @@ def test_every_export_resolves(name):
     assert len(set(exports)) == len(exports), f"{name}.__all__ repeats a name"
     missing = [e for e in exports if not hasattr(module, e)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+def test_console_script_is_the_cli_entry():
+    # the installed `sivcav` must end its process the way `python -m
+    # sivcav.cli` does; read as text, since tomllib needs Python 3.11
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                        re.MULTILINE | re.DOTALL)
+    assert scripts, "pyproject.toml has no [project.scripts] table"
+    target = re.search(r'^sivcav\s*=\s*"([^"]+)"', scripts.group(1), re.MULTILINE)
+    assert target and target.group(1) == "sivcav.cli:entry"
+    module, attr = target.group(1).split(":")
+    assert callable(getattr(importlib.import_module(module), attr))

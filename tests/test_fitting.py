@@ -16,6 +16,7 @@ from sivcav.fitting import (
     LORENTZIAN,
     MODELS,
     SATURATION,
+    Model,
     Spectrum,
     fit_cpt_dip,
     fit_exponential,
@@ -121,6 +122,22 @@ class TestLmCore:
         result = lm_fit(model, Spectrum(x, y), p0=np.array([0.3, 0.0]))
         assert result["slope"] == 0.0
         assert result["intercept"] == pytest.approx(np.mean(y), abs=1e-12)
+
+    def test_singular_covariance_is_not_convergence(self):
+        # a parameter the curve ignores gives the Jacobian a zero column: the
+        # gradient vanishes along it, but the fit does not determine it
+        idle = Model(name="linear_plus_idle",
+                     param_names=("slope", "intercept", "idle"),
+                     func=lambda x, p: p[0] * x + p[1],
+                     jac=lambda x, p: np.column_stack(
+                         [x, np.ones_like(x), np.zeros_like(x)]),
+                     guess=lambda s: (1.0, 0.0, 0.5))
+        x = np.linspace(-3, 3, 40)
+        result = lm_fit(idle, Spectrum(x, 2.5 * x - 1.2))
+        assert result["slope"] == pytest.approx(2.5, abs=1e-10)
+        assert result["intercept"] == pytest.approx(-1.2, abs=1e-10)
+        assert result.flags == ("singular_covariance",)
+        assert not result.converged
 
     def test_result_json_round_trip(self):
         x = np.linspace(-3, 3, 40)

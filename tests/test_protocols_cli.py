@@ -74,6 +74,24 @@ def write_cfg(tmp_path, tree, name="test.cfg"):
     return str(path)
 
 
+def child_env():
+    """Environment of a fresh `sivcav` interpreter: this checkout's sources,
+    and stdout block-buffered as most users have it (no PYTHONUNBUFFERED)."""
+    import sivcav
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sivcav.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(*args):
+    """`python -m sivcav.cli <args>` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "sivcav.cli", *args],
+                          capture_output=True, text=True, env=child_env(),
+                          cwd=str(REPO))
+
+
 def shuffled(tree, rnd):
     """The same tree with the keys of every mapping in a random order."""
     if isinstance(tree, dict):
@@ -229,6 +247,20 @@ class TestRunProtocol:
         for out in ("data.csv", "fits.json"):
             assert (Path(m0.out_dir) / out).read_bytes() \
                 == (Path(m3.out_dir) / out).read_bytes()
+
+    def test_singular_covariance_is_not_convergence(self, tmp_path):
+        # 20 MHz drives on a 222 MHz span: the dip falls between samples
+        # 1.85 MHz apart, its width and centre columns of the Jacobian
+        # vanish, and the gradient test alone would call the collapsed
+        # fit (width 3.85e-235 MHz, sigma 0) converged
+        tree = yaml.safe_load((CONFIGS / "fig4_cpt.cfg").read_text())
+        tree["cpt"]["rabi_pump_mhz"] = tree["cpt"]["rabi_probe_mhz"] = 20.0
+        tree["scan"]["span_mhz"] = 222.0
+        manifest = run_protocol(load_config(write_cfg(tmp_path, tree)),
+                                out_dir=str(tmp_path))
+        fits = json.loads((Path(manifest.out_dir) / "fits.json").read_text())
+        assert fits["cpt_dip"]["dip_fwhm_sigma_mhz"] == 0.0
+        assert fits["cpt_dip"]["converged"] is False
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("name", ["fig1_cavity_fit.cfg", "fig3_saturation.cfg",
@@ -423,6 +455,23 @@ class TestCli:
         assert payload["flags"] == ["jacobian_overflow"]
         assert {v["sigma"] for v in payload["params"].values()} == {None}
 
+    def test_fit_header_is_the_first_non_empty_row(self, tmp_path, capsys):
+        from sivcav.fitting import LINEAR
+
+        x = np.linspace(0.0, 4.0, 9)
+        rows = "\n".join(f"{a},{b}" for a, b in zip(x, LINEAR.func(x, [2.0, 1.0])))
+        csv_path = tmp_path / "line.csv"
+        csv_path.write_text("\n  \nx,value\n" + rows + "\n")
+        assert cli_main(["fit", "linear", str(csv_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["slope"]["value"] == pytest.approx(2.0, rel=1e-9)
+
+        # a later non-numeric row is still an error, with its line number
+        csv_path.write_text("\nx,value\n" + rows + "\nx,value\n")
+        assert cli_main(["fit", "linear", str(csv_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {csv_path}:12: non-numeric data\n"
+
     def test_fit_missing_csv_exit_two(self, capsys):
         rc = cli_main(["fit", "lorentzian", "/no/such/file.csv"])
         assert rc == 2
@@ -505,3 +554,80 @@ class TestCli:
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestEntry:
+    """`python -m sivcav.cli` (and the installed `sivcav`) run `cli.entry`:
+    `main`, a flush of stdout and stderr, then `os._exit`."""
+
+    def test_run_prints_its_directory_and_writes_the_golden(self, tmp_path):
+        proc = run_cli("run", str(CONFIGS / "cooperativity_report.cfg"),
+                       "--out", str(tmp_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (out_dir,) = tmp_path.iterdir()
+        assert proc.stdout == f"{out_dir}\n"
+        for name in ("data.csv", "fits.json"):
+            golden = REPO / "tests" / "golden" / f"cooperativity_report_{name}"
+            assert (out_dir / name).read_bytes() == golden.read_bytes()
+
+    def test_fit_prints_what_main_prints(self, tmp_path, capsys):
+        from sivcav.fitting import LORENTZIAN
+
+        x = np.linspace(-5, 5, 101)
+        csv_path = tmp_path / "spec.csv"
+        csv_path.write_text("x,value\n" + "\n".join(
+            f"{a},{b}" for a, b in zip(x, LORENTZIAN.func(x, [0.4, 1.8, 2.0, 0.3]))))
+        assert cli_main(["fit", "lorentzian", str(csv_path)]) == 0
+        proc = run_cli("fit", "lorentzian", str(csv_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("path, code", [
+        (str(CONFIGS / "malformed" / "03_negative_rate.cfg"), 1),
+        ("/nonexistent/path.cfg", 2),
+    ])
+    def test_errors_are_one_line_with_their_exit_code(self, path, code):
+        proc = run_cli("run", path)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_usage_errors_and_help_exit_through_argparse(self):
+        proc = run_cli("run", "--no-such-option")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: sivcav")
+        proc = run_cli("--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: sivcav")
+
+    @pytest.mark.parametrize("call, handler_runs", [
+        ("sivcav.cli.entry()", False),
+        ("sys.exit(sivcav.cli.main())", True),
+    ])
+    def test_entry_skips_interpreter_teardown(self, call, handler_runs):
+        cfg = str(CONFIGS / "fig4_cpt.cfg")
+        code = ("import atexit, sys, sivcav.cli\n"
+                "atexit.register(print, 'atexit handler ran')\n"
+                f"sys.argv = ['sivcav', 'validate', {cfg!r}]\n"
+                f"{call}\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "valid" in proc.stderr
+        assert (proc.stdout == "atexit handler ran\n") == handler_runs
+        assert proc.stdout in ("", "atexit handler ran\n")
+
+    def test_closed_stdout_is_a_runtime_error(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sivcav.cli", "run",
+                 str(CONFIGS / "cooperativity_report.cfg"), "--out", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=child_env(), cwd=str(REPO))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
