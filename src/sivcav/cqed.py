@@ -77,7 +77,11 @@ def cooperativity_from_linewidths(gamma_on, gamma0, detuning, kappa):
     """
     if gamma0 <= 0:
         raise InvalidParameterError("gamma0 must be positive")
-    c = (gamma_on / gamma0 - 1.0) / lorentz_filter(detuning, kappa)
+    filt = lorentz_filter(detuning, kappa)
+    if filt == 0.0:
+        raise DomainError(f"cavity filter L(Delta) is 0 in float64 at detuning/kappa "
+                          f"= {detuning / kappa:.3g}: no cooperativity can be inferred")
+    c = (gamma_on / gamma0 - 1.0) / filt
     return c, c >= 0.0
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..constants import K_B_OVER_H, TWO_PI
-from ..errors import FitError, InvalidParameterError
-from ..fitting import Spectrum, fit_exponential
+from ..errors import DomainError, FitError, InvalidParameterError
+from ..spectrum import Spectrum
 from .engine import (
     Decay,
     DensityState,
@@ -148,6 +148,8 @@ def _fit_initialization(trace: Trace):
     t_tail = t[ipk:] - t[ipk]
     if len(tail) < 8:
         raise FitError("too few samples after the signal peak")
+    from ..fitting import fit_exponential
+
     fit = fit_exponential(Spectrum(t_tail, tail), kind="decay")
     if "timescale_unidentifiable" not in fit.flags:
         if t_tail[-1] < 5.0 * fit["timescale"]:
@@ -318,6 +320,11 @@ def fit_cpt_scan_forward(spectrum: Spectrum, p_template: CptParams,
 # PLE scans (single laser, and pump-probe)
 # ---------------------------------------------------------------------------
 
+# (2 pi rate)^2 stays below 4e301, so the three squares of the two-level line
+# shape sum to a finite float
+_MAX_OPTICAL_RATE = 1e150
+
+
 @dataclass(frozen=True)
 class PleEmitter:
     """One emitter in a PLE scan: its transition table plus optical parameters.
@@ -337,6 +344,10 @@ class PleEmitter:
             raise InvalidParameterError("linewidth must be positive")
         if self.rabi < 0:
             raise InvalidParameterError("rabi must be >= 0")
+        if max(self.linewidth, self.rabi) > _MAX_OPTICAL_RATE:
+            raise DomainError(
+                f"linewidth and rabi must be at most {_MAX_OPTICAL_RATE:g} Hz: the "
+                "squares of their angular frequencies overflow in the line shape")
         if self.temperature <= 0:
             raise InvalidParameterError("temperature must be positive")
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._table import json_text
 from .errors import FitError, InvalidParameterError
+from .spectrum import Spectrum
 
 __all__ = [
     "Spectrum",
@@ -37,34 +38,6 @@ _LAMBDA_MAX = 1e12
 _GRAD_RTOL = 1e-10
 _STEP_RTOL = 1e-12
 _MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Sampled 1-d trace with optional per-point standard deviations."""
-
-    x: np.ndarray
-    y: np.ndarray
-    sigma: np.ndarray | None = None
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise InvalidParameterError("x and y must be 1-d arrays of equal length")
-        d = np.diff(x)
-        if len(x) > 1 and not (np.all(d > 0) or np.all(d < 0)):
-            raise InvalidParameterError("x must be strictly monotone")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise InvalidParameterError("spectrum values must be finite")
-        sigma = self.sigma
-        if sigma is not None:
-            sigma = np.asarray(sigma, dtype=float)
-            if sigma.shape != x.shape or np.any(sigma <= 0):
-                raise InvalidParameterError("sigma must be positive, same length as x")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass(frozen=True)

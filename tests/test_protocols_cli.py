@@ -51,15 +51,16 @@ MALFORMED = [
 RUN_MODULES = {"sivcav", "sivcav.cli", "sivcav.config", "sivcav.errors",
                "sivcav.protocols", "sivcav._table", "sivcav.constants"}
 _DYNAMICS = {"sivcav.dynamics", "sivcav.dynamics.engine",
-             "sivcav.dynamics.experiments", "sivcav.fitting"}
+             "sivcav.dynamics.experiments", "sivcav.spectrum"}
+_FITTING = {"sivcav.fitting", "sivcav.spectrum"}
 PROTOCOL_MODULES = {
     "ple_scan": _DYNAMICS | {"sivcav.siv_levels"},
     "pump_probe_scan": _DYNAMICS | {"sivcav.siv_levels"},
-    "spin_pumping": _DYNAMICS,
-    "t1_recovery": _DYNAMICS,
-    "cpt_scan": _DYNAMICS,
-    "cavity_fit": {"sivcav.cqed", "sivcav.fitting"},
-    "saturation_study": {"sivcav.fitting"},
+    "spin_pumping": _DYNAMICS | _FITTING,
+    "t1_recovery": _DYNAMICS | _FITTING,
+    "cpt_scan": _DYNAMICS | _FITTING,
+    "cavity_fit": {"sivcav.cqed"} | _FITTING,
+    "saturation_study": _FITTING,
     "magnet_map": {"sivcav.magnetics"},
     "cooperativity_report": {"sivcav.cqed"},
 }
@@ -416,6 +417,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    # leaves that pass validation at 1e300 but break the physics: each run
+    # ends in one `error:` line and exit 2, not a traceback
+    @pytest.mark.parametrize("name, leaf", [
+        ("cooperativity_report", ("cooperativity", "detuning_over_kappa")),
+        *[("fig1_ple", ("emitters", i, key))
+          for i in range(3) for key in ("linewidth_mhz", "rabi_mhz")],
+    ])
+    def test_huge_leaf_is_a_one_line_runtime_error(self, tmp_path, capsys, name, leaf):
+        tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
+        functools.reduce(operator.getitem, leaf[:-1], tree)[leaf[-1]] = 1e300
+        rc = cli_main(["run", write_cfg(tmp_path, tree), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         rc = cli_main(["run", str(CONFIGS / "cooperativity_report.cfg"),

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sivcav import _table
 from sivcav._table import csv_text, json_text
 from sivcav.errors import InvalidParameterError
 from sivcav.magnetics import CuboidMagnet, field_map_grid, field_map_to_csv
@@ -84,6 +86,117 @@ class TestByteIdentity:
         assert _csv(["x", "v"], [np.zeros(0), np.zeros(0)]) == "x,v\n"
         assert field_map_to_csv(np.zeros((0, 3)), np.zeros((0, 3)),
                                 np.zeros(0, bool)) == FIELD_MAP_HEADER + "\n"
+
+
+def raw_float(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def near_tie(p):
+    """Floats at or next to a decimal tie of "%.{p}e": a (p + 2)-digit integer
+    ending in 5, or a neighbour, times 10^k."""
+    tie = st.integers(10 ** p, 10 ** (p + 1) - 1).map(lambda k: 10.0 * k + 5.0)
+    side = st.sampled_from([0.0, math.inf, -math.inf])
+    nearby = st.tuples(tie, side).map(lambda t: math.nextafter(*t) if t[1] else t[0])
+    return st.tuples(nearby, st.integers(-280, 280), st.booleans()).map(
+        lambda t: (-1.0 if t[2] else 1.0) * t[0] * 10.0 ** t[1])
+
+
+def near_power_of_ten():
+    """Floats within a few hundred ulps of 10^k, where log10 may round to k."""
+    return st.tuples(st.integers(-289, 289), st.integers(-300, 300)).map(
+        lambda t: float(f"1e{t[0]}") * (1.0 + t[1] * 2.0 ** -53))
+
+
+EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         2.2250738585072009e-308, 1.7976931348623157e308,
+         *(s * math.nextafter(x, to) for s in (1.0, -1.0) for x in (1e-290, 1e290)
+           for to in (0.0, x, math.inf))]
+
+
+def kernel_floats(p):
+    return st.one_of(st.integers(0, 2 ** 64 - 1).map(raw_float), near_tie(p),
+                     near_power_of_ten(),
+                     st.integers(1, 2 ** 52 - 1).map(raw_float),  # subnormals
+                     st.sampled_from(EDGES))
+
+
+def assert_cells_match(values, p):
+    """Every cell of a two-column table equals "%.{p}e" % v."""
+    values = np.asarray(values, dtype=np.float64)
+    text = csv_text(["a", "b"], [values, values[::-1]], [f"%.{p}e"] * 2)
+    expected = [f"%.{p}e,%.{p}e" % (u, v) for u, v in zip(values.tolist(),
+                                                         values[::-1].tolist())]
+    assert text.split("\n")[1:-1] == expected
+
+
+class TestKernelExactness:
+    @pytest.mark.parametrize("p", [9, 12])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cells_equal_percent_format(self, p, data):
+        # enough values that the kernel, not the small-block path, runs
+        values = data.draw(st.lists(kernel_floats(p), max_size=160,
+                                    min_size=_table._MIN_KERNEL_VALUES))
+        assert_cells_match(values, p)
+
+    @pytest.mark.parametrize("p", [1, 9, 12, 13])
+    def test_rows_across_block_seams(self, p):
+        rng = np.random.default_rng(p)
+        n = 2 * _table._BLOCK_ROWS + 77
+        ties = (rng.integers(10 ** p, 10 ** (p + 1), n) * 10 + 5).astype(float)
+        values = np.concatenate([
+            rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            np.nextafter(ties, rng.choice([-np.inf, np.inf], n))
+            * 10.0 ** rng.integers(-20, 20, n),
+            10.0 ** rng.integers(-289, 290, n)
+            * (1 + rng.integers(-300, 300, n) * 2.0 ** -53),
+            EDGES])
+        assert_cells_match(rng.permutation(values), p)
+
+    def test_field_map_format_across_block_seams(self):
+        rng = np.random.default_rng(7)
+        n = _table._BLOCK_ROWS + 500
+        points = np.round(rng.uniform(-0.02, 0.02, (n, 3)), 4)
+        b = rng.standard_normal((n, 3)) * 0.1
+        masked = rng.random(n) < 0.3
+        b[masked] = 0.0
+        assert field_map_to_csv(points, b, masked) == \
+            reference_field_map_csv(points, b, masked)
+
+    def test_kernel_decides_almost_every_cell(self, monkeypatch):
+        # the kernel leaves to `%` only the cells it cannot decide: for p = 12,
+        # under 1 % of random values (see the `_table` docstring)
+        formatted = []
+
+        def counting(fmt, values):
+            formatted.extend(values.tolist())
+            return percent(fmt, values)
+
+        percent = _table._percent
+        monkeypatch.setattr(_table, "_percent", counting)
+        values = np.random.default_rng(0).standard_normal(20000)
+        assert_cells_match(values, 12)
+        assert len(formatted) < 0.01 * len(values)
+
+
+class TestMemory:
+    def test_field_map_peak_stays_near_the_text_size(self):
+        # six "%.9e" columns and a "%d" one, 200k rows: formatting in row blocks
+        # keeps the peak of traced allocations within 2.5x the returned text
+        rng = np.random.default_rng(0)
+        n = 200_000
+        columns = [*rng.uniform(-0.02, 0.02, (3, n)), *rng.standard_normal((3, n)),
+                   rng.random(n) < 0.25]
+        tracemalloc.start()
+        try:
+            text = csv_text(FIELD_MAP_HEADER.split(","), columns, ["%.9e"] * 6 + ["%d"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == n + 1
+        assert peak <= 2.5 * len(text)
 
 
 class TestShapes:
