@@ -24,7 +24,6 @@ from .errors import DomainError, InvalidParameterError
 __all__ = [
     "lorentzian",
     "q_factor",
-    "lorentz_filter",
     "purcell_broadened_linewidth",
     "cooperativity_from_linewidths",
     "g_from_cooperativity",

@@ -6,12 +6,8 @@ from .engine import (
     Decay,
     Dephasing,
     LevelSystem,
-    DensityState,
     Trace,
-    build_liouvillian,
     propagate,
-    evolve,
-    steady_state,
     detuned_steady_states,
 )
 from .experiments import (
@@ -19,7 +15,6 @@ from .experiments import (
     CptParams,
     PleEmitter,
     simulate_spin_pumping,
-    extract_initialization_fidelity,
     simulate_t1_recovery,
     simulate_cpt_scan,
     fit_cpt_scan_forward,
@@ -27,11 +22,9 @@ from .experiments import (
 )
 
 __all__ = [
-    "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "DensityState",
-    "Trace", "build_liouvillian", "propagate", "evolve", "steady_state",
-    "detuned_steady_states",
+    "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "Trace",
+    "propagate", "detuned_steady_states",
     "SpinPumpParams", "CptParams", "PleEmitter",
-    "simulate_spin_pumping", "extract_initialization_fidelity",
-    "simulate_t1_recovery", "simulate_cpt_scan", "fit_cpt_scan_forward",
-    "simulate_ple_scan",
+    "simulate_spin_pumping", "simulate_t1_recovery", "simulate_cpt_scan",
+    "fit_cpt_scan_forward", "simulate_ple_scan",
 ]

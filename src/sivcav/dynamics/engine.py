@@ -22,15 +22,15 @@ import numpy as np
 
 from ..constants import TWO_PI
 from ..errors import (
+    DomainError,
     InvalidParameterError,
     RotatingFrameError,
     SteadyStateError,
 )
 
 __all__ = [
-    "Level", "Drive", "Decay", "Dephasing", "LevelSystem",
-    "DensityState", "Trace", "build_liouvillian", "propagate", "evolve",
-    "steady_state", "detuned_steady_states",
+    "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "Trace",
+    "propagate", "detuned_steady_states",
 ]
 
 #: loop-closure tolerance of the rotating-frame check, Hz: the largest
@@ -260,34 +260,6 @@ def _normalized(rho: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DensityState:
-    """Validated density matrix."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise InvalidParameterError("rho must be a square matrix")
-        _check_density(rho)
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def from_populations(cls, populations) -> "DensityState":
-        populations = np.asarray(populations, dtype=float)
-        return cls(np.diag(populations.astype(complex)))
-
-    @classmethod
-    def pure(cls, dim: int, index: int) -> "DensityState":
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[index, index] = 1.0
-        return cls(rho)
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho))
-
-
-@dataclass(frozen=True)
 class Trace:
     """Time series of a simulated fluorescence experiment."""
 
@@ -325,21 +297,32 @@ def _frame_free_liouvillian(sys: LevelSystem) -> np.ndarray:
 
     Assembled on first use and kept on the system, read-only. Each Kronecker
     product is a broadcast on an (n, n, n, n) view; the collapse operators
-    are added one by one, in the order of `collapse_operators`.
+    are added one by one, in the order of `collapse_operators`. Raises
+    DomainError, naming the largest rate, when an entry overflows float64.
     """
     if sys._l0 is None:
         n = sys.dim
         eye = np.eye(n, dtype=complex)
-        h = sys.hamiltonian()
-        np.fill_diagonal(h, 0.0)
-        lv = h[:, None, :, None] * eye[None, :, None, :]  # kron(h, 1)
-        lv -= eye[:, None, :, None] * h.T[None, :, None, :]  # kron(1, h.T)
-        lv *= -1j
-        for c in sys.collapse_operators():
-            cdc = c.conj().T @ c
-            lv += c[:, None, :, None] * c.conj()[None, :, None, :]  # kron(c, c*)
-            lv -= 0.5 * (cdc[:, None, :, None] * eye[None, :, None, :]  # kron(cdc, 1)
-                         + eye[:, None, :, None] * cdc.T[None, :, None, :])  # kron(1, cdc.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = sys.hamiltonian()
+            np.fill_diagonal(h, 0.0)
+            lv = h[:, None, :, None] * eye[None, :, None, :]  # kron(h, 1)
+            lv -= eye[:, None, :, None] * h.T[None, :, None, :]  # kron(1, h.T)
+            lv *= -1j
+            for c in sys.collapse_operators():
+                cdc = c.conj().T @ c
+                lv += c[:, None, :, None] * c.conj()[None, :, None, :]  # kron(c, c*)
+                lv -= 0.5 * (cdc[:, None, :, None] * eye[None, :, None, :]  # kron(cdc, 1)
+                             + eye[:, None, :, None] * cdc.T[None, :, None, :])  # kron(1, cdc.T)
+        if not np.all(np.isfinite(lv)):
+            rates = ([(f"Rabi frequency {d.lower}-{d.upper}", d.rabi_freq)
+                      for d in sys.drives]
+                     + [(f"decay rate {d.source}->{d.target}", d.rate)
+                        for d in sys.decays]
+                     + [(f"dephasing rate {d.level_a}-{d.level_b}", d.rate)
+                        for d in sys.dephasings])
+            name, rate = max(rates, key=lambda item: item[1])
+            raise DomainError(f"Liouvillian overflows float64: {name} is {rate:.3g} Hz")
         sys._l0 = lv.reshape(n * n, n * n)
         sys._l0.flags.writeable = False
     return sys._l0
@@ -360,8 +343,9 @@ def _detuned_liouvillians(sys: LevelSystem, detunings) -> np.ndarray:
     return lv
 
 
-def build_liouvillian(sys: LevelSystem) -> np.ndarray:
-    """Dense N^2 x N^2 Lindblad superoperator in angular units (1/s)."""
+def _liouvillian(sys: LevelSystem) -> np.ndarray:
+    """Dense n^2 x n^2 Lindblad superoperator of `sys` at its own laser
+    detunings, in angular units (1/s)."""
     return _detuned_liouvillians(sys, [[d.laser_detuning for d in sys.drives]])[0]
 
 
@@ -370,7 +354,7 @@ def _eigenbasis(sys: LevelSystem):
     () when V is too ill-conditioned and `propagate` uses `expm`. Computed
     on first use and kept on the system, read-only, next to its L0."""
     if sys._eigenbasis is None:
-        lam, vecs = np.linalg.eig(build_liouvillian(sys))
+        lam, vecs = np.linalg.eig(_liouvillian(sys))
         if np.linalg.cond(vecs) > _EIGENBASIS_CONDITION_LIMIT:
             sys._eigenbasis = ()
         else:
@@ -388,7 +372,8 @@ def propagate(sys: LevelSystem, rho0, dts) -> np.ndarray:
     time. Near an exceptional point it is ill-conditioned, and the matrix
     exponential is evaluated once per time by scaling and squaring instead
     (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy & Higham, SIAM J.
-    Matrix Anal. Appl. 31, 970 (2009)).
+    Matrix Anal. Appl. 31, 970 (2009)). The level populations along a
+    trajectory are the diagonals of the result.
     """
     n = sys.dim
     rho0 = np.asarray(rho0, dtype=complex)
@@ -406,25 +391,12 @@ def propagate(sys: LevelSystem, rho0, dts) -> np.ndarray:
         ys = (np.exp(np.outer(dts, lam)) * coeffs[:, None, :]) @ vecs.T
     else:
         from scipy.linalg import expm
-        lv = build_liouvillian(sys)
+        lv = _liouvillian(sys)
         ys = np.empty((len(y0), len(dts), n * n), dtype=complex)
         for k, t in enumerate(dts):
             ys[:, k] = y0 @ expm(lv * t).T
     rhos = ys.reshape(rho0.shape[:-2] + (len(dts), n, n))
     return 0.5 * (rhos + np.conj(np.swapaxes(rhos, -1, -2)))
-
-
-def evolve(sys: LevelSystem, rho0: DensityState, times) -> Trace:
-    """Propagate the master equation and sample at the given times.
-
-    `times` must be strictly increasing; the first entry is the start time.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise InvalidParameterError("times must be a non-empty 1-d array")
-    if len(times) > 1 and not np.all(np.diff(times) > 0):
-        raise InvalidParameterError("times must be strictly increasing")
-    return _trace(sys, times, propagate(sys, rho0.rho, times - times[0]))
 
 
 def _bordered_steady_states(lv: np.ndarray) -> np.ndarray:
@@ -474,10 +446,11 @@ def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
     """Steady states of `template` with its laser detunings replaced by each
     row of `detunings` (shape (N, n_drives), Hz, in drive order); (N, n, n).
 
-    The template's L0 is assembled once and each row adds its frame
-    diagonal (see `_detuned_liouvillians`); the stack takes the solve,
-    checks and messages of `steady_state`, and the first failing row
-    raises. Each row equals `steady_state` of its own system bit for bit.
+    One stack serves a whole scan or, with the system's own detunings as
+    the single row, one steady state. The template's L0 is assembled once
+    and each row adds its frame diagonal (see `_detuned_liouvillians`); the
+    stack is solved by `_bordered_steady_states`, and the first failing row
+    raises. Each row is bit for bit the steady state of its own system.
     """
     detunings = np.asarray(detunings, dtype=float)
     if (detunings.ndim != 2 or len(detunings) == 0
@@ -489,8 +462,3 @@ def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
     template._check_loops(detunings)
     return _bordered_steady_states(_detuned_liouvillians(template, detunings))
 
-
-def steady_state(sys: LevelSystem) -> DensityState:
-    """Stationary density matrix: one trace-bordered solve (see
-    `_bordered_steady_states`)."""
-    return DensityState(_bordered_steady_states(build_liouvillian(sys)[None])[0])

@@ -17,7 +17,6 @@ from ..errors import DomainError, FitError, InvalidParameterError
 from ..spectrum import Spectrum
 from .engine import (
     Decay,
-    DensityState,
     Dephasing,
     Drive,
     Level,
@@ -31,8 +30,8 @@ from .engine import (
 
 __all__ = [
     "SpinPumpParams", "CptParams", "PleEmitter",
-    "simulate_spin_pumping", "extract_initialization_fidelity",
-    "simulate_t1_recovery", "simulate_cpt_scan", "simulate_ple_scan",
+    "simulate_spin_pumping", "simulate_t1_recovery", "simulate_cpt_scan",
+    "fit_cpt_scan_forward", "simulate_ple_scan",
 ]
 
 
@@ -97,9 +96,10 @@ def _spin_pump_system(p: SpinPumpParams, laser_on: bool) -> LevelSystem:
     return LevelSystem(levels, drives, decays)
 
 
-def thermal_ground_state() -> DensityState:
-    """Equal ground-sublevel populations (thermal equilibrium at 4 K)."""
-    return DensityState.from_populations([0.5, 0.5, 0.0, 0.0])
+def thermal_ground_state() -> np.ndarray:
+    """(4, 4) density matrix with equal ground-sublevel populations
+    (thermal equilibrium at 4 K)."""
+    return np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
 
 
 def simulate_spin_pumping(p: SpinPumpParams):
@@ -109,7 +109,7 @@ def simulate_spin_pumping(p: SpinPumpParams):
     """
     sys_on = _spin_pump_system(p, laser_on=True)
     sys_off = _spin_pump_system(p, laser_on=False)
-    rho = thermal_ground_state().rho
+    rho = thermal_ground_state()
     traces = []
     t0 = 0.0
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
@@ -124,20 +124,15 @@ def simulate_spin_pumping(p: SpinPumpParams):
     return traces
 
 
-def extract_initialization_fidelity(trace: Trace) -> float:
-    """Spin initialization fidelity F = 1 - 0.5 * (steady / peak signal).
+def _fit_initialization(trace: Trace):
+    """(exponential fit of the pumped tail after the signal peak, spin
+    initialization fidelity F = 1 - 0.5 * steady / peak signal).
 
     The peak is the early-pulse maximum (thermal 50/50 start); the steady
     level is the mean over the last tenth of the pulse. Raises FitError when
     the pulse is too short to reach a plateau (shorter than five fitted
     pumping time constants after the peak).
     """
-    return _fit_initialization(trace)[1]
-
-
-def _fit_initialization(trace: Trace):
-    """(exponential fit of the pumped tail after the signal peak, fidelity);
-    see `extract_initialization_fidelity`."""
     sig = np.asarray(trace.signal, dtype=float)
     t = np.asarray(trace.times, dtype=float)
     ipk = int(np.argmax(sig))
@@ -177,7 +172,7 @@ def simulate_t1_recovery(p: SpinPumpParams, taus) -> Spectrum:
     sys_on = _spin_pump_system(p, laser_on=True)
     sys_off = _spin_pump_system(p, laser_on=False)
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
-    rhos = propagate(sys_on, thermal_ground_state().rho, grid)
+    rhos = propagate(sys_on, thermal_ground_state(), grid)
     i_star = int(np.argmax(_trace(sys_on, grid, rhos).signal))
     t_star = max(float(grid[i_star]), float(grid[1]))
 
@@ -452,10 +447,12 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
         groups.setdefault(j, []).append(i)
     out = np.zeros_like(freqs)
     for j, idx in groups.items():
-        chosen = []  # (line, Rabi frequency, detuning at each scan index)
+        # without a probe line every scan index has the pump's one row
+        rows = len(idx) if j >= 0 else 1
+        chosen = []  # (line, Rabi frequency, detuning at each row)
         if t_pump is not None:
             chosen.append((t_pump, pump_rabi,
-                           np.full(len(idx), pump_freq - t_pump.frequency)))
+                           np.full(rows, pump_freq - t_pump.frequency)))
         if j >= 0:
             chosen.append((candidates[j], emitter.rabi,
                            freqs[idx] - candidates[j].frequency))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import MU_B_OVER_H
-from .errors import InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 
 __all__ = [
     "ManifoldParams",
@@ -128,7 +128,11 @@ class SivModel:
         x_ax /= np.linalg.norm(x_ax)
         y_ax = np.cross(z_ax, x_ax)
         b = np.array(self.b_field)
-        return np.array([np.dot(b, x_ax), np.dot(b, y_ax), np.dot(b, z_ax)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_defect = np.array([np.dot(b, x_ax), np.dot(b, y_ax), np.dot(b, z_ax)])
+        if not np.all(np.isfinite(b_defect)):
+            raise DomainError("defect-frame magnetic field overflows float64")
+        return b_defect
 
 
 def build_hamiltonian(m: ManifoldParams, b_field) -> np.ndarray:
@@ -139,11 +143,17 @@ def build_hamiltonian(m: ManifoldParams, b_field) -> np.ndarray:
     strain_orb = np.array(
         [[0.0, m.strain_alpha - 1j * m.strain_beta],
          [m.strain_alpha + 1j * m.strain_beta, 0.0]], dtype=complex)
-    h = -m.lambda_so * _LZ_SZ
-    h = h + np.kron(strain_orb, _ID)
-    h = h + m.quench_f * MU_B_OVER_H * b[2] * _LZ
-    h = h + 0.5 * m.g_spin * MU_B_OVER_H * (
-        b[0] * _S_XYZ[0] + b[1] * _S_XYZ[1] + b[2] * _S_XYZ[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbital = m.quench_f * MU_B_OVER_H * b[2] * _LZ
+        spin = 0.5 * m.g_spin * MU_B_OVER_H * (
+            b[0] * _S_XYZ[0] + b[1] * _S_XYZ[1] + b[2] * _S_XYZ[2])
+        h = -m.lambda_so * _LZ_SZ + np.kron(strain_orb, _ID) + orbital + spin
+    for name, term in (("spin Zeeman term", spin), ("orbital Zeeman term", orbital),
+                       ("manifold Hamiltonian", h)):
+        if not np.all(np.isfinite(term)):
+            raise DomainError(
+                f"{name} overflows float64 (g_spin {m.g_spin:.3g}, "
+                f"largest field component {np.max(np.abs(b)):.3g} T)")
     return h
 
 

@@ -23,14 +23,12 @@ from sivcav.cqed import (
 )
 from sivcav.dynamics import (
     CptParams,
-    DensityState,
-    build_liouvillian,
-    evolve,
-    extract_initialization_fidelity,
     simulate_cpt_scan,
     simulate_spin_pumping,
     simulate_t1_recovery,
 )
+from sivcav.dynamics.engine import _liouvillian
+from sivcav.dynamics.experiments import _fit_initialization
 from sivcav.fitting import (
     MODELS,
     Spectrum,
@@ -44,6 +42,8 @@ from sivcav.protocols import build_magnets, build_siv_model, run_protocol
 from sivcav.siv_levels import spin_splitting
 
 from test_dynamics_engine import (
+    diagonal_state,
+    populations,
     random_density,
     random_system,
     rate_equation_populations,
@@ -140,7 +140,7 @@ def test_criterion_05_spin_pumping_calibration():
     fit = fit_exponential(Spectrum(trace.times[i_pk:] - trace.times[i_pk],
                                    trace.signal[i_pk:]), "decay")
     tau = fit["timescale"]
-    fidelity = extract_initialization_fidelity(trace)
+    fidelity = _fit_initialization(trace)[1]
     assert abs(tau - 70e-9) <= 0.2 * 70e-9
     assert abs(fidelity - 0.75) <= 0.05
 
@@ -187,9 +187,9 @@ def test_criterion_07_lindblad_engine_properties():
         n = int(rng.integers(2, 5))
         sys = random_system(rng, n)
         rho0 = random_density(rng, n)
-        lv = build_liouvillian(sys)
+        lv = _liouvillian(sys)
         for t in (5e-9, 40e-9):
-            rho = (expm(lv * t) @ rho0.rho.reshape(-1)).reshape(n, n)
+            rho = (expm(lv * t) @ rho0.reshape(-1)).reshape(n, n)
             worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
             herm = 0.5 * (rho + rho.conj().T)
@@ -205,12 +205,12 @@ def test_criterion_07_lindblad_engine_properties():
         sys = random_system(rng, n)
         rho0 = random_density(rng, n)
         ts = np.linspace(0.0, 30e-9, 4)
-        tr = evolve(sys, rho0, ts)
-        lv = build_liouvillian(sys)
+        pops = populations(sys, rho0, ts)
+        lv = _liouvillian(sys)
         for k, t in enumerate(ts):
-            ref = (expm(lv * t) @ rho0.rho.reshape(-1)).reshape(n, n)
+            ref = (expm(lv * t) @ rho0.reshape(-1)).reshape(n, n)
             worst_dev = max(worst_dev, float(np.max(
-                np.abs(tr.populations[k] - np.real(np.diag(ref))))))
+                np.abs(pops[k] - np.real(np.diag(ref))))))
     assert worst_dev < 1e-6
 
     # weak-drive rate-equation agreement
@@ -223,9 +223,9 @@ def test_criterion_07_lindblad_engine_properties():
     p0 = np.array([1.0, 0.0, 0.0])
     pump = (TWO_PI * 0.01 * gamma) ** 2 / (TWO_PI * gamma)
     ts = np.linspace(0, 3.0 / pump, 7)
-    tr = evolve(sys, DensityState.from_populations(p0), ts)
+    pops = populations(sys, diagonal_state(p0), ts)
     ref = rate_equation_populations(sys, p0, ts)
-    rate_dev = float(np.max(np.abs(tr.populations - ref)))
+    rate_dev = float(np.max(np.abs(pops - ref)))
     assert rate_dev < 0.01
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -11,23 +11,20 @@ from scipy.linalg import expm
 from sivcav.constants import TWO_PI
 from sivcav.dynamics import (
     Decay,
-    DensityState,
     Dephasing,
     Drive,
     Level,
     LevelSystem,
     SpinPumpParams,
     Trace,
-    build_liouvillian,
     detuned_steady_states,
-    evolve,
     propagate,
     simulate_t1_recovery,
-    steady_state,
 )
 from sivcav.dynamics import engine
 from sivcav.dynamics.experiments import _two_level_excited_population
 from sivcav.errors import (
+    DomainError,
     InvalidParameterError,
     RotatingFrameError,
     SteadyStateError,
@@ -63,7 +60,23 @@ def random_system(rng, n_levels):
 def random_density(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
-    return DensityState(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
+
+
+def diagonal_state(populations):
+    return np.diag(populations).astype(complex)
+
+
+def steady_state(sys):
+    """Steady state of one system: the stacked kernel at its own detunings."""
+    return detuned_steady_states(sys, [[d.laser_detuning for d in sys.drives]])[0]
+
+
+def populations(sys, rho0, times):
+    """(len(times), n) level populations from `rho0` at `times[0]`."""
+    times = np.asarray(times, dtype=float)
+    rhos = propagate(sys, rho0, times - times[0])
+    return np.real(np.diagonal(rhos, axis1=-2, axis2=-1))
 
 
 def rate_equation_populations(sys, p0, times):
@@ -104,15 +117,15 @@ class TestLiouvillian:
         # no drives, no dissipation: every level rotates at its own energy,
         # so the rotating-frame generator vanishes identically
         sys = LevelSystem((Level("a", 1e14), Level("b", 2e14), Level("c", 0.0)))
-        assert np.all(build_liouvillian(sys) == 0)
+        assert np.all(engine._liouvillian(sys) == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4))
     def test_trace_preservation_left_null_vector(self, seed, n):
-        # vec(1)^T L = 0 lets steady_state replace a population row by the
-        # trace row; L also maps Hermitian matrices to Hermitian ones
+        # vec(1)^T L = 0 lets the bordered solve replace a population row by
+        # the trace row; L also maps Hermitian matrices to Hermitian ones
         rng = np.random.default_rng(seed)
-        lv = build_liouvillian(random_system(rng, n))
+        lv = engine._liouvillian(random_system(rng, n))
         norm_lv = np.linalg.norm(lv)
         eye = np.eye(n).reshape(-1)
         assert np.linalg.norm(eye @ lv) <= 1e-12 * norm_lv
@@ -128,52 +141,51 @@ class TestLiouvillian:
         # the broadcast Kronecker products add the collapse operators in the
         # same order as the np.kron reference, so they agree bit for bit
         sys = random_system(np.random.default_rng(seed), n)
-        assert np.array_equal(build_liouvillian(sys), kron_liouvillian(sys))
+        assert np.array_equal(engine._liouvillian(sys), kron_liouvillian(sys))
 
     def test_two_level_decay_rate_convention(self):
         gamma = 93.6e6
         sys = two_level(decay=gamma)
         ts = np.linspace(0, 8e-9, 17)
-        tr = evolve(sys, DensityState.from_populations([0, 1]), ts)
-        assert np.allclose(tr.populations[:, 1], np.exp(-TWO_PI * gamma * ts),
-                           atol=1e-8)
+        pops = populations(sys, diagonal_state([0, 1]), ts)
+        assert np.allclose(pops[:, 1], np.exp(-TWO_PI * gamma * ts), atol=1e-8)
 
     def test_dephasing_rate_convention(self):
         gamma_phi = 5e6
         sys = LevelSystem((Level("a", 0.0), Level("b", 0.0)),
                           dephasings=(Dephasing("a", "b", gamma_phi),))
-        rho0 = DensityState(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+        rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         ts = np.linspace(0, 100e-9, 11)
-        lv = build_liouvillian(sys)
+        lv = engine._liouvillian(sys)
         for t in ts[1:]:
-            rho_t = (expm(lv * t) @ rho0.rho.reshape(-1)).reshape(2, 2)
+            rho_t = (expm(lv * t) @ rho0.reshape(-1)).reshape(2, 2)
             assert abs(rho_t[0, 1]) == pytest.approx(
                 0.5 * np.exp(-TWO_PI * gamma_phi * t), rel=1e-8)
 
 
 class TestEvolve:
+    """Trajectories: the level populations along `propagate`."""
+
     def test_initial_time_returns_rho0(self):
         sys = two_level(rabi=10e6, decay=50e6)
-        rho0 = DensityState.from_populations([0.7, 0.3])
-        tr = evolve(sys, rho0, np.array([0.0]))
-        assert np.allclose(tr.populations[0], [0.7, 0.3])
+        pops = populations(sys, diagonal_state([0.7, 0.3]), np.array([0.0]))
+        assert np.allclose(pops[0], [0.7, 0.3])
 
     def test_closed_rabi_oscillation(self):
         rabi = 20e6
         sys = two_level(rabi=rabi)
         ts = np.linspace(0, 100e-9, 41)
-        tr = evolve(sys, DensityState.from_populations([1, 0]), ts)
-        assert np.allclose(tr.populations[:, 1], np.sin(np.pi * rabi * ts) ** 2,
-                           atol=1e-7)
+        pops = populations(sys, diagonal_state([1, 0]), ts)
+        assert np.allclose(pops[:, 1], np.sin(np.pi * rabi * ts) ** 2, atol=1e-7)
 
     def test_detuned_rabi_generalized_frequency(self):
         rabi, det = 12e6, 9e6
         gen = np.hypot(rabi, det)
         sys = two_level(rabi=rabi, detuning=det)
         ts = np.linspace(0, 200e-9, 81)
-        tr = evolve(sys, DensityState.from_populations([1, 0]), ts)
+        pops = populations(sys, diagonal_state([1, 0]), ts)
         expected = (rabi / gen) ** 2 * np.sin(np.pi * gen * ts) ** 2
-        assert np.allclose(tr.populations[:, 1], expected, atol=1e-7)
+        assert np.allclose(pops[:, 1], expected, atol=1e-7)
 
     def test_matrix_exponential_oracle(self):
         rng = np.random.default_rng(42)
@@ -181,12 +193,12 @@ class TestEvolve:
             n = int(rng.integers(2, 5))
             sys = random_system(rng, n)
             rho0 = random_density(rng, n)
-            lv = build_liouvillian(sys)
+            lv = engine._liouvillian(sys)
             ts = np.linspace(0, 40e-9, 5)
-            tr = evolve(sys, rho0, ts)
+            pops = populations(sys, rho0, ts)
             for k, t in enumerate(ts):
-                rho_ref = (expm(lv * t) @ rho0.rho.reshape(-1)).reshape(n, n)
-                assert np.max(np.abs(tr.populations[k] -
+                rho_ref = (expm(lv * t) @ rho0.reshape(-1)).reshape(n, n)
+                assert np.max(np.abs(pops[k] -
                                      np.real(np.diag(rho_ref)))) < 1e-6
 
     def test_invariants_along_trajectories(self):
@@ -196,18 +208,24 @@ class TestEvolve:
             sys = random_system(rng, n)
             rho0 = random_density(rng, n)
             ts = np.linspace(0, 50e-9, 9)
-            lv = build_liouvillian(sys)
+            lv = engine._liouvillian(sys)
             for t in ts[1:]:
-                rho = (expm(lv * t) @ rho0.rho.reshape(-1)).reshape(n, n)
+                rho = (expm(lv * t) @ rho0.reshape(-1)).reshape(n, n)
                 assert abs(np.trace(rho).real - 1) < 1e-8
                 assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
                 assert np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) > -1e-9
 
     def test_monotone_times_required(self):
+        # propagate takes durations, each state its own: a time grid that
+        # runs backward from its start gives a negative one, which is rejected
         sys = two_level(decay=1e6)
-        with pytest.raises(InvalidParameterError):
-            evolve(sys, DensityState.from_populations([1, 0]),
-                   np.array([0.0, 2e-9, 1e-9]))
+        rho0 = diagonal_state([1, 0])
+        with pytest.raises(InvalidParameterError,
+                           match="^duration must be finite and >= 0$"):
+            populations(sys, rho0, np.array([2e-9, 0.0, 1e-9]))
+        unordered = propagate(sys, rho0, [0.0, 2e-9, 1e-9])
+        assert np.array_equal(unordered[[0, 2, 1]],
+                              propagate(sys, rho0, [0.0, 1e-9, 2e-9]))
 
     def test_rate_equation_oracle_weak_drive(self):
         # Omega/Gamma = 0.01: Lindblad populations match the classical rate
@@ -220,9 +238,9 @@ class TestEvolve:
         p0 = np.array([1.0, 0.0, 0.0])
         pump = (TWO_PI * 0.01 * gamma) ** 2 / (2 * TWO_PI * gamma / 2)
         ts = np.linspace(0, 3.0 / pump, 7)
-        tr = evolve(sys, DensityState.from_populations(p0), ts)
+        pops = populations(sys, diagonal_state(p0), ts)
         ref = rate_equation_populations(sys, p0, ts)
-        assert np.max(np.abs(tr.populations - ref)) < 0.01
+        assert np.max(np.abs(pops - ref)) < 0.01
 
 
 def exceptional_point_system():
@@ -236,7 +254,7 @@ def exceptional_point_system():
 def expm_states(sys, rho0, ts):
     """Reference propagation: one dense matrix exponential per time."""
     n = sys.dim
-    lv = build_liouvillian(sys)
+    lv = engine._liouvillian(sys)
     return np.array([(expm(lv * t) @ rho0.reshape(-1)).reshape(n, n) for t in ts])
 
 
@@ -247,7 +265,7 @@ class TestPropagate:
     def test_matches_expm_and_keeps_trace_and_hermiticity(self, seed, n, horizon):
         rng = np.random.default_rng(seed)
         sys = random_system(rng, n)
-        rho0 = random_density(rng, n).rho
+        rho0 = random_density(rng, n)
         ts = np.linspace(0.0, horizon, 6)
         rhos = propagate(sys, rho0, ts)
         ref = expm_states(sys, rho0, ts)
@@ -262,7 +280,7 @@ class TestPropagate:
     def test_stack_equals_single_state_calls(self, seed, n, m, horizon):
         rng = np.random.default_rng(seed)
         sys = random_system(rng, n)
-        stack = np.stack([random_density(rng, n).rho for _ in range(m)])
+        stack = np.stack([random_density(rng, n) for _ in range(m)])
         ts = np.linspace(0.0, horizon, 6)
         rhos = propagate(sys, stack, ts)
         assert rhos.shape == (m, len(ts), n, n)
@@ -276,7 +294,7 @@ class TestPropagate:
 
     def test_negative_duration_rejected(self):
         sys = two_level(decay=1e6)
-        rho0 = DensityState.from_populations([1, 0]).rho
+        rho0 = diagonal_state([1, 0])
         for bad in ([-1e-9], [0.0, np.nan], [np.inf]):
             with pytest.raises(InvalidParameterError,
                                match="^duration must be finite and >= 0$"):
@@ -291,7 +309,7 @@ class TestPropagate:
 
     def test_exceptional_point_falls_back_to_expm(self, monkeypatch):
         sys = exceptional_point_system()
-        lv = build_liouvillian(sys)
+        lv = engine._liouvillian(sys)
         assert np.linalg.cond(np.linalg.eig(lv)[1]) > engine._EIGENBASIS_CONDITION_LIMIT
         calls = []
 
@@ -300,7 +318,7 @@ class TestPropagate:
             return expm(a)
 
         monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        rho0 = DensityState.pure(2, 0).rho
+        rho0 = diagonal_state([1, 0])
         ts = np.linspace(0.0, 1e-6, 5)
         rhos = propagate(sys, rho0, ts)
         assert len(calls) == len(ts)
@@ -316,7 +334,7 @@ class TestPropagate:
             return expm(a)
 
         monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        stack = np.stack([DensityState.pure(2, 0).rho, DensityState.pure(2, 1).rho,
+        stack = np.stack([diagonal_state([1, 0]), diagonal_state([0, 1]),
                           np.full((2, 2), 0.5, dtype=complex)])
         ts = np.linspace(0.0, 1e-6, 5)
         rhos = propagate(sys, stack, ts)
@@ -344,13 +362,13 @@ class TestPropagate:
     def test_liouvillian_built_once_per_system(self, monkeypatch):
         # the cached eigenbasis needs L only for its one eigendecomposition
         systems = []
-        build = engine.build_liouvillian
+        build = engine._liouvillian
 
         def counting_build(sys):
             systems.append(sys)
             return build(sys)
 
-        monkeypatch.setattr(engine, "build_liouvillian", counting_build)
+        monkeypatch.setattr(engine, "_liouvillian", counting_build)
         p = SpinPumpParams(rabi_freq=20e6, optical_rate=90e6, eta=0.1, t1=1e-6,
                            samples_per_pulse=40)
         simulate_t1_recovery(p, [0.0, 1e-7, 1e-6, 5e-6])
@@ -359,15 +377,15 @@ class TestPropagate:
 
     def test_cached_eigenbasis_is_read_only_and_reused(self, monkeypatch):
         sys = two_level(rabi=20e6, decay=40e6)
-        rho0 = DensityState.from_populations([1, 0])
-        propagate(sys, rho0.rho, [1e-7])
+        rho0 = diagonal_state([1, 0])
+        propagate(sys, rho0, [1e-7])
         basis = sys._eigenbasis
         assert len(basis) == 2
         for part in basis:
             with pytest.raises(ValueError):
                 part[0] = 0.0
         monkeypatch.setattr(np.linalg, "eig", None)  # a second eig would fail
-        evolve(sys, rho0, np.linspace(0.0, 1e-7, 5))
+        propagate(sys, rho0, np.linspace(0.0, 1e-7, 5))
         assert sys._eigenbasis is basis
 
     def test_exceptional_point_system_keeps_expm(self, monkeypatch):
@@ -379,16 +397,16 @@ class TestPropagate:
             return expm(a)
 
         monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        rho0 = DensityState.pure(2, 0)
+        rho0 = diagonal_state([1, 0])
         ts = np.linspace(0.0, 1e-6, 5)
-        tr = evolve(sys, rho0, ts)
-        evolve(sys, rho0, ts)
+        pops = populations(sys, rho0, ts)
+        populations(sys, rho0, ts)
         assert sys._eigenbasis == ()
         assert len(calls) == 2 * len(ts)
-        lv = build_liouvillian(sys)
-        ref = np.array([np.real(np.diag((expm(lv * t) @ rho0.rho.reshape(-1))
+        lv = engine._liouvillian(sys)
+        ref = np.array([np.real(np.diag((expm(lv * t) @ rho0.reshape(-1))
                                         .reshape(2, 2))) for t in ts])
-        assert np.max(np.abs(tr.populations - ref)) <= 1e-12
+        assert np.max(np.abs(pops - ref)) <= 1e-12
 
 
 class TestSteadyState:
@@ -396,7 +414,7 @@ class TestSteadyState:
         sys = LevelSystem((Level("g", 0.0), Level("e", OPT)),
                           decays=(Decay("e", "g", 50e6),))
         rho = steady_state(sys)
-        assert np.allclose(rho.populations(), [1.0, 0.0], atol=1e-10)
+        assert np.allclose(np.diag(rho).real, [1.0, 0.0], atol=1e-10)
 
     def test_two_level_saturation_formula(self):
         rabi, det, gamma = 30e6, 5e6, 93.6e6
@@ -404,7 +422,7 @@ class TestSteadyState:
         rho = steady_state(sys)
         om, de, ga = TWO_PI * rabi, TWO_PI * det, TWO_PI * gamma
         expected = 0.25 * om ** 2 / (de ** 2 + om ** 2 / 2 + ga ** 2 / 4)
-        assert rho.populations()[1] == pytest.approx(expected, rel=1e-9)
+        assert rho[1, 1].real == pytest.approx(expected, rel=1e-9)
 
     def test_matches_long_time_integration(self):
         sys = LevelSystem(
@@ -414,9 +432,8 @@ class TestSteadyState:
             dephasings=(Dephasing("g1", "g2", 1e6),))
         rho_ss = steady_state(sys)
         slowest = 1.0 / (TWO_PI * 1e6)
-        rho_long = propagate(sys, DensityState.from_populations([0.2, 0.8, 0]).rho,
-                             [50.0 * slowest])[0]
-        assert np.max(np.abs(rho_ss.rho - rho_long)) < 1e-6
+        rho_long = propagate(sys, diagonal_state([0.2, 0.8, 0]), [50.0 * slowest])[0]
+        assert np.max(np.abs(rho_ss - rho_long)) < 1e-6
 
     def test_initial_state_independence(self):
         rng = np.random.default_rng(3)
@@ -425,8 +442,8 @@ class TestSteadyState:
             drives=(Drive("g1", "e", 25e6, 1e6), Drive("g2", "e", 10e6, -3e6)),
             decays=(Decay("e", "g1", 50e6), Decay("e", "g2", 50e6)),
             dephasings=(Dephasing("g1", "g2", 2e6),))
-        rho_a, rho_b = propagate(sys, np.stack([random_density(rng, 3).rho,
-                                                random_density(rng, 3).rho]),
+        rho_a, rho_b = propagate(sys, np.stack([random_density(rng, 3),
+                                                random_density(rng, 3)]),
                                  [3e-5])[:, 0]
         assert np.max(np.abs(rho_a - rho_b)) < 1e-7
 
@@ -500,8 +517,8 @@ class TestSteadyStates:
         rhos = detuned_steady_states(template, rows)
         for row, rho in zip(rows, rhos):
             sys = with_detunings(template, row)
-            assert np.array_equal(steady_state(sys).rho, rho)
-            assert np.array_equal(build_liouvillian(sys), kron_liouvillian(sys))
+            assert np.array_equal(steady_state(sys), rho)
+            assert np.array_equal(engine._liouvillian(sys), kron_liouvillian(sys))
 
     def test_degenerate_system_inside_a_stack(self):
         message = "^steady state is not unique: null space dimension 4$"
@@ -522,7 +539,7 @@ class TestSteadyStates:
         # cond(L) grows as drive over decay, to 2e11 at 1 mHz, but the steady
         # state stays unique
         rho = steady_state(two_level(rabi=100e6, detuning=3e6, decay=gamma))
-        assert rho.populations()[1] == pytest.approx(
+        assert rho[1, 1].real == pytest.approx(
             _two_level_excited_population(100e6, 3e6, gamma), rel=1e-12)
 
     def test_weakly_coupled_ground_states_are_unique(self):
@@ -531,7 +548,7 @@ class TestSteadyStates:
         sys = LevelSystem(base.levels, decays=base.decays + (
             Decay("g1", "g2", 1e-3), Decay("g2", "g1", 1e-3)))
         rho = steady_state(sys)
-        assert np.max(np.abs(rho.rho - np.diag([0.5, 0.0, 0.5, 0.0]))) <= 1e-12
+        assert np.max(np.abs(rho - np.diag([0.5, 0.0, 0.5, 0.0]))) <= 1e-12
 
     def test_liouvillian_assembled_once_per_system(self, monkeypatch):
         sys = two_level(rabi=20e6, decay=40e6)
@@ -543,10 +560,10 @@ class TestSteadyStates:
             return hamiltonian()
 
         monkeypatch.setattr(sys, "hamiltonian", counting_hamiltonian)
-        rho0 = DensityState.from_populations([1, 0])
+        rho0 = diagonal_state([1, 0])
         ts = np.linspace(0.0, 1e-7, 5)
-        evolve(sys, rho0, ts)
-        propagate(sys, np.stack([rho0.rho, rho0.rho]), ts)
+        propagate(sys, rho0, ts)
+        propagate(sys, np.stack([rho0, rho0]), ts)
         steady_state(sys)
         detuned_steady_states(sys, [[0.0], [3e6]])
         assert len(calls) == 1
@@ -555,14 +572,14 @@ class TestSteadyStates:
         # the one cache is the detuning-free L0: a resonant system's
         # Liouvillian equals it, a detuned one differs on the diagonal only
         sys = two_level(rabi=20e6, detuning=3e6, decay=40e6)
-        propagate(sys, DensityState.from_populations([1, 0]).rho, [1e-7])
+        propagate(sys, diagonal_state([1, 0]), [1e-7])
         cached = sys._l0
-        lv = build_liouvillian(sys)
+        lv = engine._liouvillian(sys)
         off = ~np.eye(4, dtype=bool)
         assert np.array_equal(cached[off], lv[off])
         assert not np.array_equal(np.diag(cached), np.diag(lv))
         resonant = two_level(rabi=20e6, decay=40e6)
-        assert np.array_equal(build_liouvillian(resonant),
+        assert np.array_equal(engine._liouvillian(resonant),
                               engine._frame_free_liouvillian(resonant))
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
@@ -593,6 +610,17 @@ def v_template(rng):
                 Decay("m", "g", rng.uniform(1e5, 10e6), radiative=False)))
 
 
+def ladder_template(rng):
+    """Ladder g -> e1 -> e2 with a cascade decay and a g-e2 dephasing."""
+    return LevelSystem(
+        (Level("g", 0.0), Level("e1", OPT), Level("e2", 2 * OPT)),
+        drives=(Drive("g", "e1", rng.uniform(1e6, 50e6), rng.uniform(-30e6, 30e6)),
+                Drive("e1", "e2", rng.uniform(1e6, 50e6), rng.uniform(-30e6, 30e6))),
+        decays=(Decay("e1", "g", rng.uniform(1e6, 100e6)),
+                Decay("e2", "e1", rng.uniform(1e6, 100e6))),
+        dephasings=(Dephasing("g", "e2", rng.uniform(0, 5e6)),))
+
+
 def with_detunings(template, row):
     return LevelSystem(template.levels,
                        tuple(Drive(d.lower, d.upper, d.rabi_freq, float(x))
@@ -609,7 +637,7 @@ class TestDetunedSteadyStates:
         template = v_template(rng) if v_type else lambda_template(rng)
         detunings = rng.uniform(-50e6, 50e6, size=(count, 2))
         rhos = detuned_steady_states(template, detunings)
-        ref = np.stack([steady_state(with_detunings(template, row)).rho
+        ref = np.stack([steady_state(with_detunings(template, row))
                         for row in detunings])
         assert rhos.shape == ref.shape
         assert np.max(np.abs(rhos - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -618,7 +646,7 @@ class TestDetunedSteadyStates:
         # the template's own detunings are replaced, not added to
         template = lambda_template(np.random.default_rng(1))
         rows = [[3e6, -1e6], [0.0, 2.5e6]]
-        ref = [steady_state(with_detunings(template, r)).rho for r in rows]
+        ref = [steady_state(with_detunings(template, r)) for r in rows]
         assert np.array_equal(detuned_steady_states(template, rows), np.stack(ref))
 
     def test_non_finite_detuning_rejected(self):
@@ -674,6 +702,47 @@ class TestDetunedSteadyStates:
             detuned_steady_states(template, [[1e6], [0.0]])
 
 
+TEMPLATES = st.sampled_from([lambda_template, v_template, ladder_template])
+
+
+class TestCrossKernel:
+    """`propagate` and `detuned_steady_states` agree over random lambda, V
+    and ladder systems, from random full-rank states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           template=TEMPLATES)
+    def test_long_time_propagation_reaches_the_steady_state(self, seed, template):
+        rng = np.random.default_rng(seed)
+        sys = template(rng)
+        lam = np.linalg.eigvals(engine._liouvillian(sys))
+        slowest = np.sort(np.abs(lam.real))[1]  # the slowest decaying mode, 1/s
+        rho = propagate(sys, random_density(rng, sys.dim), [60.0 / slowest])[0]
+        assert np.max(np.abs(rho - steady_state(sys))) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           template=TEMPLATES,
+           t1=st.floats(0.0, 1e-6), t2=st.floats(0.0, 1e-6))
+    def test_propagation_is_a_semigroup(self, seed, template, t1, t2):
+        rng = np.random.default_rng(seed)
+        sys = template(rng)
+        rho0 = random_density(rng, sys.dim)
+        direct = propagate(sys, rho0, [t1 + t2])[0]
+        stepped = propagate(sys, propagate(sys, rho0, [t1])[0], [t2])[0]
+        assert np.max(np.abs(direct - stepped)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           template=TEMPLATES,
+           horizon=st.floats(1e-9, 1e-5))
+    def test_propagated_states_stay_positive(self, seed, template, horizon):
+        rng = np.random.default_rng(seed)
+        sys = template(rng)
+        rhos = propagate(sys, random_density(rng, sys.dim), np.linspace(0.0, horizon, 9))
+        assert np.min(np.linalg.eigvalsh(rhos)) >= -1e-9
+
+
 def cond_solve_steady_states(lv):
     """Reference bordered kernel: a 1-norm `np.linalg.cond` pass, then a
     batched `solve` of the rows it finds unique; same checks and messages."""
@@ -718,12 +787,12 @@ class TestBorderedKernel:
             tuple(replace(d, rabi_freq=100e6) for d in template.drives),
             tuple(replace(d, rate=1e-10 * d.rate) for d in template.decays),
             tuple(replace(d, rate=1e-10 * d.rate) for d in template.dephasings))
-        bordered = build_liouvillian(slow).copy()
+        bordered = engine._liouvillian(slow).copy()
         bordered[0] = np.eye(slow.dim).reshape(-1)
         assert 1e10 < np.linalg.cond(bordered, 1) < engine._BORDERED_CONDITION_LIMIT
         detunings = rng.uniform(-50e6, 50e6, size=(count, 2))
         rows = np.concatenate([engine._detuned_liouvillians(template, detunings),
-                               build_liouvillian(slow)[None]])
+                               engine._liouvillian(slow)[None]])
         rows = rows[rng.permutation(len(rows))]
         rho = engine._bordered_steady_states(rows)
         assert np.array_equal(rho, cond_solve_steady_states(rows))
@@ -773,12 +842,14 @@ class TestRotatingFrame:
 
 class TestValidation:
     def test_density_state_invariants(self):
-        with pytest.raises(InvalidParameterError):
-            DensityState(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
-        with pytest.raises(InvalidParameterError):
-            DensityState(np.diag([0.7, 0.7]).astype(complex))
-        with pytest.raises(InvalidParameterError):
-            DensityState(np.diag([1.5, -0.5]).astype(complex))
+        for bad, message in (
+                (np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex), "be Hermitian"),
+                (diagonal_state([0.7, 0.7]), "have unit trace"),
+                (diagonal_state([1.5, -0.5]), "be positive"),
+                (diagonal_state([np.nan, 1.0]), "be finite")):
+            with pytest.raises(InvalidParameterError, match=f"^rho must {message}"):
+                engine._check_density(bad)
+        engine._check_density(diagonal_state([0.7, 0.3]))
 
     def test_system_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -791,6 +862,16 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             LevelSystem((Level("a", 0.0), Level("b", 1e9)),
                         decays=(Decay("a", "c", 1.0),))
+
+    def test_overflowing_rate_is_a_domain_error(self):
+        # a decay rate of 8e307 Hz is finite, but 2 pi times it is not; both
+        # kernels stop at the assembly of L0, before any eig, inv or svd
+        sys = two_level(decay=8e307)
+        message = r"^Liouvillian overflows float64: decay rate e->g is 8e\+307 Hz$"
+        with pytest.raises(DomainError, match=message):
+            detuned_steady_states(sys, [[]])
+        with pytest.raises(DomainError, match=message):
+            propagate(sys, diagonal_state([1, 0]), [1e-9])
 
     def test_trace_type_length_check(self):
         with pytest.raises(InvalidParameterError):

@@ -6,23 +6,24 @@ from hypothesis import given, settings, strategies as st
 from sivcav.dynamics import (
     CptParams,
     Decay,
-    DensityState,
     Drive,
     Level,
     LevelSystem,
     PleEmitter,
     SpinPumpParams,
     Trace,
-    evolve,
-    extract_initialization_fidelity,
     simulate_cpt_scan,
     simulate_ple_scan,
     simulate_spin_pumping,
     propagate,
     simulate_t1_recovery,
-    steady_state,
 )
-from sivcav.dynamics.experiments import _spin_pump_system, thermal_ground_state
+from sivcav.dynamics.engine import _trace
+from sivcav.dynamics.experiments import (
+    _fit_initialization,
+    _spin_pump_system,
+    thermal_ground_state,
+)
 from sivcav.errors import FitError, InvalidParameterError
 from sivcav.fitting import Spectrum, fit_exponential, fit_lorentzian
 from sivcav.siv_levels import (
@@ -35,10 +36,16 @@ from sivcav.siv_levels import (
     transition_table,
 )
 
+from test_dynamics_engine import steady_state
+
 # calibration shipped in configs/fig4_spin_pumping.cfg
 CALIB = SpinPumpParams(rabi_freq=41.0e6, optical_rate=93.62e6, eta=0.15,
                        t1=630e-9, background=4.64e6, pulse_length=1e-6,
                        n_pulses=1, pulse_gap=1e-6, samples_per_pulse=400)
+
+
+def initialization_fidelity(trace):
+    return _fit_initialization(trace)[1]
 
 
 def synthetic_trace(peak, steady, tau=70e-9, n=400, length=1e-6):
@@ -56,7 +63,7 @@ class TestSpinPumping:
             Spectrum(trace.times[i_pk:] - trace.times[i_pk],
                      trace.signal[i_pk:]), "decay")
         assert fit["timescale"] == pytest.approx(70e-9, rel=0.2)
-        assert extract_initialization_fidelity(trace) == pytest.approx(0.75, abs=0.05)
+        assert initialization_fidelity(trace) == pytest.approx(0.75, abs=0.05)
 
     def test_perfect_cycling_is_flat(self):
         # eta = 0 with negligible ground relaxation: no pumping
@@ -91,20 +98,20 @@ class TestSpinPumping:
 
 class TestInitializationFidelity:
     def test_no_pumping_gives_half(self):
-        assert extract_initialization_fidelity(
+        assert initialization_fidelity(
             synthetic_trace(100.0, 100.0)) == pytest.approx(0.5)
 
     def test_full_pumping_gives_one(self):
-        assert extract_initialization_fidelity(
+        assert initialization_fidelity(
             synthetic_trace(100.0, 0.0)) == pytest.approx(1.0, abs=1e-3)
 
     def test_half_ratio_gives_three_quarters(self):
-        assert extract_initialization_fidelity(
+        assert initialization_fidelity(
             synthetic_trace(100.0, 50.0)) == pytest.approx(0.75, abs=1e-3)
 
     def test_short_pulse_raises(self):
         with pytest.raises(FitError):
-            extract_initialization_fidelity(
+            initialization_fidelity(
                 synthetic_trace(100.0, 50.0, tau=70e-9, length=100e-9))
 
 
@@ -151,17 +158,17 @@ def per_delay_t1_recovery(p, taus):
     sys_on = _spin_pump_system(p, laser_on=True)
     sys_off = _spin_pump_system(p, laser_on=False)
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
-    first = evolve(sys_on, thermal_ground_state(), grid)
+    rhos = propagate(sys_on, thermal_ground_state(), grid)
+    first = _trace(sys_on, grid, rhos)
     t_star = max(float(grid[int(np.argmax(first.signal))]), float(grid[1]))
-    rho = propagate(sys_on, thermal_ground_state().rho, grid)[-1]
-    rho_end = DensityState(rho / np.trace(rho).real)
+    rho_end = rhos[-1] / np.trace(rhos[-1]).real
     peaks = []
     for tau in taus:
         state = rho_end
         if tau > 0:
-            rho = propagate(sys_off, rho_end.rho, [tau])[0]
-            state = DensityState(rho / np.trace(rho).real)
-        probe = evolve(sys_on, state, [0.0, t_star])
+            rho = propagate(sys_off, rho_end, [tau])[0]
+            state = rho / np.trace(rho).real
+        probe = _trace(sys_on, [0.0, t_star], propagate(sys_on, state, [0.0, t_star]))
         peaks.append(float(probe.signal[-1]) + p.background)
     return np.array(peaks)
 
@@ -335,7 +342,7 @@ class TestPleScan:
                 decays += [Decay(e_label[e], g_label[g], emitter.linewidth * w / total)
                            for g, w in weights.items()]
             sys_ = LevelSystem(tuple(levels), tuple(drives), tuple(decays))
-            return float(np.real(np.diag(steady_state(sys_).rho))
+            return float(np.real(np.diag(steady_state(sys_)))
                          @ sys_.radiative_rates())
 
         # spans probe lines of both excited states, the pump's own line and

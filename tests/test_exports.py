@@ -33,3 +33,19 @@ def test_console_script_is_the_cli_entry():
     assert target and target.group(1) == "sivcav.cli:entry"
     module, attr = target.group(1).split(":")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_reexports_are_exported_at_home(name):
+    # a function or class that a module re-exports is public where it is
+    # defined too, whenever that module declares its exports
+    module = importlib.import_module(name)
+    strays = []
+    for export in getattr(module, "__all__", ()):
+        home_name = getattr(getattr(module, export), "__module__", None)
+        if home_name == name or not str(home_name).startswith("sivcav"):
+            continue
+        home = importlib.import_module(home_name)
+        if export not in getattr(home, "__all__", (export,)):
+            strays.append(f"{export} (defined in {home_name})")
+    assert not strays, f"{name}.__all__ re-exports names private at home: {strays}"

@@ -341,6 +341,23 @@ class TestRunProtocol:
             "f_s_excited": expected["f_s_excited"] / 1e9,
             "degenerate": expected["degenerate"]}
 
+    def test_pump_only_rows_are_solved_once(self, tmp_path, monkeypatch):
+        # the shipped scan's points that drive only the pump line (72 of 481)
+        # share one steady state, solved as one row
+        import sivcav.dynamics.experiments as experiments
+
+        rows = []
+        solve = experiments.detuned_steady_states
+
+        def counting_solve(template, detunings):
+            rows.append(len(detunings))
+            return solve(template, detunings)
+
+        monkeypatch.setattr(experiments, "detuned_steady_states", counting_solve)
+        run_protocol(load_config(str(CONFIGS / "fig2_pump_probe.cfg")),
+                     out_dir=str(tmp_path))
+        assert sum(rows) == 410
+
     def test_failed_run_leaves_no_partial_dir(self, tmp_path, monkeypatch):
         import sivcav.protocols as protocols_mod
 
@@ -418,16 +435,26 @@ class TestCli:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
-    # leaves that pass validation at 1e300 but break the physics: each run
-    # ends in one `error:` line and exit 2, not a traceback
+    # leaves (path, then value) that pass validation at 1e300, or as a
+    # timescale at 1e-300 (a rate of about 1e308 Hz), but break the physics:
+    # each run ends in one `error:` line and exit 2, not a traceback
     @pytest.mark.parametrize("name, leaf", [
-        ("cooperativity_report", ("cooperativity", "detuning_over_kappa")),
-        *[("fig1_ple", ("emitters", i, key))
+        ("cooperativity_report", ("cooperativity", "detuning_over_kappa", 1e300)),
+        *[("fig1_ple", ("emitters", i, key, 1e300))
           for i in range(3) for key in ("linewidth_mhz", "rabi_mhz")],
+        *[("fig2_pump_probe", ("emitter", "model", manifold, "g_spin", 1e300))
+          for manifold in ("ground", "excited")],
+        *[("fig2_pump_probe", ("emitter", "model", "b_field_t", i, 1e300))
+          for i in range(3)],
+        ("fig2_pump_probe", ("t1_ns", 1e-300)),
+        ("fig4_cpt", ("cpt", "t2_star_ns", 1e-300)),
+        ("fig4_spin_pumping", ("spin_pump", "t1_ns", 1e-300)),
+        ("fig4_t1", ("spin_pump", "t1_ns", 1e-300)),
     ])
     def test_huge_leaf_is_a_one_line_runtime_error(self, tmp_path, capsys, name, leaf):
+        *path, key, value = leaf
         tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
-        functools.reduce(operator.getitem, leaf[:-1], tree)[leaf[-1]] = 1e300
+        functools.reduce(operator.getitem, path, tree)[key] = value
         rc = cli_main(["run", write_cfg(tmp_path, tree), "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
@@ -504,10 +531,7 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     def test_module_entrypoint(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sivcav.cli", "validate",
-             str(CONFIGS / "fig1_cavity_fit.cfg")],
-            capture_output=True, text=True, cwd=str(REPO))
+        proc = run_cli("validate", str(CONFIGS / "fig1_cavity_fit.cfg"))
         assert proc.returncode == 0
         assert proc.stdout == ""  # diagnostics on stderr only
         assert "valid" in proc.stderr

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sivcav.constants import MU_B_OVER_H
-from sivcav.errors import InvalidParameterError
+from sivcav.errors import DomainError, InvalidParameterError
 from sivcav.siv_levels import (
     ManifoldParams,
     SivModel,
@@ -279,3 +279,21 @@ class TestModelValidation:
         m2 = SivModel(GROUND, EXCITED, ZPL, b_field=(0, 0, 0.2), axis=(0, 0, 1))
         s1, s2 = spin_splitting(m1), spin_splitting(m2)
         assert s1["f_s_ground"] == pytest.approx(s2["f_s_ground"], rel=1e-12)
+
+    def test_overflowing_field_is_a_domain_error(self):
+        # a finite lab-frame field whose defect-frame component overflows
+        model = SivModel(GROUND, EXCITED, ZPL, b_field=(1.5e308, 1.5e308, 0.0),
+                         axis=(1, 1, 0))
+        with pytest.raises(DomainError, match="^defect-frame magnetic field overflows"):
+            transition_table(model)
+
+    @pytest.mark.parametrize("lambda_so, g_spin, b, term", [
+        (46e9, 1e300, (0.0, 0.0, 0.1), "spin Zeeman term"),
+        (46e9, 2.0, (1e300, 0.0, 0.0), "spin Zeeman term"),
+        (46e9, 1e-10, (0.0, 0.0, 1e300), "orbital Zeeman term"),
+        (1.7e308, 2.0, (0.0, 0.0, 7e297), "manifold Hamiltonian"),
+    ])
+    def test_overflowing_hamiltonian_is_a_domain_error(self, lambda_so, g_spin, b, term):
+        m = ManifoldParams(lambda_so=lambda_so, quench_f=0.1, g_spin=g_spin)
+        with pytest.raises(DomainError, match=f"^{term} overflows float64"):
+            build_hamiltonian(m, b)
