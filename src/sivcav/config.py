@@ -1,8 +1,17 @@
 """Protocol configuration: YAML loading, schema validation, canonical hashing.
 
-One protocol per file. Validation is strict: unknown keys are rejected with
-the list of valid keys, missing blocks name the protocol's requirements, and
-numeric checks name the offending field by dotted path.
+One protocol per file. Each protocol's keys are declared once, as a table
+`{key: parser}` in `_SCHEMAS`; a nested block is a table of its own. One
+walker, `_walk`, validates every block against its table: it parses the keys
+in table order and fills defaults, runs the block's cross-field check, then
+rejects unknown keys with the list of valid keys. Errors name the offending
+field by dotted path, such as `emitters[0].model.ground.lambda_so_ghz`.
+
+The leaves are `_number`, `_string` and `_vector3`, and the blocks are
+`_block` and `_block_list`. A leaf without a default is required, and so is
+every block but `noise`. A number's explicit null means unset; a null
+string, 3-vector or block is an error. An integer leaf keeps an integer
+input exact.
 """
 
 from __future__ import annotations
@@ -55,389 +64,343 @@ class ProtocolConfig(namedtuple(
 
 
 # ---------------------------------------------------------------------------
-# field-level checker helpers
+# parsers and the walker
 # ---------------------------------------------------------------------------
+
+_ABSENT = object()  # the value of a key that the block does not hold
+_REQUIRED = object()  # the default of a leaf that must be given
+
+
+class _Bad(Exception):
+    """A leaf's complaint; `_walk` raises it as a ConfigError at the leaf."""
+
+
+def _at(path, key):
+    return f"{path}.{key}" if path else key
+
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(float(v))
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) \
+            and math.isfinite(v)
+    except OverflowError:  # an int beyond the float64 range
+        return False
 
 
-class _Block:
-    """Tracks consumed keys so leftovers can be reported precisely."""
+def _unset(default):
+    if default is _REQUIRED:
+        raise _Bad("missing required field")
+    return default
 
-    def __init__(self, data, path):
-        if not isinstance(data, dict):
-            raise ConfigError(f"expected a mapping, got {type(data).__name__}",
-                              field=path)
-        self.data = dict(data)
-        self.path = path
-        self.valid = []
 
-    def _field(self, key):
-        return f"{self.path}.{key}" if self.path else key
+def _walk(table, data, path, check=None):
+    """Validate the mapping `data` at dotted `path` against `table`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected a mapping, got {type(data).__name__}",
+                          field=path)
+    out = {}
+    for key, parse in table.items():
+        try:
+            out[key] = parse(data.get(key, _ABSENT), path, key)
+        except _Bad as exc:
+            raise ConfigError(str(exc), field=_at(path, key)) from None
+    if check is not None:
+        check(out, path)
+    unknown = [key for key in data if key not in table]
+    if unknown:
+        # YAML keys may be numbers too, which do not compare with strings
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)}; "
+                          f"valid keys here: {sorted(table)}",
+                          field=path or "<root>")
+    return out
 
-    def number(self, key, default=None, minimum=None, maximum=None,
-               positive=False, required=False):
-        self.valid.append(key)
-        if self.data.get(key, None) is None:
-            self.data.pop(key, None)  # explicit null means unset
-            if required:
-                raise ConfigError("missing required field", field=self._field(key))
-            return default
-        v = self.data.pop(key)
+
+def _number(default=_REQUIRED, minimum=None, maximum=None, positive=False,
+            integer=False):
+    def parse(v, path, key):
+        if v is None or v is _ABSENT:  # an explicit null means unset
+            return _unset(default)
         if not _is_number(v):
-            raise ConfigError(f"expected a finite number, got {v!r}",
-                              field=self._field(key))
-        v = float(v)
-        if positive and v <= 0:
-            raise ConfigError(f"must be positive, got {v}", field=self._field(key))
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"must be >= {minimum}, got {v}", field=self._field(key))
-        if maximum is not None and v > maximum:
-            raise ConfigError(f"must be <= {maximum}, got {v}", field=self._field(key))
-        return v
+            raise _Bad(f"expected a finite number, got {v!r}")
+        x = float(v)
+        if positive and x <= 0:
+            raise _Bad(f"must be positive, got {x}")
+        if minimum is not None and x < minimum:
+            raise _Bad(f"must be >= {minimum}, got {x}")
+        if maximum is not None and x > maximum:
+            raise _Bad(f"must be <= {maximum}, got {x}")
+        if not integer:
+            return x
+        if isinstance(v, int):
+            return v
+        if x != int(x):
+            raise _Bad(f"expected an integer, got {x}")
+        return int(x)
+    return parse
 
-    def integer(self, key, default=None, minimum=None, required=False):
-        v = self.number(key, default=default, minimum=minimum, required=required)
-        if v is None:
-            return None
-        if v != int(v):
-            raise ConfigError(f"expected an integer, got {v}", field=self._field(key))
-        return int(v)
 
-    def string(self, key, default=None, choices=None, required=False):
-        self.valid.append(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError("missing required field", field=self._field(key))
-            return default
-        v = self.data.pop(key)
+def _string(default=_REQUIRED, choices=None):
+    def parse(v, path, key):
+        if v is _ABSENT:
+            return _unset(default)
         if not isinstance(v, str):
-            raise ConfigError(f"expected a string, got {v!r}", field=self._field(key))
+            raise _Bad(f"expected a string, got {v!r}")
         if choices is not None and v not in choices:
-            raise ConfigError(f"must be one of {sorted(choices)}, got {v!r}",
-                              field=self._field(key))
+            raise _Bad(f"must be one of {sorted(choices)}, got {v!r}")
         return v
+    parse.choices = choices
+    return parse
 
-    def vector3(self, key, default=None, required=False):
-        self.valid.append(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError("missing required field", field=self._field(key))
-            return default
-        v = self.data.pop(key)
+
+def _vector3(default=_REQUIRED):
+    def parse(v, path, key):
+        if v is _ABSENT:
+            return list(_unset(default))
         if not isinstance(v, (list, tuple)) or len(v) != 3 \
                 or not all(_is_number(c) for c in v):
-            raise ConfigError(f"expected a 3-vector of numbers, got {v!r}",
-                              field=self._field(key))
+            raise _Bad(f"expected a 3-vector of numbers, got {v!r}")
         return [float(c) for c in v]
+    return parse
 
-    def sub(self, key, required=False):
-        self.valid.append(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError("missing required block", field=self._field(key))
-            return None
-        return _Block(self.data.pop(key), self._field(key))
 
-    def sublist(self, key, required=False):
-        self.valid.append(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError("missing required block", field=self._field(key))
-            return []
-        v = self.data.pop(key)
+def _block(table, check=None):
+    def parse(v, path, key):
+        if v is _ABSENT:
+            raise _Bad("missing required block")
+        return _walk(table, v, _at(path, key), check)
+    parse.table = table
+    return parse
+
+
+def _block_list(table, check=None):
+    def parse(v, path, key):
+        if v is _ABSENT:
+            raise _Bad("missing required block")
         if not isinstance(v, list) or not v:
-            raise ConfigError("expected a non-empty list of mappings",
-                              field=self._field(key))
-        return [_Block(item, f"{self._field(key)}[{i}]") for i, item in enumerate(v)]
-
-    def finish(self):
-        if self.data:
-            unknown = sorted(self.data)
-            raise ConfigError(
-                f"unknown key(s) {unknown}; valid keys here: {sorted(set(self.valid))}",
-                field=self.path or "<root>")
+            raise _Bad("expected a non-empty list of mappings")
+        field = _at(path, key)
+        return [_walk(table, item, f"{field}[{i}]", check)
+                for i, item in enumerate(v)]
+    parse.table = table
+    return parse
 
 
 # ---------------------------------------------------------------------------
-# shared block parsers (return plain normalized dicts)
+# cross-field checks: check(parsed block, its path) after the keys parse
 # ---------------------------------------------------------------------------
 
-def _parse_manifold(b: _Block) -> dict:
-    out = {
-        "lambda_so_ghz": b.number("lambda_so_ghz", required=True, positive=True),
-        "strain_alpha_ghz": b.number("strain_alpha_ghz", default=0.0),
-        "strain_beta_ghz": b.number("strain_beta_ghz", default=0.0),
-        "quench_f": b.number("quench_f", default=0.1, minimum=0.0, maximum=1.0),
-        "g_spin": b.number("g_spin", default=2.0, positive=True),
-    }
-    b.finish()
-    return out
+def _scan(start, stop):
+    def check(out, path):
+        if out[stop] <= out[start]:
+            raise ConfigError(f"{stop} must exceed {start}", field=path)
+    return _block({start: _number(), stop: _number(),
+                   "points": _number(minimum=2, integer=True)}, check)
 
 
-def _parse_emitter_model(b: _Block) -> dict:
-    ground = b.sub("ground", required=True)
-    excited = b.sub("excited", required=True)
-    out = {
-        "ground": _parse_manifold(ground),
-        "excited": _parse_manifold(excited),
-        "zpl_center_thz": b.number("zpl_center_thz", required=True, positive=True),
-        "b_field_t": b.vector3("b_field_t", default=[0.0, 0.0, 0.0]),
-        "axis": b.vector3("axis", default=[0.0, 0.0, 1.0]),
-    }
-    b.finish()
-    return out
-
-
-def _parse_ple_emitter(b: _Block) -> dict:
-    model = b.sub("model", required=True)
-    out = {
-        "model": _parse_emitter_model(model),
-        "linewidth_mhz": b.number("linewidth_mhz", required=True, positive=True),
-        "rabi_mhz": b.number("rabi_mhz", required=True, minimum=0.0),
-        "temperature_k": b.number("temperature_k", default=4.0, positive=True),
-    }
-    b.finish()
-    return out
-
-
-def _parse_scan(b: _Block, start_key, stop_key) -> dict:
-    out = {
-        start_key: b.number(start_key, required=True),
-        stop_key: b.number(stop_key, required=True),
-        "points": b.integer("points", required=True, minimum=2),
-    }
-    if out[stop_key] <= out[start_key]:
-        raise ConfigError(f"{stop_key} must exceed {start_key}", field=b.path)
-    b.finish()
-    return out
-
-
-def _parse_spin_pump(b: _Block) -> dict:
-    out = {
-        "rabi_mhz": b.number("rabi_mhz", required=True, minimum=0.0),
-        "optical_rate_mhz": b.number("optical_rate_mhz", required=True, positive=True),
-        "eta": b.number("eta", required=True, minimum=0.0, maximum=1.0),
-        "t1_ns": b.number("t1_ns", required=True, positive=True),
-        "f_s_ground_ghz": b.number("f_s_ground_ghz", default=6.8),
-        "f_s_excited_ghz": b.number("f_s_excited_ghz", default=7.0),
-        "background": b.number("background", default=0.0, minimum=0.0),
-        "pulse_length_ns": b.number("pulse_length_ns", default=1000.0, positive=True),
-        "n_pulses": b.integer("n_pulses", default=1, minimum=1),
-        "pulse_gap_ns": b.number("pulse_gap_ns", default=1000.0, minimum=0.0),
-        "samples_per_pulse": b.integer("samples_per_pulse", default=400, minimum=8),
-    }
-    b.finish()
-    return out
-
-
-def _parse_cpt(b: _Block) -> dict:
-    out = {
-        "rabi_pump_mhz": b.number("rabi_pump_mhz", required=True, minimum=0.0),
-        "rabi_probe_mhz": b.number("rabi_probe_mhz", required=True, minimum=0.0),
-        "optical_rate_mhz": b.number("optical_rate_mhz", required=True, positive=True),
-        "t2_star_ns": b.number("t2_star_ns", default=None, positive=True),
-        "gamma_s_mhz": b.number("gamma_s_mhz", default=None, minimum=0.0),
-        "f_s_ghz": b.number("f_s_ghz", default=6.8),
-        "detuning_split": b.string("detuning_split", default="symmetric",
-                                   choices=("symmetric", "probe")),
-    }
+def _one_dephasing(out, path):
     if (out["t2_star_ns"] is None) == (out["gamma_s_mhz"] is None):
         raise ConfigError("exactly one of t2_star_ns or gamma_s_mhz must be set",
-                          field=b.path)
-    b.finish()
-    return out
+                          field=path)
 
 
-def _parse_magnets(blocks) -> list:
-    out = []
-    for b in blocks:
-        out.append({
-            "center_mm": b.vector3("center_mm", required=True),
-            "dimensions_mm": b.vector3("dimensions_mm", required=True),
-            "remanence_t": b.vector3("remanence_t", required=True),
-        })
-        if any(c <= 0 for c in out[-1]["dimensions_mm"]):
-            raise ConfigError("all dimensions must be positive",
-                              field=f"{b.path}.dimensions_mm")
-        b.finish()
-    return out
+def _positive_dimensions(out, path):
+    if any(c <= 0 for c in out["dimensions_mm"]):
+        raise ConfigError("all dimensions must be positive",
+                          field=f"{path}.dimensions_mm")
 
 
-def _parse_axis_spec(b: _Block, key) -> dict:
-    sub = b.sub(key, required=True)
-    out = {
-        "start": sub.number("start", required=True),
-        "stop": sub.number("stop", required=True),
-        "points": sub.integer("points", required=True, minimum=1),
-    }
+def _axis_span(out, path):
     if out["points"] > 1 and out["stop"] <= out["start"]:
         raise ConfigError("stop must exceed start for multi-point axes",
-                          field=sub.path)
+                          field=path)
     if out["points"] == 1 and out["stop"] != out["start"]:
         # a single-point axis samples `start` only
         raise ConfigError("stop must equal start for single-point axes",
-                          field=sub.path)
-    sub.finish()
-    return out
-
-
-def _parse_noise(b: _Block) -> dict:
-    out = {"sigma_rel": b.number("sigma_rel", required=True, minimum=0.0)}
-    b.finish()
-    return out
+                          field=path)
 
 
 # ---------------------------------------------------------------------------
 # per-protocol schemas
 # ---------------------------------------------------------------------------
 
-def _validate_ple_scan(root: _Block) -> dict:
-    emitters = [_parse_ple_emitter(e) for e in root.sublist("emitters", required=True)]
-    scan = _parse_scan(root.sub("scan", required=True), "start_thz", "stop_thz")
-    return {"emitters": emitters, "scan": scan}
+_MANIFOLD = {
+    "lambda_so_ghz": _number(positive=True),
+    "strain_alpha_ghz": _number(default=0.0),
+    "strain_beta_ghz": _number(default=0.0),
+    "quench_f": _number(default=0.1, minimum=0.0, maximum=1.0),
+    "g_spin": _number(default=2.0, positive=True),
+}
 
+_PLE_EMITTER = {
+    "model": _block({
+        "ground": _block(_MANIFOLD),
+        "excited": _block(_MANIFOLD),
+        "zpl_center_thz": _number(positive=True),
+        "b_field_t": _vector3(default=(0.0, 0.0, 0.0)),
+        "axis": _vector3(default=(0.0, 0.0, 1.0)),
+    }),
+    "linewidth_mhz": _number(positive=True),
+    "rabi_mhz": _number(minimum=0.0),
+    "temperature_k": _number(default=4.0, positive=True),
+}
 
-def _validate_pump_probe(root: _Block) -> dict:
-    emitter = _parse_ple_emitter(root.sub("emitter", required=True))
-    pump = root.sub("pump", required=True)
-    pump_out = {
-        "parent": pump.string("parent", default="C", choices=tuple("ABCD")),
-        "line": pump.string("line", default="2", choices=("1", "2", "3", "4")),
-        "rabi_mhz": pump.number("rabi_mhz", required=True, minimum=0.0),
-        "detuning_mhz": pump.number("detuning_mhz", default=0.0),
-    }
-    pump.finish()
-    scan = _parse_scan(root.sub("scan", required=True),
-                       "start_offset_ghz", "stop_offset_ghz")
-    t1_ns = root.number("t1_ns", default=None, positive=True)
-    return {"emitter": emitter, "pump": pump_out, "scan": scan, "t1_ns": t1_ns}
+_SPIN_PUMP = _block({
+    "rabi_mhz": _number(minimum=0.0),
+    "optical_rate_mhz": _number(positive=True),
+    "eta": _number(minimum=0.0, maximum=1.0),
+    "t1_ns": _number(positive=True),
+    "f_s_ground_ghz": _number(default=6.8),
+    "f_s_excited_ghz": _number(default=7.0),
+    "background": _number(default=0.0, minimum=0.0),
+    "pulse_length_ns": _number(default=1000.0, positive=True),
+    "n_pulses": _number(default=1, minimum=1, integer=True),
+    "pulse_gap_ns": _number(default=1000.0, minimum=0.0),
+    "samples_per_pulse": _number(default=400, minimum=8, integer=True),
+})
 
+_AXIS = _block({"start": _number(), "stop": _number(),
+                "points": _number(minimum=1, integer=True)}, _axis_span)
 
-def _validate_spin_pumping(root: _Block) -> dict:
-    return {"spin_pump": _parse_spin_pump(root.sub("spin_pump", required=True))}
-
-
-def _validate_t1_recovery(root: _Block) -> dict:
-    sp = _parse_spin_pump(root.sub("spin_pump", required=True))
-    taus = _parse_scan(root.sub("taus", required=True), "start_ns", "stop_ns")
-    return {"spin_pump": sp, "taus": taus}
-
-
-def _validate_cpt_scan(root: _Block) -> dict:
-    cpt = _parse_cpt(root.sub("cpt", required=True))
-    scan = root.sub("scan", required=True)
-    scan_out = {
-        "span_mhz": scan.number("span_mhz", required=True, positive=True),
-        "points": scan.integer("points", required=True, minimum=5),
-    }
-    scan.finish()
-    return {"cpt": cpt, "scan": scan_out}
-
-
-def _validate_cavity_fit(root: _Block) -> dict:
-    synth = root.sub("synthetic", required=True)
-    out = {
-        "resonance_thz": synth.number("resonance_thz", required=True, positive=True),
-        "kappa_ghz": synth.number("kappa_ghz", required=True, positive=True),
-        "amplitude": synth.number("amplitude", default=1.0, positive=True),
-        "offset": synth.number("offset", default=0.0, minimum=0.0),
-        "span_ghz": synth.number("span_ghz", required=True, positive=True),
-        "points": synth.integer("points", required=True, minimum=10),
-        "noise_rel": synth.number("noise_rel", default=0.0, minimum=0.0),
-    }
-    synth.finish()
-    return {"synthetic": out}
-
-
-def _validate_saturation(root: _Block) -> dict:
-    synth = root.sub("synthetic", required=True)
-    out = {
-        "gamma0_mhz": synth.number("gamma0_mhz", required=True, positive=True),
-        "p_sat": synth.number("p_sat", required=True, positive=True),
-        "power_max": synth.number("power_max", required=True, positive=True),
-        "points": synth.integer("points", required=True, minimum=3),
-        "noise_rel": synth.number("noise_rel", default=0.0, minimum=0.0),
-    }
-    synth.finish()
-    return {"synthetic": out}
-
-
-def _validate_magnet_map(root: _Block) -> dict:
-    magnets = _parse_magnets(root.sublist("magnets", required=True))
-    grid = root.sub("grid", required=True)
-    grid_out = {
-        "x_mm": _parse_axis_spec(grid, "x_mm"),
-        "y_mm": _parse_axis_spec(grid, "y_mm"),
-        "z_mm": _parse_axis_spec(grid, "z_mm"),
-    }
-    grid.finish()
-    pcc = root.vector3("pcc_mm", required=True)
-    return {"magnets": magnets, "grid": grid_out, "pcc_mm": pcc}
-
-
-def _validate_cooperativity(root: _Block) -> dict:
-    c = root.sub("cooperativity", required=True)
-    out = {
-        "gamma_on_mhz": c.number("gamma_on_mhz", required=True, positive=True),
-        "gamma0_mhz": c.number("gamma0_mhz", required=True, positive=True),
-        "kappa_ghz": c.number("kappa_ghz", required=True, positive=True),
-        "detuning_over_kappa": c.number("detuning_over_kappa", default=0.0),
-    }
-    c.finish()
-    return {"cooperativity": out}
-
-
-_VALIDATORS = {
-    "ple_scan": _validate_ple_scan,
-    "pump_probe_scan": _validate_pump_probe,
-    "spin_pumping": _validate_spin_pumping,
-    "t1_recovery": _validate_t1_recovery,
-    "cpt_scan": _validate_cpt_scan,
-    "cavity_fit": _validate_cavity_fit,
-    "saturation_study": _validate_saturation,
-    "magnet_map": _validate_magnet_map,
-    "cooperativity_report": _validate_cooperativity,
+_SCHEMAS = {
+    "ple_scan": {
+        "emitters": _block_list(_PLE_EMITTER),
+        "scan": _scan("start_thz", "stop_thz"),
+    },
+    "pump_probe_scan": {
+        "emitter": _block(_PLE_EMITTER),
+        "pump": _block({
+            "parent": _string(default="C", choices=tuple("ABCD")),
+            "line": _string(default="2", choices=("1", "2", "3", "4")),
+            "rabi_mhz": _number(minimum=0.0),
+            "detuning_mhz": _number(default=0.0),
+        }),
+        "scan": _scan("start_offset_ghz", "stop_offset_ghz"),
+        "t1_ns": _number(default=None, positive=True),
+    },
+    "spin_pumping": {"spin_pump": _SPIN_PUMP},
+    "t1_recovery": {"spin_pump": _SPIN_PUMP, "taus": _scan("start_ns", "stop_ns")},
+    "cpt_scan": {
+        "cpt": _block({
+            "rabi_pump_mhz": _number(minimum=0.0),
+            "rabi_probe_mhz": _number(minimum=0.0),
+            "optical_rate_mhz": _number(positive=True),
+            "t2_star_ns": _number(default=None, positive=True),
+            "gamma_s_mhz": _number(default=None, minimum=0.0),
+            "f_s_ghz": _number(default=6.8),
+            "detuning_split": _string(default="symmetric",
+                                      choices=("symmetric", "probe")),
+        }, _one_dephasing),
+        "scan": _block({"span_mhz": _number(positive=True),
+                        "points": _number(minimum=5, integer=True)}),
+    },
+    "cavity_fit": {"synthetic": _block({
+        "resonance_thz": _number(positive=True),
+        "kappa_ghz": _number(positive=True),
+        "amplitude": _number(default=1.0, positive=True),
+        "offset": _number(default=0.0, minimum=0.0),
+        "span_ghz": _number(positive=True),
+        "points": _number(minimum=10, integer=True),
+        "noise_rel": _number(default=0.0, minimum=0.0),
+    })},
+    "saturation_study": {"synthetic": _block({
+        "gamma0_mhz": _number(positive=True),
+        "p_sat": _number(positive=True),
+        "power_max": _number(positive=True),
+        "points": _number(minimum=3, integer=True),
+        "noise_rel": _number(default=0.0, minimum=0.0),
+    })},
+    "magnet_map": {
+        "magnets": _block_list({"center_mm": _vector3(),
+                                "dimensions_mm": _vector3(),
+                                "remanence_t": _vector3()},
+                               _positive_dimensions),
+        "grid": _block({"x_mm": _AXIS, "y_mm": _AXIS, "z_mm": _AXIS}),
+        "pcc_mm": _vector3(),
+    },
+    "cooperativity_report": {"cooperativity": _block({
+        "gamma_on_mhz": _number(positive=True),
+        "gamma0_mhz": _number(positive=True),
+        "kappa_ghz": _number(positive=True),
+        "detuning_over_kappa": _number(default=0.0),
+    })},
 }
 
 #: protocols whose scan output may carry optional seeded Gaussian noise
 _NOISE_OK = {"ple_scan", "pump_probe_scan", "cpt_scan"}
+_NOISE = {"sigma_rel": _number(minimum=0.0)}
+
+
+def _noise(protocol):
+    def parse(v, path, key):
+        if v is _ABSENT:
+            return None
+        # a value that is not a mapping fails as such in `_walk`
+        if protocol not in _NOISE_OK and isinstance(v, dict):
+            raise _Bad(f"protocol '{protocol}' does not accept a noise block")
+        return _walk(_NOISE, v, _at(path, key))
+    return parse
+
+
+def _root(protocol):
+    return {"protocol": _string(choices=PROTOCOLS),
+            "seed": _number(default=0, minimum=0, integer=True),
+            "output_dir": _string(default="runs"),
+            **_SCHEMAS[protocol],
+            "noise": _noise(protocol)}
+
+
+_ROOTS = {protocol: _root(protocol) for protocol in PROTOCOLS}
 
 
 def validate_tree(tree: dict, source_path: str = "") -> ProtocolConfig:
     """Validate a parsed configuration tree and fill defaults."""
-    root = _Block(tree, "")
-    protocol = root.string("protocol", required=True, choices=PROTOCOLS)
-    seed = root.integer("seed", default=0, minimum=0)
-    output_dir = root.string("output_dir", default="runs")
-    noise_block = root.sub("noise")
-    blocks = _VALIDATORS[protocol](root)
-    if noise_block is not None:
-        if protocol not in _NOISE_OK:
-            raise ConfigError(
-                f"protocol '{protocol}' does not accept a noise block",
-                field="noise")
-        blocks["noise"] = _parse_noise(noise_block)
-    root.finish()
+    protocol = tree.get("protocol") if isinstance(tree, dict) else None
+    # a missing or unknown protocol fails at the first key of any root table
+    blocks = _walk(_ROOTS[protocol if protocol in PROTOCOLS else PROTOCOLS[0]],
+                   tree, "")
+    protocol, seed, output_dir = (blocks.pop(key) for key in
+                                  ("protocol", "seed", "output_dir"))
+    if blocks["noise"] is None:
+        del blocks["noise"]
     return ProtocolConfig(protocol=protocol, seed=seed, blocks=blocks,
                           output_dir=output_dir, source_path=source_path)
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe YAML loader that rejects a key repeated in one mapping. A key
+    that a `<<` merge brings in may still be overridden."""
+
+    def flatten_mapping(self, node):
+        # a merge source is flattened again at each merge: check it once
+        keys = () if hasattr(node, "keys_checked") else [
+            k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        super().flatten_mapping(node)
+        node.keys_checked = True
+        seen = set()
+        for key_node in keys:
+            if isinstance(key_node, yaml.ScalarNode):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"duplicate key {key!r}",
+                        problem_mark=key_node.start_mark)
+                seen.add(key)
 
 
 def load_config(path) -> ProtocolConfig:
     """Load and validate one protocol configuration file (YAML)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            tree = yaml.load(fh.read(), Loader=_Loader)
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ConfigError(f"cannot parse {path}{where}: {exc}")
+        what = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise ConfigError(f"cannot parse {path}{where}: {what}")
+    except ValueError as exc:  # not UTF-8, or a scalar Python cannot convert
+        raise ConfigError(f"cannot parse {path}: {exc}")
     if not isinstance(tree, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
     return validate_tree(tree, source_path=str(path))

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,8 @@ MALFORMED = [
     ("09_zero_dimensions.cfg", "dimensions_mm"),
     ("10_noise_not_allowed.cfg", "noise"),
 ]
+
+DELETE = object()  # an edit that removes a node
 
 # sivcav modules any `sivcav run` loads, and those each protocol adds to them
 RUN_MODULES = {"sivcav", "sivcav.cli", "sivcav.config", "sivcav.errors",
@@ -137,8 +140,9 @@ class TestConfigLoading:
         assert cfg.blocks["cpt"]["f_s_ghz"] == 6.8
         assert cfg.blocks["cpt"]["detuning_split"] == "symmetric"
 
-    def test_echo_round_trip_lossless(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, MINIMAL_CPT))
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_echo_round_trip_lossless(self, name):
+        cfg = load_config(str(CONFIGS / name))
         echoed = validate_tree(cfg.to_dict())
         assert echoed.config_hash() == cfg.config_hash()
         assert echoed.blocks == cfg.blocks
@@ -210,6 +214,121 @@ class TestConfigLoading:
         assert str(err.value) == ("stop must equal start for single-point axes "
                                   "(field: grid.y_mm)")
         assert err.value.field == "grid.y_mm"
+
+    # one case per kind of error: (shipped config, path of the edited node,
+    # its new value or DELETE, the exact message)
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("fig4_cpt", ("cpt", "rabi_pump_mhz"), DELETE,
+         "missing required field (field: cpt.rabi_pump_mhz)"),
+        ("fig4_cpt", ("protocol",), DELETE, "missing required field (field: protocol)"),
+        ("fig4_cpt", ("scan",), DELETE, "missing required block (field: scan)"),
+        ("fig4_cpt", ("cpt",), 5, "expected a mapping, got int (field: cpt)"),
+        ("fig1_ple", ("emitters", 1), "x",
+         "expected a mapping, got str (field: emitters[1])"),
+        ("fig4_cpt", ("noise",), None, "expected a mapping, got NoneType (field: noise)"),
+        ("fig1_ple", ("emitters",), [],
+         "expected a non-empty list of mappings (field: emitters)"),
+        ("fig4_cpt", ("cpt", "optical_rate_mhz"), "fast",
+         "expected a finite number, got 'fast' (field: cpt.optical_rate_mhz)"),
+        ("fig4_cpt", ("cpt", "optical_rate_mhz"), math.inf,
+         "expected a finite number, got inf (field: cpt.optical_rate_mhz)"),
+        ("fig4_cpt", ("cpt", "optical_rate_mhz"), True,
+         "expected a finite number, got True (field: cpt.optical_rate_mhz)"),
+        ("fig2_pump_probe", ("pump", "line"), 2,
+         "expected a string, got 2 (field: pump.line)"),
+        ("fig4_cpt", ("output_dir",), None, "expected a string, got None (field: output_dir)"),
+        ("fig2_magnet_map", ("pcc_mm",), [1, 2],
+         "expected a 3-vector of numbers, got [1, 2] (field: pcc_mm)"),
+        ("fig4_cpt", ("cpt", "optical_rate_mhz"), 0,
+         "must be positive, got 0.0 (field: cpt.optical_rate_mhz)"),
+        ("fig4_cpt", ("cpt", "rabi_pump_mhz"), -1,
+         "must be >= 0.0, got -1.0 (field: cpt.rabi_pump_mhz)"),
+        ("fig4_cpt", ("scan", "points"), 4, "must be >= 5, got 4.0 (field: scan.points)"),
+        ("fig4_spin_pumping", ("spin_pump", "eta"), 1.5,
+         "must be <= 1.0, got 1.5 (field: spin_pump.eta)"),
+        ("fig4_cpt", ("scan", "points"), 31.5,
+         "expected an integer, got 31.5 (field: scan.points)"),
+        ("fig4_cpt", ("cpt", "detuning_split"), "left",
+         "must be one of ['probe', 'symmetric'], got 'left' (field: cpt.detuning_split)"),
+        ("fig4_cpt", ("protocol",), "ple",
+         "must be one of ['cavity_fit', 'cooperativity_report', 'cpt_scan', "
+         "'magnet_map', 'ple_scan', 'pump_probe_scan', 'saturation_study', "
+         "'spin_pumping', 't1_recovery'], got 'ple' (field: protocol)"),
+        ("fig4_cpt", ("cpt", "rabi_mhz"), 3.0,
+         "unknown key(s) ['rabi_mhz']; valid keys here: ['detuning_split', "
+         "'f_s_ghz', 'gamma_s_mhz', 'optical_rate_mhz', 'rabi_probe_mhz', "
+         "'rabi_pump_mhz', 't2_star_ns'] (field: cpt)"),
+        ("fig4_cpt", ("span_mhz",), 10.0,
+         "unknown key(s) ['span_mhz']; valid keys here: ['cpt', 'noise', "
+         "'output_dir', 'protocol', 'scan', 'seed'] (field: <root>)"),
+        ("fig1_ple", ("scan", "stop_thz"), 406.5,
+         "stop_thz must exceed start_thz (field: scan)"),
+        ("fig4_cpt", ("cpt", "gamma_s_mhz"), 1.64,
+         "exactly one of t2_star_ns or gamma_s_mhz must be set (field: cpt)"),
+        ("fig4_cpt", ("cpt", "t2_star_ns"), None,
+         "exactly one of t2_star_ns or gamma_s_mhz must be set (field: cpt)"),
+        ("fig2_magnet_map", ("magnets", 1, "dimensions_mm"), [1.0, 0.0, 1.0],
+         "all dimensions must be positive (field: magnets[1].dimensions_mm)"),
+        ("fig2_magnet_map", ("grid", "x_mm", "stop"), -20.0,
+         "stop must exceed start for multi-point axes (field: grid.x_mm)"),
+        ("fig2_magnet_map", ("grid", "y_mm", "stop"), 1.0,
+         "stop must equal start for single-point axes (field: grid.y_mm)"),
+        ("cooperativity_report", ("noise",), {"sigma_rel": 0.1},
+         "protocol 'cooperativity_report' does not accept a noise block "
+         "(field: noise)"),
+        ("fig4_cpt", ("noise",), {}, "missing required field (field: noise.sigma_rel)"),
+    ])
+    def test_error_messages_are_exact(self, name, path, value, message):
+        tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
+        *owner, key = path
+        owner = functools.reduce(operator.getitem, owner, tree)
+        if value is DELETE:
+            del owner[key]
+        else:
+            owner[key] = value
+        with pytest.raises(ConfigError) as err:
+            validate_tree(tree)
+        assert str(err.value) == message
+
+    def test_integer_leaves_keep_their_exact_value(self, tmp_path):
+        hashes = set()
+        for seed in (2 ** 53, 2 ** 53 + 1):
+            cfg = load_config(write_cfg(tmp_path, dict(MINIMAL_CPT, seed=seed)))
+            assert (type(cfg.seed), cfg.seed) == (int, seed)
+            hashes.add(cfg.config_hash())
+        assert len(hashes) == 2
+        tree = dict(MINIMAL_CPT, scan={"span_mhz": 10.0, "points": 31.0})
+        points = load_config(write_cfg(tmp_path, tree)).blocks["scan"]["points"]
+        assert (type(points), points) == (int, 31)
+
+    def test_merge_keys_may_override_but_keys_may_not_repeat(self, tmp_path):
+        # the third emitter merges the second, which merged the first
+        text = """
+            protocol: ple_scan
+            emitters:
+              - &first
+                model: {ground: {lambda_so_ghz: 46.0},
+                        excited: {lambda_so_ghz: 255.0}, zpl_center_thz: 406.8}
+                linewidth_mhz: 180.0
+                rabi_mhz: 25.0
+              - &second
+                <<: *first
+                linewidth_mhz: 250.0
+              - <<: *second
+                rabi_mhz: 30.0
+            scan: {start_thz: 406.6, stop_thz: 406.7, points: 11}
+            """
+        path = tmp_path / "merge.cfg"
+        path.write_text(textwrap.dedent(text))
+        emitters = load_config(str(path)).blocks["emitters"]
+        assert [(e["linewidth_mhz"], e["rabi_mhz"]) for e in emitters] == [
+            (180.0, 25.0), (250.0, 25.0), (250.0, 30.0)]
+        assert emitters[2]["model"] == emitters[0]["model"]
+        path.write_text(textwrap.dedent(text).replace(
+            "rabi_mhz: 30.0", "rabi_mhz: 30.0\n    rabi_mhz: 35.0"))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"cannot parse {path} at line 14: duplicate key 'rabi_mhz'"
 
     @pytest.mark.parametrize("name,needle", MALFORMED)
     def test_curated_malformed_set(self, name, needle):
@@ -459,6 +578,35 @@ class TestCli:
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    # files that the loader or the validator turned into a traceback, or
+    # into several lines: each is one `error:` line and exit 1
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(b"protocol: cpt_scan\nseed: " + b"9" * 400,
+                     "expected a finite number, got 999", id="beyond-float64"),
+        pytest.param(b"protocol: cpt_scan\nseed: " + b"9" * 5000,
+                     "Exceeds the limit", id="beyond-int-digits"),
+        pytest.param(b"protocol: cpt_scan\nseed: 2020-13-45",
+                     "month must be in 1..12", id="bad-date"),
+        pytest.param(b"protocol: cpt_scan\n# caf\xe9",
+                     "can't decode byte 0xe9", id="not-utf8"),
+        pytest.param(b"protocol: cpt_scan\ncpt:\n  t2_star_ns: 97.0\n  t2_star_ns: 50.0",
+                     "at line 4: duplicate key 't2_star_ns'", id="repeated-key"),
+        pytest.param(b"protocol: cpt_scan\ncpt: [1, 2\n",
+                     "at line 3: did not find expected ',' or ']'", id="yaml-syntax"),
+        pytest.param(b"protocol: cooperativity_report\ncooperativity: "
+                     b"{gamma_on_mhz: 203.0, gamma0_mhz: 157.0, kappa_ghz: 273.0}\n"
+                     b"1: a\nfoo: b", "unknown key(s) [1, 'foo']", id="mixed-key-types"),
+    ])
+    def test_bad_file_is_a_one_line_config_error(self, tmp_path, capsys,
+                                                          text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(text)
+        rc = cli_main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
     def test_run_writes_outputs(self, tmp_path, capsys):
