@@ -31,8 +31,8 @@ interval of s, a share 2^-50 * s < 2^-50 * 10^(p+1) is undecided: under
 
 Rows are formatted in blocks of `_BLOCK_ROWS`. A block's cells go into a
 fixed-width, NUL-padded uint8 buffer, one row per CSV row; the NULs are
-dropped and the block decoded. So, beyond the returned text, memory stays
-O(block).
+dropped and the block decoded and yielded. So memory stays O(block) beyond
+the columns, for a caller that writes each chunk as it comes.
 """
 
 from __future__ import annotations
@@ -175,21 +175,21 @@ def _block_text(block, formats, precisions) -> str:
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def csv_text(headers, columns, formats) -> str:
-    """CSV with one header line and one row per index of the 1-D `columns`.
+def csv_text(headers, columns, formats):
+    """CSV with one header line and one row per index of the 1-D `columns`,
+    yielded as the header line, one chunk per `_BLOCK_ROWS` rows (each led
+    by a newline), then the final newline.
 
     Cells of a column are written with its %-format: float64 values for a
-    float format, int64 for a "%d" one (so a bool mask writes 0/1). The text
-    is byte for byte that of `fmt % value` per cell. Cells of an "%.{p}e"
-    format with 1 <= p <= 13 go through the exact kernel described above,
-    after one `np.unique` over a block's cells of that precision; all other
-    cells are formatted with `%` once per distinct value of their column and
-    block. Values are told apart by their bits, so -0.0 and 0.0 keep their
-    own text. Rows are formatted `_BLOCK_ROWS` at a time and the block texts
-    joined.
+    float format, int64 for a "%d" one (so a bool mask writes 0/1), each
+    block converted on its own. The text is byte for byte that of
+    `fmt % value` per cell. Cells of an "%.{p}e" format with 1 <= p <= 13 go
+    through the exact kernel described above, after one `np.unique` over a
+    block's cells of that precision; all other cells are formatted with `%`
+    once per distinct value of their column and block. Values are told apart
+    by their bits, so -0.0 and 0.0 keep their own text.
     """
-    arrays = [np.asarray(c, dtype=np.int64 if f.endswith("d") else np.float64)
-              for c, f in zip(columns, formats)]
+    arrays = [np.asarray(c) for c in columns]
     shapes = [a.shape for a in arrays]
     if not len(headers) == len(columns) == len(formats) or len(set(shapes)) > 1 \
             or any(a.ndim != 1 for a in arrays):
@@ -197,12 +197,13 @@ def csv_text(headers, columns, formats) -> str:
             f"CSV needs one equal-length 1-D column per header and format; got "
             f"{len(headers)} headers, {len(formats)} formats and column shapes "
             f"{shapes}")
-    precisions = [None if a.dtype == np.int64 else _kernel_precision(f)
-                  for a, f in zip(arrays, formats)]
-    n = len(arrays[0]) if arrays else 0
-    blocks = [_block_text([a[k:k + _BLOCK_ROWS] for a in arrays], formats,
-                          precisions) for k in range(0, n, _BLOCK_ROWS)]
-    return "".join([",".join(headers), *blocks, "\n"])
+    dtypes = [np.int64 if f.endswith("d") else np.float64 for f in formats]
+    precisions = [_kernel_precision(f) for f in formats]  # None for "%d"
+    yield ",".join(headers)
+    for k in range(0, len(arrays[0]) if arrays else 0, _BLOCK_ROWS):
+        yield _block_text([a[k:k + _BLOCK_ROWS].astype(t, copy=False)
+                           for a, t in zip(arrays, dtypes)], formats, precisions)
+    yield "\n"
 
 
 def _finite_or_null(value):

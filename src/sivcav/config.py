@@ -189,12 +189,11 @@ def _block_list(table, check=None):
 # cross-field checks: check(parsed block, its path) after the keys parse
 # ---------------------------------------------------------------------------
 
-def _scan(start, stop):
+def _scan(start, stop, points):
     def check(out, path):
         if out[stop] <= out[start]:
             raise ConfigError(f"{stop} must exceed {start}", field=path)
-    return _block({start: _number(), stop: _number(),
-                   "points": _number(minimum=2, integer=True)}, check)
+    return _block({start: _number(), stop: _number(), "points": points}, check)
 
 
 def _one_dephasing(out, path):
@@ -207,6 +206,22 @@ def _positive_dimensions(out, path):
     if any(c <= 0 for c in out["dimensions_mm"]):
         raise ConfigError("all dimensions must be positive",
                           field=f"{path}.dimensions_mm")
+
+
+def _pulse_samples(out, path):
+    total = out["n_pulses"] * out["samples_per_pulse"]
+    if total > _MAX_SAMPLES:
+        raise ConfigError(f"n_pulses * samples_per_pulse is {total}, more than "
+                          f"the {_MAX_SAMPLES} samples that fit the memory "
+                          "budget", field=path)
+
+
+def _grid_size(out, path):
+    total = math.prod(out[key]["points"] for key in out)
+    if total > _MAX_GRID_POINTS:
+        raise ConfigError(f"grid has {total} points, more than the "
+                          f"{_MAX_GRID_POINTS} that fit the memory budget",
+                          field=path)
 
 
 def _axis_span(out, path):
@@ -222,6 +237,32 @@ def _axis_span(out, path):
 # ---------------------------------------------------------------------------
 # per-protocol schemas
 # ---------------------------------------------------------------------------
+
+# Count leaves are bounded by one memory budget: a count's maximum is
+# _MEMORY_BUDGET (1 GiB) over the bytes per counted point of the largest array
+# that its protocol allocates (a complex128 is 16 B, a float64 8 B):
+#   pump_probe_scan scan.points   4096  a bordered 16 x 16 Liouvillian (4 levels)
+#   cpt_scan scan.points          1296  a bordered 9 x 9 Liouvillian (3 levels)
+#   spin_pump.samples_per_pulse,   256  a propagated 4 x 4 density matrix per
+#   spin_pump.n_pulses and              sample or delay
+#   t1_recovery taus.points
+#   cavity_fit synthetic.points     32  a Jacobian row of 4 parameters
+#   magnet_map grid.*.points        24  a row of the (N, 3) points or fields
+#   saturation_study                16  a Jacobian row of 2 parameters
+#     synthetic.points
+#   ple_scan scan.points             8  a float64 signal value
+# A pulse train's samples, n_pulses * samples_per_pulse, and a grid's points,
+# the product of its three axes, have the same bound, in their block's
+# cross-field check.
+_MEMORY_BUDGET = 2 ** 30
+_MAX_SAMPLES = _MEMORY_BUDGET // 256
+_MAX_GRID_POINTS = _MEMORY_BUDGET // 24
+
+
+def _count(minimum, bytes_per_point, default=_REQUIRED):
+    return _number(default=default, minimum=minimum, integer=True,
+                   maximum=_MEMORY_BUDGET // bytes_per_point)
+
 
 _MANIFOLD = {
     "lambda_so_ghz": _number(positive=True),
@@ -253,18 +294,18 @@ _SPIN_PUMP = _block({
     "f_s_excited_ghz": _number(default=7.0),
     "background": _number(default=0.0, minimum=0.0),
     "pulse_length_ns": _number(default=1000.0, positive=True),
-    "n_pulses": _number(default=1, minimum=1, integer=True),
+    "n_pulses": _count(1, 256, default=1),
     "pulse_gap_ns": _number(default=1000.0, minimum=0.0),
-    "samples_per_pulse": _number(default=400, minimum=8, integer=True),
-})
+    "samples_per_pulse": _count(8, 256, default=400),
+}, _pulse_samples)
 
-_AXIS = _block({"start": _number(), "stop": _number(),
-                "points": _number(minimum=1, integer=True)}, _axis_span)
+_AXIS = _block({"start": _number(), "stop": _number(), "points": _count(1, 24)},
+               _axis_span)
 
 _SCHEMAS = {
     "ple_scan": {
         "emitters": _block_list(_PLE_EMITTER),
-        "scan": _scan("start_thz", "stop_thz"),
+        "scan": _scan("start_thz", "stop_thz", _count(2, 8)),
     },
     "pump_probe_scan": {
         "emitter": _block(_PLE_EMITTER),
@@ -274,11 +315,12 @@ _SCHEMAS = {
             "rabi_mhz": _number(minimum=0.0),
             "detuning_mhz": _number(default=0.0),
         }),
-        "scan": _scan("start_offset_ghz", "stop_offset_ghz"),
+        "scan": _scan("start_offset_ghz", "stop_offset_ghz", _count(2, 4096)),
         "t1_ns": _number(default=None, positive=True),
     },
     "spin_pumping": {"spin_pump": _SPIN_PUMP},
-    "t1_recovery": {"spin_pump": _SPIN_PUMP, "taus": _scan("start_ns", "stop_ns")},
+    "t1_recovery": {"spin_pump": _SPIN_PUMP,
+                    "taus": _scan("start_ns", "stop_ns", _count(2, 256))},
     "cpt_scan": {
         "cpt": _block({
             "rabi_pump_mhz": _number(minimum=0.0),
@@ -291,7 +333,7 @@ _SCHEMAS = {
                                       choices=("symmetric", "probe")),
         }, _one_dephasing),
         "scan": _block({"span_mhz": _number(positive=True),
-                        "points": _number(minimum=5, integer=True)}),
+                        "points": _count(5, 1296)}),
     },
     "cavity_fit": {"synthetic": _block({
         "resonance_thz": _number(positive=True),
@@ -299,14 +341,14 @@ _SCHEMAS = {
         "amplitude": _number(default=1.0, positive=True),
         "offset": _number(default=0.0, minimum=0.0),
         "span_ghz": _number(positive=True),
-        "points": _number(minimum=10, integer=True),
+        "points": _count(10, 32),
         "noise_rel": _number(default=0.0, minimum=0.0),
     })},
     "saturation_study": {"synthetic": _block({
         "gamma0_mhz": _number(positive=True),
         "p_sat": _number(positive=True),
         "power_max": _number(positive=True),
-        "points": _number(minimum=3, integer=True),
+        "points": _count(3, 16),
         "noise_rel": _number(default=0.0, minimum=0.0),
     })},
     "magnet_map": {
@@ -314,7 +356,7 @@ _SCHEMAS = {
                                 "dimensions_mm": _vector3(),
                                 "remanence_t": _vector3()},
                                _positive_dimensions),
-        "grid": _block({"x_mm": _AXIS, "y_mm": _AXIS, "z_mm": _AXIS}),
+        "grid": _block({"x_mm": _AXIS, "y_mm": _AXIS, "z_mm": _AXIS}, _grid_size),
         "pcc_mm": _vector3(),
     },
     "cooperativity_report": {"cooperativity": _block({

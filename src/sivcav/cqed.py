@@ -72,15 +72,22 @@ def cooperativity_from_linewidths(gamma_on, gamma0, detuning, kappa):
     """Invert the Purcell broadening model: C = (gamma_on/gamma0 - 1) / L(Delta).
 
     Returns (c, ok). `ok` is False when gamma_on < gamma0, which can happen in
-    noisy data; the returned C is then negative and the caller decides.
+    noisy data; the returned C is then negative and the caller decides. A C
+    that is not finite in float64 (from an infinite kappa, say) raises
+    DomainError.
     """
     if gamma0 <= 0:
         raise InvalidParameterError("gamma0 must be positive")
-    filt = lorentz_filter(detuning, kappa)
+    with np.errstate(invalid="ignore", over="ignore"):  # reported below instead
+        filt = lorentz_filter(detuning, kappa)
     if filt == 0.0:
         raise DomainError(f"cavity filter L(Delta) is 0 in float64 at detuning/kappa "
                           f"= {detuning / kappa:.3g}: no cooperativity can be inferred")
     c = (gamma_on / gamma0 - 1.0) / filt
+    if not math.isfinite(c):
+        raise DomainError(f"cooperativity is {c} in float64 at gamma_on = "
+                          f"{gamma_on:.3g} Hz, gamma0 = {gamma0:.3g} Hz, kappa = "
+                          f"{kappa:.3g} Hz and detuning = {detuning:.3g} Hz")
     return c, c >= 0.0
 
 
@@ -90,4 +97,8 @@ def g_from_cooperativity(c, kappa, gamma0):
         raise DomainError("cooperativity must be non-negative")
     if kappa <= 0 or gamma0 <= 0:
         raise InvalidParameterError("kappa and gamma0 must be positive")
-    return math.sqrt(c * kappa * gamma0 / 4.0)
+    g = math.sqrt(c * kappa * gamma0 / 4.0)
+    if not math.isfinite(g):
+        raise DomainError(f"g is {g} in float64 at C = {c:.3g}, kappa = "
+                          f"{kappa:.3g} Hz and gamma0 = {gamma0:.3g} Hz")
+    return g

@@ -94,7 +94,8 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     or when an accepted step changes every parameter by at most 1e-12 of it.
     Steps are clipped to `model.lower`, for at most 200 iterations.
     Non-convergence returns the best parameters found with converged=False;
-    so does a fit whose covariance is singular ('singular_covariance').
+    so does a fit whose covariance is singular ('singular_covariance'), whose
+    sigmas are then NaN.
     """
     x, y = spectrum.x, spectrum.y
     w = 1.0 / spectrum.sigma if spectrum.sigma is not None else np.ones_like(y)
@@ -184,13 +185,15 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     s2 = 2.0 * cost / dof
     try:
         cov = np.linalg.inv(jtj) * s2
+        sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         # a rank-deficient Jacobian leaves some parameters unidentified:
-        # a vanishing gradient there is no evidence of convergence
+        # a vanishing gradient there is no evidence of convergence, and the
+        # pseudo-inverse's diagonal no uncertainty
         cov = np.linalg.pinv(jtj) * s2
+        sigmas = np.full(npar, np.nan)
         flags.append("singular_covariance")
         converged = False
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         model=model.name,
         param_names=tuple(model.param_names),
@@ -403,9 +406,11 @@ MODELS = {m.name: m for m in
 def _flag_if_null(result: FitResult, spectrum: Spectrum, name: str,
                   flag: str) -> FitResult:
     """Add `flag` when parameter `name` is consistent with zero: |value|
-    below its own sigma (or 1e-12 of the data span)."""
+    below its own sigma (or 1e-12 of the data span), or a sigma that is not
+    finite, which bounds nothing."""
     span = max(abs(np.max(spectrum.y) - np.min(spectrum.y)), 1e-300)
-    if abs(result[name]) < max(result.sigma_of(name), 1e-12 * span):
+    sigma = result.sigma_of(name)
+    if not math.isfinite(sigma) or abs(result[name]) < max(sigma, 1e-12 * span):
         return replace(result, flags=result.flags + (flag,))
     return result
 

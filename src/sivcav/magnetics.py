@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import csv_text
 from .errors import DomainError, InvalidParameterError
 
 __all__ = [
@@ -26,12 +25,13 @@ __all__ = [
     "assembly_field",
     "field_angle",
     "field_map_grid",
-    "field_map_to_csv",
     "SURFACE_MARGIN",
 ]
 
 #: Evaluation closer than this to a magnet face is rejected (meters).
 SURFACE_MARGIN = 1e-9
+#: Grid points per block of `field_map_grid`: its temporaries are O(block).
+_POINT_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -178,23 +178,23 @@ def field_map_grid(magnets, x_values, y_values, z_values):
     Returns (points, b, masked): the (N, 3) grid points, their (N, 3) fields in
     tesla and an (N,) bool mask. Points inside (or within SURFACE_MARGIN of)
     any magnet are masked instead of raising; their field is reported as zero.
+    Points are evaluated `_POINT_BLOCK` at a time, each with the same sum as
+    `assembly_field`, so memory beyond the returned arrays stays O(block).
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=float))
             for a in (x_values, y_values, z_values)]
     if any(a.size == 0 or not np.all(np.isfinite(a)) for a in axes):
         raise InvalidParameterError("grid axes must be non-empty and finite")
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    points = np.empty(tuple(a.size for a in axes) + (3,))
+    for i, a in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        points[..., i] = a  # a broadcast, not the three copies of a dense grid
+    points = points.reshape(-1, 3)
     masked = np.zeros(len(points), dtype=bool)
-    for m in magnets:
-        masked |= m.surface_distance(points) < SURFACE_MARGIN
     b = np.zeros(points.shape)
-    # the mask holds every surface test; sum in magnet order, as assembly_field
-    b[~masked] = sum(_exterior_field(m, points[~masked]) for m in magnets)
+    for k in range(0, len(points), _POINT_BLOCK):
+        p, m_blk, b_blk = (a[k:k + _POINT_BLOCK] for a in (points, masked, b))
+        for m in magnets:
+            m_blk |= m.surface_distance(p) < SURFACE_MARGIN
+        # the mask holds every surface test; sum in magnet order
+        b_blk[~m_blk] = sum(_exterior_field(m, p[~m_blk]) for m in magnets)
     return points, b, masked
-
-
-def field_map_to_csv(points, b, masked) -> str:
-    """Serialize a field map with header x_m,y_m,z_m,bx_t,by_t,bz_t,masked."""
-    return csv_text(["x_m", "y_m", "z_m", "bx_t", "by_t", "bz_t", "masked"],
-                    [*np.transpose(points), *np.transpose(b), masked],
-                    ["%.9e"] * 6 + ["%d"])

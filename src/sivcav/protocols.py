@@ -141,21 +141,17 @@ def build_magnets(items: list) -> list:
 # deterministic output helpers
 # ---------------------------------------------------------------------------
 
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, chunks):
     d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _csv(headers, columns) -> str:
-    return csv_text(headers, columns, ["%.12e"] * len(columns))
 
 
 def _json_text(payload: dict) -> str:
@@ -172,8 +168,12 @@ def _maybe_noise(y: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# protocol implementations: each returns (data_csv_text, fits_payload)
+# protocol implementations: each returns a `_Table` of its data.csv headers,
+# columns and %-formats (None: every column "%.12e") and fits.json payload
 # ---------------------------------------------------------------------------
+
+_Table = namedtuple("_Table", "headers columns fits formats", defaults=(None,))
+
 
 def _run_ple_scan(cfg):
     from .dynamics import simulate_ple_scan
@@ -184,7 +184,7 @@ def _run_ple_scan(cfg):
                         scan["points"])
     spec = simulate_ple_scan(emitters, freqs)
     y = _maybe_noise(spec.y, cfg)
-    return _csv(["x", "value"], [spec.x, y]), {}
+    return _Table(["x", "value"], [spec.x, y], {})
 
 
 def _run_pump_probe(cfg):
@@ -218,8 +218,7 @@ def _run_pump_probe(cfg):
             "spin_splitting_ghz": {"f_s_ground": float(split[0]) / 1e9,
                                    "f_s_excited": float(split[1]) / 1e9,
                                    "degenerate": not table.spin_resolved}}
-    return _csv(["x", "value", "value_no_pump"],
-                [freqs, y_pump, without.y]), fits
+    return _Table(["x", "value", "value_no_pump"], [freqs, y_pump, without.y], fits)
 
 
 def _run_spin_pumping(cfg):
@@ -242,7 +241,7 @@ def _run_spin_pumping(cfg):
     }
     headers = ["x", "value"] + [f"pop_{lb}" for lb in traces[0].labels]
     cols = [times, signal] + [pops[:, i] for i in range(pops.shape[1])]
-    return _csv(headers, cols), fits
+    return _Table(headers, cols, fits)
 
 
 def _run_t1_recovery(cfg):
@@ -263,7 +262,7 @@ def _run_t1_recovery(cfg):
             "converged": fit.converged,
         }
     }
-    return _csv(["x", "value"], [spec.x, spec.y]), fits
+    return _Table(["x", "value"], [spec.x, spec.y], fits)
 
 
 def _run_cpt_scan(cfg):
@@ -288,7 +287,7 @@ def _run_cpt_scan(cfg):
             "converged": result.converged,
         }
     }
-    return _csv(["x", "value"], [detunings, y]), fits
+    return _Table(["x", "value"], [detunings, y], fits)
 
 
 def _run_cavity_fit(cfg):
@@ -314,7 +313,7 @@ def _run_cavity_fit(cfg):
             "converged": fit.converged,
         }
     }
-    return _csv(["x", "value"], [nu, y]), fits
+    return _Table(["x", "value"], [nu, y], fits)
 
 
 def _run_saturation(cfg):
@@ -337,12 +336,11 @@ def _run_saturation(cfg):
             "converged": fit.converged,
         }
     }
-    return _csv(["x", "value"], [powers, y]), fits
+    return _Table(["x", "value"], [powers, y], fits)
 
 
 def _run_magnet_map(cfg):
-    from .magnetics import assembly_field, field_angle, field_map_grid, \
-        field_map_to_csv
+    from .magnetics import assembly_field, field_angle, field_map_grid
 
     magnets = build_magnets(cfg.blocks["magnets"])
     axes = []
@@ -360,7 +358,8 @@ def _run_magnet_map(cfg):
             "angle_from_x_deg": field_angle(b_pcc, (1.0, 0.0, 0.0)),
         }
     }
-    return field_map_to_csv(points, b, masked), fits
+    return _Table(["x_m", "y_m", "z_m", "bx_t", "by_t", "bz_t", "masked"],
+                  [*points.T, *b.T, masked], fits, ["%.9e"] * 6 + ["%d"])
 
 
 def _run_cooperativity(cfg):
@@ -389,7 +388,7 @@ def _run_cooperativity(cfg):
     deltas = np.linspace(0.0, 6.0 * kappa, 121)
     gam = np.array([purcell_broadened_linewidth(max(coop, 0.0), d, kappa, gamma0)
                     for d in deltas])
-    return _csv(["x", "value"], [deltas, gam]), fits
+    return _Table(["x", "value"], [deltas, gam], fits)
 
 
 _RUNNERS = {
@@ -422,13 +421,13 @@ def run_protocol(cfg: ProtocolConfig, out_dir: str | None = None,
     os.makedirs(run_dir, exist_ok=True)
     try:
         try:
-            data_text, fits_payload = _RUNNERS[cfg.protocol](cfg)
+            table = _RUNNERS[cfg.protocol](cfg)
         except SivCavError as exc:
             raise SivCavError(f"protocol '{cfg.protocol}': {exc}") from exc
-        data_path = os.path.join(run_dir, "data.csv")
-        fits_path = os.path.join(run_dir, "fits.json")
-        _write_atomic(data_path, data_text)
-        _write_atomic(fits_path, _json_text(fits_payload))
+        formats = table.formats or ["%.12e"] * len(table.columns)
+        _write_atomic(os.path.join(run_dir, "data.csv"),
+                      csv_text(table.headers, table.columns, formats))
+        _write_atomic(os.path.join(run_dir, "fits.json"), [_json_text(table.fits)])
         finished = _dt.datetime.now(_dt.timezone.utc).isoformat()
         manifest = RunManifest(
             config_hash=run_hash,
@@ -440,7 +439,7 @@ def run_protocol(cfg: ProtocolConfig, out_dir: str | None = None,
             out_dir=run_dir,
         )
         _write_atomic(os.path.join(run_dir, "manifest.json"),
-                      _json_text(manifest.as_dict()))
+                      [_json_text(manifest.as_dict())])
         if verbose:
             print(f"wrote {run_dir}/{{data.csv,fits.json,manifest.json}}",
                   file=sys.stderr)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sivcav.constants import C_LIGHT
@@ -10,6 +13,7 @@ from sivcav.cqed import (
     purcell_broadened_linewidth,
     q_factor,
 )
+from sivcav.dynamics.engine import Decay, Drive, Level, LevelSystem, _liouvillian
 from sivcav.errors import DomainError, InvalidParameterError
 from sivcav.fitting import Spectrum, fit_lorentzian
 
@@ -87,6 +91,68 @@ class TestPurcellBroadening:
         assert np.all(vals >= GAMMA0)
 
 
+def single_excitation_rate(g, detuning, kappa, gamma0):
+    """-2 Im(lambda) of the emitter-like eigenvalue of the non-Hermitian
+    Hamiltonian on {|e,0>, |g,1>}, in Hz: the exact broadened linewidth."""
+    h = np.array([[-0.5j * gamma0, g], [g, -detuning - 0.5j * kappa]])
+    return float(np.min(-2.0 * np.linalg.eigvals(h).imag))
+
+
+def engine_rates(g, detuning, kappa, gamma0):
+    """Decay rates -Re(mu)/pi, in Hz, of every Liouvillian eigenvalue mu of
+    the three-level system g0, g1 (one cavity photon), e0: a drive g1-e0 of
+    Rabi frequency 2g, and decays e0 -> g0 at gamma0 and g1 -> g0 at kappa.
+    A coherence with g0 decays at half its population rate."""
+    sys = LevelSystem([Level("g0", 0.0), Level("g1", 0.0), Level("e0", 0.0)],
+                      [Drive("g1", "e0", 2.0 * g, detuning)],
+                      [Decay("e0", "g0", gamma0), Decay("g1", "g0", kappa)])
+    return -np.linalg.eigvals(_liouvillian(sys)).real / math.pi
+
+
+class TestBadCavityOracle:
+    """The closed-form Purcell broadening against the exact single-excitation
+    linewidth, and that linewidth against the Lindblad engine.
+
+    For g/kappa <= 0.1, gamma0/kappa <= 0.1 and |Delta| <= 5 kappa, the
+    closed form's relative error is at most 5 (g/kappa)^2 + 2 gamma0/kappa:
+    adiabatic elimination drops the emitter's own decay from the cavity
+    denominator (relative gamma0/(kappa - gamma0)) and the higher orders in
+    g^2 / (Delta + i (kappa - gamma0)/2) (relative 4 g^2/(kappa - gamma0)^2).
+    """
+
+    @staticmethod
+    def check(g, detuning, kappa, gamma0):
+        c = 4.0 * g * g / (kappa * gamma0)
+        closed = purcell_broadened_linewidth(c, detuning, kappa, gamma0)
+        exact = single_excitation_rate(g, detuning, kappa, gamma0)
+        bound = 5.0 * (g / kappa) ** 2 + 2.0 * gamma0 / kappa
+        assert abs(closed - exact) <= bound * exact
+        rates = engine_rates(g, detuning, kappa, gamma0)
+        assert np.min(np.abs(rates - exact)) <= 1e-9 * exact
+        return closed, exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_kappa=st.floats(9.0, 12.0), log_g=st.floats(-4.0, -1.0),
+           log_gamma0=st.floats(-5.0, -1.0),
+           detuning=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+    def test_bad_cavity_regime(self, log_kappa, log_g, log_gamma0, detuning):
+        # every rate relative to kappa, detuning included
+        kappa = 10.0 ** log_kappa
+        self.check(10.0 ** log_g * kappa, detuning * kappa, kappa,
+                   10.0 ** log_gamma0 * kappa)
+
+    def test_shipped_row(self):
+        # gamma0 = 157 MHz broadened to 203 MHz at kappa = 273 GHz and
+        # Delta = 0.042 kappa: g/kappa = 0.0065, and the exact linewidth is
+        # 203.034 MHz, 1.7e-4 above the closed form
+        c, _ = cooperativity_from_linewidths(GAMMA_ON, GAMMA0, 0.042 * KAPPA, KAPPA)
+        g = g_from_cooperativity(c, KAPPA, GAMMA0)
+        closed, exact = self.check(g, 0.042 * KAPPA, KAPPA, GAMMA0)
+        assert closed == pytest.approx(GAMMA_ON, rel=1e-12)
+        assert exact == pytest.approx(203.034e6, abs=1e3)
+        assert (exact - closed) / closed == pytest.approx(1.7e-4, abs=0.05e-4)
+
+
 class TestCooperativity:
     def test_measured_linewidth_chain(self):
         c, ok = cooperativity_from_linewidths(GAMMA_ON, GAMMA0, 0.042 * KAPPA, KAPPA)
@@ -124,6 +190,16 @@ class TestCooperativity:
     def test_negative_c_rejected(self):
         with pytest.raises(DomainError):
             g_from_cooperativity(-0.1, KAPPA, GAMMA0)
+
+    def test_non_finite_results_raise(self):
+        # an infinite kappa (1e300 GHz in Hz) leaves L(Delta) undefined, and
+        # a finite C can still overflow g; each is a DomainError, with no
+        # RuntimeWarning on the way (warnings are errors in this suite)
+        with pytest.raises(DomainError, match="cooperativity is nan"):
+            cooperativity_from_linewidths(GAMMA_ON, GAMMA0, 0.042 * math.inf,
+                                          math.inf)
+        with pytest.raises(DomainError, match="g is inf"):
+            g_from_cooperativity(1e298, KAPPA, GAMMA0)
 
 
 class TestScaleCovariance:

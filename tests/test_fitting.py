@@ -138,6 +138,10 @@ class TestLmCore:
         assert result["intercept"] == pytest.approx(-1.2, abs=1e-10)
         assert result.flags == ("singular_covariance",)
         assert not result.converged
+        # the pseudo-inverse's diagonal bounds nothing: no sigma, not a zero
+        assert np.isnan(result.sigmas).all()
+        assert {p["sigma"] for p in json.loads(result.to_json())["params"].values()} \
+            == {None}
 
     def test_result_json_round_trip(self):
         x = np.linspace(-3, 3, 40)
@@ -152,11 +156,12 @@ class TestLmCore:
         # noise at half the span pulls the timescale to its 1e-300 bound after
         # one step; the Jacobian there overflows. That must surface as the flag
         # (no RuntimeWarning, which the test settings turn into an error) and
-        # the NaN sigmas as JSON null, not as bare NaN
+        # the NaN sigmas as JSON null, not as bare NaN. A NaN sigma shows no
+        # amplitude apart from zero, so the timescale is unidentifiable too
         t = np.linspace(0.0, 9.14, 5)
         y = np.array([-14.07, -3.88, 5.05, -6.08, 0.076])
         result = fit_exponential(Spectrum(t, y), kind="recovery")
-        assert result.flags == ("jacobian_overflow",)
+        assert result.flags == ("jacobian_overflow", "timescale_unidentifiable")
         assert not result.converged
         assert np.all(np.isnan(result.sigmas))
 

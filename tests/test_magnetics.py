@@ -1,18 +1,27 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from sivcav._table import csv_text
+from sivcav.config import validate_tree
 from sivcav.constants import MU_0
 from sivcav.errors import DomainError, InvalidParameterError
+from sivcav import magnetics
 from sivcav.magnetics import (
     CuboidMagnet,
+    _exterior_field,
     assembly_field,
     cuboid_field,
     field_angle,
     field_map_grid,
-    field_map_to_csv,
     SURFACE_MARGIN,
 )
+from sivcav.protocols import _run_magnet_map
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MAGNET = CuboidMagnet(center=(0.001, -0.002, 0.0005),
                       dimensions=(0.01, 0.006, 0.004),
@@ -233,11 +242,41 @@ class TestFieldMap:
             field_map_grid(ASSEMBLY, [], [0.0], [0.0])
 
     def test_csv_export(self):
-        text = field_map_to_csv(*field_map_grid(ASSEMBLY, [0.0], [0.0], [0.0, 5e-3]))
+        # the magnet-map runner's table, written as run_protocol writes it
+        tree = yaml.safe_load((CONFIGS / "fig2_magnet_map.cfg").read_text())
+        tree["grid"] = {"x_mm": {"start": 0.0, "stop": 0.0, "points": 1},
+                        "y_mm": {"start": 0.0, "stop": 0.0, "points": 1},
+                        "z_mm": {"start": 0.0, "stop": 5.0, "points": 2}}
+        table = _run_magnet_map(validate_tree(tree))
+        text = "".join(csv_text(table.headers, table.columns, table.formats))
         lines = text.strip().split("\n")
         assert lines[0] == "x_m,y_m,z_m,bx_t,by_t,bz_t,masked"
         assert len(lines) == 3
         assert lines[1].endswith(",0")
+
+    @pytest.mark.parametrize("block, nx, nz", [(7, 9, 5), (1000, 61, 61),
+                                               (None, 301, 201)])
+    def test_point_blocks_sum_as_one_pass(self, monkeypatch, block, nx, nz):
+        # a grid of more than three point blocks, the last one partial, with
+        # masked points in several: block by block, every point gets the
+        # mask and the field sum that one pass over the whole grid gives
+        if block is not None:
+            monkeypatch.setattr(magnetics, "_POINT_BLOCK", block)
+        xs, zs = np.linspace(-20e-3, 20e-3, nx), np.linspace(-10e-3, 10e-3, nz)
+        points, b, masked = field_map_grid(ASSEMBLY, xs, [0.0], zs)
+        assert len(points) > 3 * magnetics._POINT_BLOCK
+        assert len(points) % magnetics._POINT_BLOCK
+        grid = np.stack(np.meshgrid(xs, [0.0], zs, indexing="ij"), axis=-1)
+        assert np.array_equal(points, grid.reshape(-1, 3))
+        inside = np.zeros(len(points), dtype=bool)
+        for m in ASSEMBLY:
+            inside |= m.surface_distance(points) < SURFACE_MARGIN
+        one_pass = np.zeros_like(b)
+        one_pass[~inside] = sum(_exterior_field(m, points[~inside]) for m in ASSEMBLY)
+        assert np.array_equal(masked, inside)
+        assert np.array_equal(b, one_pass)
+        starts = np.arange(0, len(points), magnetics._POINT_BLOCK)
+        assert np.count_nonzero(np.add.reduceat(masked, starts)) >= 2
 
     def test_one_surface_distance_pass_per_magnet(self, monkeypatch):
         calls = []

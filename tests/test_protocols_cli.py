@@ -277,6 +277,32 @@ class TestConfigLoading:
          "protocol 'cooperativity_report' does not accept a noise block "
          "(field: noise)"),
         ("fig4_cpt", ("noise",), {}, "missing required field (field: noise.sigma_rel)"),
+        # every count has a maximum: the memory budget over the bytes per
+        # point of the largest array its protocol allocates
+        ("fig1_ple", ("scan", "points"), 1e300,
+         "must be <= 134217728, got 1e+300 (field: scan.points)"),
+        ("fig2_pump_probe", ("scan", "points"), 1e300,
+         "must be <= 262144, got 1e+300 (field: scan.points)"),
+        ("fig4_cpt", ("scan", "points"), 828505,
+         "must be <= 828504, got 828505.0 (field: scan.points)"),
+        ("fig4_t1", ("taus", "points"), 1e300,
+         "must be <= 4194304, got 1e+300 (field: taus.points)"),
+        ("fig4_spin_pumping", ("spin_pump", "n_pulses"), 1e300,
+         "must be <= 4194304, got 1e+300 (field: spin_pump.n_pulses)"),
+        ("fig4_spin_pumping", ("spin_pump", "samples_per_pulse"), 1e300,
+         "must be <= 4194304, got 1e+300 (field: spin_pump.samples_per_pulse)"),
+        ("fig4_spin_pumping", ("spin_pump", "n_pulses"), 20000,
+         "n_pulses * samples_per_pulse is 8000000, more than the 4194304 "
+         "samples that fit the memory budget (field: spin_pump)"),
+        ("fig1_cavity_fit", ("synthetic", "points"), 1e300,
+         "must be <= 33554432, got 1e+300 (field: synthetic.points)"),
+        ("fig3_saturation", ("synthetic", "points"), 1e300,
+         "must be <= 67108864, got 1e+300 (field: synthetic.points)"),
+        ("fig2_magnet_map", ("grid", "y_mm", "points"), 1e300,
+         "must be <= 44739242, got 1e+300 (field: grid.y_mm.points)"),
+        ("fig2_magnet_map", ("grid", "z_mm", "points"), 2_000_000,
+         "grid has 82000000 points, more than the 44739242 that fit the "
+         "memory budget (field: grid)"),
     ])
     def test_error_messages_are_exact(self, name, path, value, message):
         tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
@@ -372,15 +398,23 @@ class TestRunProtocol:
         # 20 MHz drives on a 222 MHz span: the dip falls between samples
         # 1.85 MHz apart, its width and centre columns of the Jacobian
         # vanish, and the gradient test alone would call the collapsed
-        # fit (width 3.85e-235 MHz, sigma 0) converged
+        # fit (width 3.85e-235 MHz) converged; its covariance is singular,
+        # so its sigma is null, not 0, and the width is unidentifiable
+        from sivcav.fitting import Spectrum, fit_cpt_dip
+
         tree = yaml.safe_load((CONFIGS / "fig4_cpt.cfg").read_text())
         tree["cpt"]["rabi_pump_mhz"] = tree["cpt"]["rabi_probe_mhz"] = 20.0
         tree["scan"]["span_mhz"] = 222.0
         manifest = run_protocol(load_config(write_cfg(tmp_path, tree)),
                                 out_dir=str(tmp_path))
         fits = json.loads((Path(manifest.out_dir) / "fits.json").read_text())
-        assert fits["cpt_dip"]["dip_fwhm_sigma_mhz"] == 0.0
+        assert fits["cpt_dip"]["dip_fwhm_mhz"] < 1e-200
+        assert fits["cpt_dip"]["dip_fwhm_sigma_mhz"] is None
         assert fits["cpt_dip"]["converged"] is False
+        x, y = np.loadtxt(Path(manifest.out_dir) / "data.csv", delimiter=",",
+                          skiprows=1, unpack=True)
+        assert fit_cpt_dip(Spectrum(x, y)).flags == ("singular_covariance",
+                                                    "width_unidentifiable")
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("name", ["fig1_cavity_fit.cfg", "fig3_saturation.cfg",
@@ -490,6 +524,78 @@ class TestRunProtocol:
             run_protocol(cfg, out_dir=str(out))
         assert not any(out.glob("cpt_scan-*"))
 
+    def test_table_without_formats_is_written_at_12_digits(self, tmp_path,
+                                                          monkeypatch):
+        import sivcav.protocols as protocols_mod
+
+        columns = [np.array([0.0, -0.0, 1.0, np.nan]),
+                   np.array([np.inf, 5e-324, -0.1, 1e300])]
+        monkeypatch.setitem(protocols_mod._RUNNERS, "cpt_scan", lambda cfg:
+                            protocols_mod._Table(["a", "b"], columns, {"k": 0.5}))
+        run_dir = Path(run_protocol(load_config(write_cfg(tmp_path, MINIMAL_CPT)),
+                                    out_dir=str(tmp_path)).out_dir)
+        rows = [f"{u:.12e},{v:.12e}" for u, v in zip(*columns)]
+        assert (run_dir / "data.csv").read_text() == "\n".join(["a,b", *rows]) + "\n"
+        assert json.loads((run_dir / "fits.json").read_text()) == {"k": 0.5}
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_mid_stream_leaves_no_partial_file(self, tmp_path,
+                                                       monkeypatch, existing):
+        # the second row block fails after the first was written to the temp
+        # file: the temp file goes, and so does the run directory if the run
+        # made it
+        import sivcav._table as table_mod
+        import sivcav.protocols as protocols_mod
+
+        n = 3 * table_mod._BLOCK_ROWS
+        monkeypatch.setitem(protocols_mod._RUNNERS, "cpt_scan", lambda cfg:
+                            protocols_mod._Table(["x"], [np.arange(n) / n], {}))
+        block_text, blocks = table_mod._block_text, []
+
+        def failing_second_block(*args):
+            blocks.append(block_text(*args))
+            if len(blocks) == 2:
+                raise RuntimeError("synthetic failure")
+            return blocks[-1]
+
+        monkeypatch.setattr(table_mod, "_block_text", failing_second_block)
+        cfg = load_config(write_cfg(tmp_path, MINIMAL_CPT))
+        out = tmp_path / "out"
+        run_dir = out / f"cpt_scan-{cfg.config_hash()[:8]}"
+        if existing:
+            run_dir.mkdir(parents=True)
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            run_protocol(cfg, out_dir=str(out))
+        assert len(blocks) == 2
+        assert run_dir.is_dir() == existing
+        assert not existing or list(run_dir.iterdir()) == []
+
+    def test_magnet_map_memory_is_bounded(self, tmp_path):
+        # the traced peak of a field-map run beyond its points, fields and
+        # mask (49 B per grid point): under 32 MB at 1M points, and within
+        # 4 MB of the peak at 100k points, so it does not grow with the grid
+        import shutil
+        import tracemalloc
+
+        tree = yaml.safe_load((CONFIGS / "fig2_magnet_map.cfg").read_text())
+
+        def excess_peak(nx, nz):
+            tree["grid"]["x_mm"]["points"], tree["grid"]["z_mm"]["points"] = nx, nz
+            cfg = validate_tree(tree)
+            tracemalloc.start()
+            try:
+                run_dir = run_protocol(cfg, out_dir=str(tmp_path)).out_dir
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert Path(run_dir, "data.csv").stat().st_size > 90 * nx * nz
+            shutil.rmtree(run_dir)
+            return peak - 49 * nx * nz
+
+        large, small = excess_peak(1001, 1001), excess_peak(317, 317)
+        assert large <= 32e6
+        assert abs(large - small) <= 4e6
+
     def test_config_output_dir_honored(self, tmp_path):
         tree = dict(MINIMAL_CPT, output_dir=str(tmp_path / "from_config"))
         cfg = load_config(write_cfg(tmp_path, tree))
@@ -569,6 +675,9 @@ class TestCli:
         ("fig4_cpt", ("cpt", "t2_star_ns", 1e-300)),
         ("fig4_spin_pumping", ("spin_pump", "t1_ns", 1e-300)),
         ("fig4_t1", ("spin_pump", "t1_ns", 1e-300)),
+        # kappa overflows to inf Hz, and gamma_on / gamma0 makes g overflow
+        ("cooperativity_report", ("cooperativity", "kappa_ghz", 1e300)),
+        ("cooperativity_report", ("cooperativity", "gamma_on_mhz", 1e300)),
     ])
     def test_huge_leaf_is_a_one_line_runtime_error(self, tmp_path, capsys, name, leaf):
         *path, key, value = leaf
@@ -579,6 +688,37 @@ class TestCli:
         assert (rc, out) == (2, "")
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    # counts so large that the run would die allocating its arrays, with a
+    # traceback, or run out of memory: each fails validation, with one
+    # `error:` line and exit 1, before `run` allocates anything
+    @pytest.mark.parametrize("name, leaf", [
+        ("fig1_ple", ("scan", "points", 1e300)),
+        ("fig2_pump_probe", ("scan", "points", 1e300)),
+        ("fig4_cpt", ("scan", "points", 1e300)),
+        ("fig4_t1", ("taus", "points", 1e300)),
+        ("fig4_t1", ("spin_pump", "samples_per_pulse", 1e300)),
+        ("fig4_spin_pumping", ("spin_pump", "n_pulses", 1e300)),
+        ("fig4_spin_pumping", ("spin_pump", "n_pulses", 2 ** 20)),
+        ("fig1_cavity_fit", ("synthetic", "points", 1e300)),
+        ("fig3_saturation", ("synthetic", "points", 1e300)),
+        *[("fig2_magnet_map", ("grid", axis, "points", 1e300))
+          for axis in ("x_mm", "z_mm")],
+        ("fig2_magnet_map", ("grid", "x_mm", "points", 10 ** 7)),
+    ])
+    def test_huge_count_is_a_one_line_config_error(self, tmp_path, capsys, name,
+                                                   leaf):
+        *path, key, value = leaf
+        tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
+        functools.reduce(operator.getitem, path, tree)[key] = value
+        cfg = write_cfg(tmp_path, tree)
+        for argv in (["validate", cfg], ["run", cfg, "--out", str(tmp_path)]):
+            rc = cli_main(argv)
+            out, err = capsys.readouterr()
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: ")
+            assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "test.cfg"]
 
     # files that the loader or the validator turned into a traceback, or
     # into several lines: each is one `error:` line and exit 1
@@ -780,6 +920,18 @@ class TestEntry:
         assert (proc.returncode, proc.stdout) == (code, "")
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_non_finite_cooperativity_is_one_error_line(self, tmp_path):
+        # kappa of 1e300 GHz is inf Hz; the run wrote "cooperativity": null
+        # and "g_ghz": null after four lines of RuntimeWarning, with exit 0
+        tree = yaml.safe_load((CONFIGS / "cooperativity_report.cfg").read_text())
+        tree["cooperativity"]["kappa_ghz"] = 1e300
+        proc = run_cli("run", write_cfg(tmp_path, tree), "--out", str(tmp_path / "o"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: protocol 'cooperativity_report': "
+                                      "cooperativity is nan in float64")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
     def test_usage_errors_and_help_exit_through_argparse(self):
         proc = run_cli("run", "--no-such-option")

@@ -6,13 +6,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sivcav import _table
+from sivcav import _table, protocols
 from sivcav._table import csv_text, json_text
+from sivcav.config import validate_tree
 from sivcav.errors import InvalidParameterError
-from sivcav.magnetics import CuboidMagnet, field_map_grid, field_map_to_csv
-from sivcav.protocols import _csv
 
 FIELD_MAP_HEADER = "x_m,y_m,z_m,bx_t,by_t,bz_t,masked"
+
+
+def magnet_map_table(x_mm, z_mm):
+    """The magnet-map runner's table: the shipped two-magnet assembly on the
+    y = 0 plane, with axes (start, stop, points) in mm."""
+    return protocols._run_magnet_map(validate_tree({
+        "protocol": "magnet_map",
+        "magnets": [{"center_mm": [s * 10.45, 0.0, -4.0],
+                     "dimensions_mm": [10.0, 10.0, 10.0],
+                     "remanence_t": [1.35, 0.0, 0.0]} for s in (-1, 1)],
+        "grid": {key: dict(zip(("start", "stop", "points"), axis))
+                 for key, axis in (("x_mm", x_mm), ("y_mm", (0.0, 0.0, 1)),
+                                   ("z_mm", z_mm))},
+        "pcc_mm": [1.1, 0.0, 0.0]}))
+
+
+#: the headers and formats that the magnet-map runner returns
+FIELD_MAP = magnet_map_table((0.0, 0.0, 1), (0.0, 0.0, 1))
+
+
+def joined(headers, columns, formats):
+    return "".join(csv_text(headers, columns, formats))
+
+
+def protocol_csv(headers, columns):
+    """The text `run_protocol` writes for a runner table that gives no
+    formats: every cell "%.12e"."""
+    return joined(headers, columns, ["%.12e"] * len(columns))
+
+
+def field_map_csv(points, b, masked):
+    """Field-map columns under the magnet-map runner's headers and formats."""
+    return joined(FIELD_MAP.headers, [*np.transpose(points), *np.transpose(b),
+                                      masked], FIELD_MAP.formats)
 
 # values whose text is easy to get wrong in a formatter that works per value
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
@@ -54,8 +87,7 @@ class TestByteIdentity:
         columns = data.draw(float_columns(n_columns))
         headers = [f"c{k}" for k in range(n_columns)]
         expected = reference_csv(headers, columns)
-        assert _csv(headers, columns) == expected
-        assert csv_text(headers, columns, ["%.12e"] * n_columns) == expected
+        assert protocol_csv(headers, columns) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -65,27 +97,26 @@ class TestByteIdentity:
         masked = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                           dtype=bool)
         points, b = np.column_stack(columns[:3]), np.column_stack(columns[3:])
-        assert field_map_to_csv(points, b, masked) == \
+        assert field_map_csv(points, b, masked) == \
             reference_field_map_csv(points, b, masked)
 
     def test_field_map_on_symmetry_plane_with_masked_points(self):
         # the shipped two-magnet assembly on y = 0, with grid points inside both
-        assembly = [CuboidMagnet((s * 10.45e-3, 0.0, -4e-3), (10e-3,) * 3,
-                                 (1.35, 0.0, 0.0)) for s in (-1, 1)]
-        points, b, masked = field_map_grid(assembly, np.linspace(-20e-3, 20e-3, 17),
-                                           [0.0], np.linspace(-10e-3, 10e-3, 9))
+        table = magnet_map_table((-20.0, 20.0, 17), (-10.0, 10.0, 9))
+        points = np.column_stack(table.columns[:3])
+        b, masked = np.column_stack(table.columns[3:6]), table.columns[6]
         assert 0 < masked.sum() < len(masked)
-        assert field_map_to_csv(points, b, masked) == \
+        assert joined(table.headers, table.columns, table.formats) == \
             reference_field_map_csv(points, b, masked)
 
     def test_signed_zeros_keep_their_text(self):
-        text = _csv(["v"], [np.array([0.0, -0.0, 0.0, -0.0])])
+        text = protocol_csv(["v"], [np.array([0.0, -0.0, 0.0, -0.0])])
         assert text.split("\n")[1:5] == ["0.000000000000e+00", "-0.000000000000e+00"] * 2
 
     def test_zero_rows_write_the_header_only(self):
-        assert _csv(["x", "v"], [np.zeros(0), np.zeros(0)]) == "x,v\n"
-        assert field_map_to_csv(np.zeros((0, 3)), np.zeros((0, 3)),
-                                np.zeros(0, bool)) == FIELD_MAP_HEADER + "\n"
+        assert protocol_csv(["x", "v"], [np.zeros(0), np.zeros(0)]) == "x,v\n"
+        assert field_map_csv(np.zeros((0, 3)), np.zeros((0, 3)),
+                             np.zeros(0, bool)) == FIELD_MAP_HEADER + "\n"
 
 
 def raw_float(bits):
@@ -124,7 +155,7 @@ def kernel_floats(p):
 def assert_cells_match(values, p):
     """Every cell of a two-column table equals "%.{p}e" % v."""
     values = np.asarray(values, dtype=np.float64)
-    text = csv_text(["a", "b"], [values, values[::-1]], [f"%.{p}e"] * 2)
+    text = joined(["a", "b"], [values, values[::-1]], [f"%.{p}e"] * 2)
     expected = [f"%.{p}e,%.{p}e" % (u, v) for u, v in zip(values.tolist(),
                                                          values[::-1].tolist())]
     assert text.split("\n")[1:-1] == expected
@@ -162,7 +193,7 @@ class TestKernelExactness:
         b = rng.standard_normal((n, 3)) * 0.1
         masked = rng.random(n) < 0.3
         b[masked] = 0.0
-        assert field_map_to_csv(points, b, masked) == \
+        assert field_map_csv(points, b, masked) == \
             reference_field_map_csv(points, b, masked)
 
     def test_kernel_decides_almost_every_cell(self, monkeypatch):
@@ -184,39 +215,44 @@ class TestKernelExactness:
 class TestMemory:
     def test_field_map_peak_stays_near_the_text_size(self):
         # six "%.9e" columns and a "%d" one, 200k rows: formatting in row blocks
-        # keeps the peak of traced allocations within 2.5x the returned text
+        # and consuming each chunk as it comes keeps the peak of traced
+        # allocations within 2.5x the text, and within a fixed budget (here a
+        # fifth of the 20 MB text) that does not grow with the rows
         rng = np.random.default_rng(0)
         n = 200_000
         columns = [*rng.uniform(-0.02, 0.02, (3, n)), *rng.standard_normal((3, n)),
                    rng.random(n) < 0.25]
         tracemalloc.start()
         try:
-            text = csv_text(FIELD_MAP_HEADER.split(","), columns, ["%.9e"] * 6 + ["%d"])
+            rows = size = 0
+            for chunk in csv_text(FIELD_MAP.headers, columns, FIELD_MAP.formats):
+                rows, size = rows + chunk.count("\n"), size + len(chunk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text.count("\n") == n + 1
-        assert peak <= 2.5 * len(text)
+        assert rows == n + 1
+        assert peak <= 2.5 * size
+        assert peak <= 4_000_000 < size / 5
 
 
 class TestShapes:
     def test_unequal_protocol_columns_rejected(self):
         with pytest.raises(InvalidParameterError, match=r"\(2,\), \(5,\)"):
-            _csv(["x", "v"], [np.arange(2), np.arange(5)])
+            protocol_csv(["x", "v"], [np.arange(2), np.arange(5)])
 
     def test_short_field_map_mask_rejected(self):
         points = np.arange(9.0).reshape(3, 3)
         with pytest.raises(InvalidParameterError, match=r"\(3,\), .*\(2,\)"):
-            field_map_to_csv(points, points, np.array([False, True]))
+            field_map_csv(points, points, np.array([False, True]))
 
     @pytest.mark.parametrize("columns", [[np.zeros((2, 2))], [np.float64(1.0)]])
     def test_non_vector_column_rejected(self, columns):
         with pytest.raises(InvalidParameterError):
-            csv_text(["v"], columns, ["%.12e"])
+            joined(["v"], columns, ["%.12e"])
 
     def test_header_count_must_match(self):
         with pytest.raises(InvalidParameterError, match="3 headers"):
-            csv_text(["a", "b", "c"], [np.zeros(2), np.zeros(2)], ["%.12e"] * 2)
+            joined(["a", "b", "c"], [np.zeros(2), np.zeros(2)], ["%.12e"] * 2)
 
 
 class TestJson:
