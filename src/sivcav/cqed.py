@@ -8,13 +8,17 @@ cavity lines, detuning-dependent Purcell broadening and the cooperativity
 All linewidths are FWHM in ordinary frequency (Hz). The detuning dependence of
 the Purcell enhancement uses the bad-cavity Lorentzian filter
 
-    L(Delta) = 1 / (1 + (2*Delta/kappa)^2),
+    L(Delta) = 1 / (1 + (2*Delta/kappa)^2).
 
-valid here since kappa greatly exceeds both g and gamma0.
+That adiabatic elimination holds where kappa greatly exceeds both g and
+gamma0. `cooperativity_report` enforces it: the closed-form linewidth at the
+inferred C must match the exact single-excitation linewidth
+(`single_excitation_linewidth`) within `BAD_CAVITY_RTOL`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -27,7 +31,13 @@ __all__ = [
     "purcell_broadened_linewidth",
     "cooperativity_from_linewidths",
     "g_from_cooperativity",
+    "single_excitation_linewidth",
+    "BAD_CAVITY_RTOL",
 ]
+
+#: largest relative miss of the closed-form Purcell-broadened linewidth
+#: against `single_excitation_linewidth` that counts as the bad-cavity regime
+BAD_CAVITY_RTOL = 1e-2
 
 
 def lorentzian(nu, center, fwhm, amplitude=1.0, offset=0.0):
@@ -102,3 +112,27 @@ def g_from_cooperativity(c, kappa, gamma0):
         raise DomainError(f"g is {g} in float64 at C = {c:.3g}, kappa = "
                           f"{kappa:.3g} Hz and gamma0 = {gamma0:.3g} Hz")
     return g
+
+
+def single_excitation_linewidth(g, detuning, kappa, gamma0):
+    """Exact emitter-like linewidth, Hz: -2 Im(lambda) of the eigenvalue
+    lambda of the non-Hermitian Hamiltonian on {|e,0>, |g,1>},
+
+        H = [[-i gamma0/2, g], [g, -detuning - i kappa/2]],
+
+    that tends to -i gamma0/2 as g -> 0; for kappa > gamma0 it is the more
+    slowly decaying one. A dense eigensolver resolves it only to about
+    u * kappa (u the unit roundoff). Here it is det(H) over the cavity-like
+    eigenvalue, the root of the characteristic quadratic that suffers no
+    cancellation, with H scaled to unit size: full relative precision however
+    far kappa exceeds gamma0.
+    """
+    scale = max(g, abs(detuning), kappa, gamma0)
+    a = -0.5j * gamma0 / scale
+    d = (-detuning - 0.5j * kappa) / scale
+    gs = g / scale
+    root = cmath.sqrt(0.25 * (a - d) ** 2 + gs * gs)
+    if (root * (a - d).conjugate()).real < 0:
+        root = -root  # along (a - d) / 2, so the cavity root keeps d's size
+    cavity = 0.5 * (a + d) - root
+    return -2.0 * ((a * d - gs * gs) / cavity).imag * scale

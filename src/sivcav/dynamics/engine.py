@@ -45,6 +45,14 @@ _FRAME_TOL_HZ = 10.0
 #: bordered matrix reads inf or near 1/u.
 _BORDERED_CONDITION_LIMIT = 1e14
 
+#: Largest ||L||_1 * t that `propagate` accepts. The eigenvalues of L, and
+#: the scaled-and-squared exponential alike, carry an absolute roundoff of
+#: about u ||L||_1 (u = 2^-53, the unit roundoff), so exp(L t) carries a
+#: relative error of about u ||L||_1 t, and so does the trace of each state.
+#: That error must stay below the 1e-8 tolerance on the populations' sum of
+#: a `Trace`: ||L||_1 t < 1e-8 / u, about 9.0e7.
+_MAX_NORM_TIME = 1e-8 / 2.0 ** -53
+
 #: Eigenbasis condition number beyond which `propagate` switches from the
 #: eigendecomposition to `scipy.linalg.expm` per time. The eigenvector error
 #: grows with this number and reaches ~1e-12 near 1e4.
@@ -328,18 +336,27 @@ def _frame_free_liouvillian(sys: LevelSystem) -> np.ndarray:
     return sys._l0
 
 
-def _detuned_liouvillians(sys: LevelSystem, detunings) -> np.ndarray:
-    """(N, n^2, n^2) Lindblad superoperators of `sys`, 1/s, with its laser
-    detunings replaced by each row of `detunings` (shape (N, n_drives)).
+def _detuned_diagonals(sys: LevelSystem, detunings) -> np.ndarray:
+    """(N, n^2) diagonals of the Lindblad superoperators of `sys`, 1/s, with
+    its laser detunings replaced by each row of `detunings` (shape
+    (N, n_drives)).
 
     Detunings enter the rotating-frame Liouvillian only on its diagonal:
     L = L0 - i 2 pi (s_a - s_b) at vec index (a, b), with s the frame shifts.
     """
-    n = sys.dim
     w = TWO_PI * sys._frame_shifts(detunings)
-    lv = np.repeat(_frame_free_liouvillian(sys)[None], len(w), axis=0)
-    diag = np.arange(n * n)
-    lv[:, diag, diag] += -1j * (w[:, :, None] - w[:, None, :]).reshape(-1, n * n)
+    return (np.diagonal(_frame_free_liouvillian(sys))
+            + -1j * (w[:, :, None] - w[:, None, :]).reshape(len(w), -1))
+
+
+def _detuned_liouvillians(sys: LevelSystem, detunings) -> np.ndarray:
+    """(N, n^2, n^2) Lindblad superoperators of `sys`, 1/s, with its laser
+    detunings replaced by each row of `detunings` (shape (N, n_drives)):
+    L0 with the diagonals of `_detuned_diagonals`."""
+    diags = _detuned_diagonals(sys, detunings)
+    lv = np.repeat(_frame_free_liouvillian(sys)[None], len(diags), axis=0)
+    idx = np.arange(sys.dim ** 2)
+    lv[:, idx, idx] = diags
     return lv
 
 
@@ -347,6 +364,16 @@ def _liouvillian(sys: LevelSystem) -> np.ndarray:
     """Dense n^2 x n^2 Lindblad superoperator of `sys` at its own laser
     detunings, in angular units (1/s)."""
     return _detuned_liouvillians(sys, [[d.laser_detuning for d in sys.drives]])[0]
+
+
+def _norm1(sys: LevelSystem) -> float:
+    """||L||_1 of `sys` at its own detunings: the column sums of its cached
+    L0 with the diagonal detuned, so that L itself is not assembled."""
+    l0 = _frame_free_liouvillian(sys)
+    diag = _detuned_diagonals(sys, [[d.laser_detuning for d in sys.drives]])[0]
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(l0).sum(axis=0) - np.abs(np.diagonal(l0))
+                            + np.abs(diag)))
 
 
 def _eigenbasis(sys: LevelSystem):
@@ -373,7 +400,8 @@ def propagate(sys: LevelSystem, rho0, dts) -> np.ndarray:
     exponential is evaluated once per time by scaling and squaring instead
     (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy & Higham, SIAM J.
     Matrix Anal. Appl. 31, 970 (2009)). The level populations along a
-    trajectory are the diagonals of the result.
+    trajectory are the diagonals of the result. Raises DomainError when
+    ||L||_1 times the longest time exceeds `_MAX_NORM_TIME`.
     """
     n = sys.dim
     rho0 = np.asarray(rho0, dtype=complex)
@@ -383,6 +411,11 @@ def propagate(sys: LevelSystem, rho0, dts) -> np.ndarray:
     dts = np.asarray(dts, dtype=float)
     if dts.ndim != 1 or not np.all(np.isfinite(dts) & (dts >= 0)):
         raise InvalidParameterError("duration must be finite and >= 0")
+    norm_time = _norm1(sys) * np.max(dts, initial=0.0)
+    if not norm_time <= _MAX_NORM_TIME:
+        raise DomainError(
+            f"||L||_1 * t = {norm_time:.3g} exceeds {_MAX_NORM_TIME:.3g}, beyond "
+            "which float64 roundoff breaks the 1e-8 trace tolerance")
     y0 = rho0.reshape(-1, n * n)
     basis = _eigenbasis(sys)
     if basis:

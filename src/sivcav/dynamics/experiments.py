@@ -73,6 +73,13 @@ class SpinPumpParams:
             raise InvalidParameterError("need n_pulses >= 1, samples_per_pulse >= 8")
 
 
+def _spin_flips(t1: float, a: str, b: str) -> tuple:
+    """Non-radiative Decays a -> b and b -> a at r = 1/(4 pi t1): the pair's
+    polarization then decays as exp(-2 (2 pi r) t) = exp(-t / t1)."""
+    r = 1.0 / (4.0 * math.pi * t1)
+    return (Decay(a, b, r, radiative=False), Decay(b, a, r, radiative=False))
+
+
 def _spin_pump_system(p: SpinPumpParams, laser_on: bool) -> LevelSystem:
     levels = (
         Level("g_dn", 0.0),
@@ -81,16 +88,12 @@ def _spin_pump_system(p: SpinPumpParams, laser_on: bool) -> LevelSystem:
         Level("e_up", 4.068e14 + p.f_s_excited),
     )
     gam = p.optical_rate
-    # per-direction ground flip rate r: polarization decays as exp(-t/t1)
-    # with our exp(-2 pi rate t) convention, 2 * (2 pi r) = 1/t1
-    r_t1 = 1.0 / (4.0 * math.pi * p.t1)
     decays = (
         Decay("e_dn", "g_dn", (1.0 - p.eta) * gam),
         Decay("e_dn", "g_up", p.eta * gam),
         Decay("e_up", "g_up", (1.0 - p.eta) * gam),
         Decay("e_up", "g_dn", p.eta * gam),
-        Decay("g_dn", "g_up", r_t1, radiative=False),
-        Decay("g_up", "g_dn", r_t1, radiative=False),
+        *_spin_flips(p.t1, "g_dn", "g_up"),
     )
     drives = (Drive("g_dn", "e_dn", p.rabi_freq, 0.0),) if laser_on else ()
     return LevelSystem(levels, drives, decays)
@@ -203,7 +206,6 @@ class CptParams:
     optical_rate: float    # Hz
     gamma_s: float         # Hz
     f_s: float = 6.8e9     # Hz
-    t1: float | None = None   # optional ground population exchange, s
     detuning_split: str = "symmetric"  # symmetric | probe
 
     def __post_init__(self):
@@ -239,16 +241,12 @@ def _cpt_system(p: CptParams) -> LevelSystem:
         Drive("g1", "e", p.rabi_pump),
         Drive("g2", "e", p.rabi_probe),
     )
-    decays = [
+    decays = (
         Decay("e", "g1", 0.5 * p.optical_rate),
         Decay("e", "g2", 0.5 * p.optical_rate),
-    ]
-    if p.t1 is not None:
-        r = 1.0 / (4.0 * math.pi * p.t1)
-        decays += [Decay("g1", "g2", r, radiative=False),
-                   Decay("g2", "g1", r, radiative=False)]
+    )
     dephasings = (Dephasing("g1", "g2", p.gamma_s),) if p.gamma_s > 0 else ()
-    return LevelSystem(levels, drives, tuple(decays), dephasings)
+    return LevelSystem(levels, drives, decays, dephasings)
 
 
 def _steady_signal(template: LevelSystem, detunings) -> np.ndarray:
@@ -384,23 +382,27 @@ def _lower_branch_transitions(table: TransitionTable):
     return [t for t in table.sublevel if t.ground_energy in lower], sorted(lower)
 
 
-def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
-                       t1=None, cutoff_linewidths=50.0):
+#: a pump-probe laser drives no line farther than this many linewidths away
+_PUMP_PROBE_CUTOFF_LINEWIDTHS = 50.0
+
+
+def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi, t1=None):
     """Two-laser steady state over a reduced system per choice of lines.
 
     Only transitions starting from the lower (thermally occupied) orbital
     ground branch participate; each laser couples to its nearest transition
-    within the cutoff window. Excited-state decay branches to the two ground
-    sublevels with the table's dipole weights, renormalized over that pair
-    (standing in for fast orbital relaxation of any population that leaves
-    the doublet). The scan points that drive the same lines share one
-    template system and are solved in one stack over their detunings.
+    within `_PUMP_PROBE_CUTOFF_LINEWIDTHS`. Excited-state decay branches to
+    the two ground sublevels with the table's dipole weights, renormalized
+    over that pair (standing in for fast orbital relaxation of any
+    population that leaves the doublet). The scan points that drive the same
+    lines share one template system and are solved in one stack over their
+    detunings.
     """
     candidates, grounds = _lower_branch_transitions(emitter.table)
     if len(grounds) != 2:
         raise InvalidParameterError("pump-probe scan needs a spin-resolved table")
     g_label = {grounds[0]: "g1", grounds[1]: "g2"}
-    cutoff = cutoff_linewidths * emitter.linewidth
+    cutoff = _PUMP_PROBE_CUTOFF_LINEWIDTHS * emitter.linewidth
     gam = emitter.linewidth
 
     # decay branching per excited state, renormalized over the ground doublet
@@ -425,9 +427,7 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi,
             for ge, wt in weights.items():
                 decays.append(Decay(e_label[e], g_label[ge], gam * wt / total))
         if t1 is not None:
-            r = 1.0 / (4.0 * math.pi * t1)
-            decays += [Decay("g1", "g2", r, radiative=False),
-                       Decay("g2", "g1", r, radiative=False)]
+            decays += _spin_flips(t1, "g1", "g2")
         return LevelSystem(tuple(levels), tuple(drives), tuple(decays))
 
     # nearest line to each scan point and to the pump (first of equals);

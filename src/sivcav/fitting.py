@@ -86,6 +86,10 @@ class Model:
     lower: tuple = None        # optional per-parameter lower bounds
 
 
+# overflow and invalid values (data near the float64 range, a step that clips
+# a timescale to its tiny lower bound) surface as a rejected step, a flag or
+# a singular covariance, never as a warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     """Levenberg-Marquardt fit of `model` to `spectrum`.
 
@@ -94,8 +98,8 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     or when an accepted step changes every parameter by at most 1e-12 of it.
     Steps are clipped to `model.lower`, for at most 200 iterations.
     Non-convergence returns the best parameters found with converged=False;
-    so does a fit whose covariance is singular ('singular_covariance'), whose
-    sigmas are then NaN.
+    so does a fit whose covariance is singular or not finite
+    ('singular_covariance'), whose sigmas are then NaN.
     """
     x, y = spectrum.x, spectrum.y
     w = 1.0 / spectrum.sigma if spectrum.sigma is not None else np.ones_like(y)
@@ -121,6 +125,16 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     def jacobian(params):
         return -model.jac(x, params) * w[:, None]
 
+    def trial(step):
+        """(params, residuals, cost) at p + step clipped to the bounds, or
+        None unless that cost is finite and no worse than the current one."""
+        p_try = np.maximum(p + step, lo)
+        r_try = residuals(p_try)
+        cost_try = 0.5 * float(r_try @ r_try)
+        if np.isfinite(cost_try) and cost_try <= cost:
+            return p_try, r_try, cost_try
+        return None
+
     r = residuals(p)
     cost = 0.5 * float(r @ r)
     jac = jacobian(p)
@@ -137,30 +151,25 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1.0
-        accepted = False
+        accepted = None
         while lam <= _LAMBDA_MAX:
+            damped = jtj + lam * np.diag(diag)
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jtj + lam * np.diag(diag), -grad,
-                                           rcond=None)
-            p_try = np.maximum(p + step, lo)
-            r_try = residuals(p_try)
-            cost_try = 0.5 * float(r_try @ r_try)
-            if np.isfinite(cost_try) and cost_try <= cost:
-                small_step = np.all(np.abs(p_try - p) <= _STEP_RTOL * np.abs(p_try))
-                p, r, cost = p_try, r_try, cost_try
+                step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
+            accepted = trial(step)
+            if accepted:
+                p_new = accepted[0]
+                small_step = np.all(np.abs(p_new - p) <= _STEP_RTOL * np.abs(p_new))
+                p, r, cost = accepted
                 lam = max(lam / _LAMBDA_FACTOR, 1e-15)
-                accepted = True
                 break
             lam *= _LAMBDA_FACTOR
         if not accepted:
             flags.append("damping_exhausted")
             break
-        # a step can clip a timescale to its tiny lower bound; the Jacobian
-        # there overflows, which the flag below reports instead of a warning
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            jac = jacobian(p)
+        jac = jacobian(p)
         if not np.all(np.isfinite(jac)):
             flags.append("jacobian_overflow")
             break
@@ -170,30 +179,30 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     if converged:
         # one undamped Gauss-Newton polish step; exact for linear models
         try:
-            step = np.linalg.solve(jac.T @ jac, -grad)
-            p_try = np.maximum(p + step, lo)
-            r_try = residuals(p_try)
-            cost_try = 0.5 * float(r_try @ r_try)
-            if np.isfinite(cost_try) and cost_try <= cost:
-                p, r, cost = p_try, r_try, cost_try
-                jac = jacobian(p)
+            accepted = trial(np.linalg.solve(jac.T @ jac, -grad))
         except np.linalg.LinAlgError:
-            pass
+            accepted = None
+        if accepted:
+            p, r, cost = accepted
+            jac = jacobian(p)
 
     jtj = jac.T @ jac
     dof = max(len(x) - npar, 1)
     s2 = 2.0 * cost / dof
     try:
         cov = np.linalg.inv(jtj) * s2
-        sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        singular = not np.all(np.isfinite(cov))
     except np.linalg.LinAlgError:
-        # a rank-deficient Jacobian leaves some parameters unidentified:
-        # a vanishing gradient there is no evidence of convergence, and the
-        # pseudo-inverse's diagonal no uncertainty
-        cov = np.linalg.pinv(jtj) * s2
+        cov, singular = np.linalg.pinv(jtj) * s2, True
+    if singular:
+        # a rank-deficient Jacobian, or one beyond the float64 range, leaves
+        # some parameters unidentified: a vanishing gradient there is no
+        # evidence of convergence, and the covariance's diagonal no uncertainty
         sigmas = np.full(npar, np.nan)
         flags.append("singular_covariance")
         converged = False
+    else:
+        sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         model=model.name,
         param_names=tuple(model.param_names),
@@ -436,9 +445,6 @@ def fit_exponential(spectrum: Spectrum, kind: str = "decay", p0=None) -> FitResu
 
 def fit_saturation(spectrum: Spectrum, p0=None) -> FitResult:
     """Fit gamma(P) = gamma0*sqrt(1+P/Psat) to linewidth-vs-power data."""
-    if len(spectrum.x) < 3:
-        raise FitError("saturation fit needs at least 3 power points "
-                       "(2 parameters are unidentifiable from fewer)")
     return lm_fit(SATURATION, spectrum, p0)
 
 

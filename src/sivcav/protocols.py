@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from ._table import csv_text, json_text
 from .config import ProtocolConfig
-from .constants import TWO_PI
-from .errors import SivCavError
+from .errors import DomainError, SivCavError
 
 # Each runner and builder imports the physics it uses when it is called, so a
 # run loads only its own protocol's modules (and `numpy.random` only where it
@@ -114,18 +113,16 @@ def build_spin_pump_params(d: dict):
 def build_cpt_params(d: dict):
     from .dynamics import CptParams
 
-    if d["t2_star_ns"] is not None:
-        gamma_s = 1.0 / (TWO_PI * d["t2_star_ns"] * 1e-9)
-    else:
-        gamma_s = d["gamma_s_mhz"] * 1e6
-    return CptParams(
+    fields = dict(
         rabi_pump=d["rabi_pump_mhz"] * 1e6,
         rabi_probe=d["rabi_probe_mhz"] * 1e6,
         optical_rate=d["optical_rate_mhz"] * 1e6,
-        gamma_s=gamma_s,
         f_s=d["f_s_ghz"] * 1e9,
         detuning_split=d["detuning_split"],
     )
+    if d["t2_star_ns"] is not None:
+        return CptParams.from_t2_star(d["t2_star_ns"] * 1e-9, **fields)
+    return CptParams(gamma_s=d["gamma_s_mhz"] * 1e6, **fields)
 
 
 def build_magnets(items: list) -> list:
@@ -192,8 +189,8 @@ def _run_pump_probe(cfg):
 
     emitter = build_ple_emitter(cfg.blocks["emitter"])
     pump_cfg = cfg.blocks["pump"]
-    target = [t for t in emitter.table.sublevel
-              if t.parent == pump_cfg["parent"] and t.label == pump_cfg["line"]]
+    target = [t for t in emitter.table.lines_of(pump_cfg["parent"])
+              if t.label == pump_cfg["line"]]
     if not target:
         raise SivCavError(
             f"pump line {pump_cfg['parent']}{pump_cfg['line']} not in table")
@@ -210,13 +207,10 @@ def _run_pump_probe(cfg):
                                   t1=t1)
     without = simulate_ple_scan([emitter], freqs)
     y_pump = _maybe_noise(with_pump.y, cfg)
-    # spin_splitting(model), read from the table built of the same model
     table = emitter.table
-    split = ((table.f_s_ground, table.f_s_excited) if table.spin_resolved
-             else (0.0, 0.0))
     fits = {"pump_frequency_hz": pump_freq,
-            "spin_splitting_ghz": {"f_s_ground": float(split[0]) / 1e9,
-                                   "f_s_excited": float(split[1]) / 1e9,
+            "spin_splitting_ghz": {"f_s_ground": float(table.f_s_ground) / 1e9,
+                                   "f_s_excited": float(table.f_s_excited) / 1e9,
                                    "degenerate": not table.spin_resolved}}
     return _Table(["x", "value", "value_no_pump"], [freqs, y_pump, without.y], fits)
 
@@ -317,12 +311,11 @@ def _run_cavity_fit(cfg):
 
 
 def _run_saturation(cfg):
-    from .fitting import Spectrum, fit_saturation
+    from .fitting import SATURATION, Spectrum, fit_saturation
 
     s = cfg.blocks["synthetic"]
     powers = np.linspace(s["power_max"] / s["points"], s["power_max"], s["points"])
-    gamma0 = s["gamma0_mhz"] * 1e6
-    y = gamma0 * np.sqrt(1.0 + powers / s["p_sat"])
+    y = SATURATION.func(powers, (s["gamma0_mhz"] * 1e6, s["p_sat"]))
     if s["noise_rel"] > 0:
         y = y * (1.0 + np.random.default_rng(cfg.seed).normal(
             0.0, s["noise_rel"], size=y.shape))
@@ -363,8 +356,8 @@ def _run_magnet_map(cfg):
 
 
 def _run_cooperativity(cfg):
-    from .cqed import cooperativity_from_linewidths, g_from_cooperativity, \
-        purcell_broadened_linewidth
+    from .cqed import BAD_CAVITY_RTOL, cooperativity_from_linewidths, \
+        g_from_cooperativity, purcell_broadened_linewidth, single_excitation_linewidth
 
     c = cfg.blocks["cooperativity"]
     gamma_on = c["gamma_on_mhz"] * 1e6
@@ -372,7 +365,15 @@ def _run_cooperativity(cfg):
     kappa = c["kappa_ghz"] * 1e9
     detuning = c["detuning_over_kappa"] * kappa
     coop, ok = cooperativity_from_linewidths(gamma_on, gamma0, detuning, kappa)
-    g = g_from_cooperativity(max(coop, 0.0), kappa, gamma0)
+    c_model = max(coop, 0.0)
+    g = g_from_cooperativity(c_model, kappa, gamma0)
+    closed = purcell_broadened_linewidth(c_model, detuning, kappa, gamma0)
+    exact = single_excitation_linewidth(g, detuning, kappa, gamma0)
+    if not abs(closed - exact) <= BAD_CAVITY_RTOL * exact:
+        raise DomainError(
+            f"outside the bad-cavity regime: at C = {coop:.3g} the closed-form "
+            f"linewidth {closed / 1e6:.4g} MHz misses the exact {exact / 1e6:.4g} "
+            f"MHz by more than {BAD_CAVITY_RTOL:g} relative")
     fits = {
         "cooperativity_report": {
             "cooperativity": coop,
@@ -386,8 +387,7 @@ def _run_cooperativity(cfg):
     }
     # broadening-vs-detuning curve for plotting
     deltas = np.linspace(0.0, 6.0 * kappa, 121)
-    gam = np.array([purcell_broadened_linewidth(max(coop, 0.0), d, kappa, gamma0)
-                    for d in deltas])
+    gam = purcell_broadened_linewidth(c_model, deltas, kappa, gamma0)
     return _Table(["x", "value"], [deltas, gam], fits)
 
 

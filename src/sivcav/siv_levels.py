@@ -41,7 +41,6 @@ __all__ = [
     "build_hamiltonian",
     "manifold_eigensystem",
     "transition_table",
-    "spin_splitting",
 ]
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -227,7 +226,7 @@ class TransitionTable:
     sublevel: tuple
     delta_gs: float
     delta_es: float
-    f_s_ground: float
+    f_s_ground: float     # Hz, lower-branch spin splittings; 0.0 at zero field
     f_s_excited: float
     spin_resolved: bool   # False at zero field (spin characters undefined)
 
@@ -244,81 +243,52 @@ def _spin_character(raw_overlap: float, spin_resolved: bool) -> str:
 
 
 def transition_table(model: SivModel) -> TransitionTable:
-    """Optical lines A..D and their spin sublevel structure."""
+    """Optical lines A..D and their spin sublevel structure.
+
+    `f_s_ground` and `f_s_excited` are the spin splittings of the lower
+    orbital branch of each manifold: exactly 0.0 at zero field, where the
+    table is not spin-resolved.
+    """
     b = model.b_field_defect_frame()
     wg, vg = manifold_eigensystem(model.ground, b)
     we, ve = manifold_eigensystem(model.excited, b)
     spin_resolved = float(np.linalg.norm(b)) > _ZERO_FIELD_TESLA
 
-    branches = {"lower": (0, 1), "upper": (2, 3)}
-    parents = [
-        ("lower", "upper"),  # ground lower -> excited upper
-        ("upper", "upper"),
-        ("lower", "lower"),
-        ("upper", "lower"),
-    ]
-    entries = []
-    for gbr, ebr in parents:
-        gi = branches[gbr]
-        ei = branches[ebr]
-        freq = model.zpl_center + 0.5 * (we[ei[0]] + we[ei[1]]) \
-            - 0.5 * (wg[gi[0]] + wg[gi[1]])
-        subs = []
-        for i in gi:
-            for f_ in ei:
-                raw = _spin_overlap_sq(vg[:, i], ve[:, f_])
-                subs.append({
-                    "frequency": model.zpl_center + we[f_] - wg[i],
-                    "raw": raw,
-                    "ground_energy": wg[i],
-                    "excited_energy": we[f_],
-                })
-        entries.append({"frequency": freq, "subs": subs})
+    # centroids of the lower (0, 1) and upper (2, 3) orbital branch; each
+    # parent line joins a ground and an excited branch (0 lower, 1 upper)
+    cg = (0.5 * (wg[0] + wg[1]), 0.5 * (wg[2] + wg[3]))
+    ce = (0.5 * (we[0] + we[1]), 0.5 * (we[2] + we[3]))
+    parents = [(model.zpl_center + ce[eb] - cg[gb], gb, eb)
+               for gb, eb in ((0, 1), (1, 1), (0, 0), (1, 0))]
 
-    # label parents A..D by descending parent frequency
-    entries.sort(key=lambda e: -e["frequency"])
+    # label parents A..D, and the lines of each 1..4, by descending frequency
+    parents.sort(key=lambda p: -p[0])
     optical = []
     sublevel = []
-    for parent_label, entry in zip("ABCD", entries):
-        optical.append(OpticalLine(parent_label, entry["frequency"]))
-        subs = sorted(entry["subs"], key=lambda s: -s["frequency"])
-        norm = sum(s["raw"] for s in subs)
-        for k, s in enumerate(subs, start=1):
-            weight = s["raw"] / norm if norm > 0 else 0.25
+    for parent_label, (freq, gb, eb) in zip("ABCD", parents):
+        optical.append(OpticalLine(parent_label, freq))
+        lines = sorted(((model.zpl_center + we[f] - wg[i], i, f)
+                        for i in (2 * gb, 2 * gb + 1) for f in (2 * eb, 2 * eb + 1)),
+                       key=lambda line: -line[0])
+        raw = [_spin_overlap_sq(vg[:, i], ve[:, f]) for _, i, f in lines]
+        norm = sum(raw)
+        for k, ((f_line, i, f), r) in enumerate(zip(lines, raw), start=1):
             sublevel.append(SublevelTransition(
                 label=str(k),
                 parent=parent_label,
-                frequency=s["frequency"],
-                dipole_weight=weight,
-                spin_character=_spin_character(s["raw"], spin_resolved),
-                ground_energy=s["ground_energy"],
-                excited_energy=s["excited_energy"],
+                frequency=f_line,
+                dipole_weight=r / norm if norm > 0 else 0.25,
+                spin_character=_spin_character(r, spin_resolved),
+                ground_energy=wg[i],
+                excited_energy=we[f],
             ))
 
     return TransitionTable(
         optical=tuple(optical),
         sublevel=tuple(sublevel),
-        delta_gs=0.5 * (wg[2] + wg[3]) - 0.5 * (wg[0] + wg[1]),
-        delta_es=0.5 * (we[2] + we[3]) - 0.5 * (we[0] + we[1]),
-        f_s_ground=wg[1] - wg[0],
-        f_s_excited=we[1] - we[0],
+        delta_gs=cg[1] - cg[0],
+        delta_es=ce[1] - ce[0],
+        f_s_ground=wg[1] - wg[0] if spin_resolved else 0.0,
+        f_s_excited=we[1] - we[0] if spin_resolved else 0.0,
         spin_resolved=spin_resolved,
     )
-
-
-def spin_splitting(model: SivModel) -> dict:
-    """Spin splittings of the lower orbital branch of each manifold, Hz.
-
-    Returns {'f_s_ground', 'f_s_excited', 'degenerate'}; at zero field the
-    splittings are zero and the degeneracy flag is set.
-    """
-    b = model.b_field_defect_frame()
-    if float(np.linalg.norm(b)) <= _ZERO_FIELD_TESLA:
-        return {"f_s_ground": 0.0, "f_s_excited": 0.0, "degenerate": True}
-    wg, _ = manifold_eigensystem(model.ground, b)
-    we, _ = manifold_eigensystem(model.excited, b)
-    return {
-        "f_s_ground": float(wg[1] - wg[0]),
-        "f_s_excited": float(we[1] - we[0]),
-        "degenerate": False,
-    }

@@ -39,7 +39,7 @@ from sivcav.fitting import (
 )
 from sivcav.magnetics import assembly_field
 from sivcav.protocols import build_magnets, build_siv_model, run_protocol
-from sivcav.siv_levels import spin_splitting
+from sivcav.siv_levels import transition_table
 
 from test_dynamics_engine import (
     diagonal_state,
@@ -121,7 +121,7 @@ def test_criterion_04_zeeman_consistency():
     model_dict = dict(emitter_cfg.blocks["emitter"]["model"])
     model_dict["b_field_t"] = [float(v) for v in b]  # field from the assembly
     model = build_siv_model(model_dict)
-    fs = spin_splitting(model)["f_s_ground"]
+    fs = transition_table(model).f_s_ground
     elapsed = time.perf_counter() - t0
     assert abs(fs - 6.8e9) <= 0.5e9
     assert elapsed < 5.0

@@ -7,11 +7,13 @@ from scipy.integrate import quad
 
 from sivcav.constants import C_LIGHT
 from sivcav.cqed import (
+    BAD_CAVITY_RTOL,
     cooperativity_from_linewidths,
     g_from_cooperativity,
     lorentzian,
     purcell_broadened_linewidth,
     q_factor,
+    single_excitation_linewidth,
 )
 from sivcav.dynamics.engine import Decay, Drive, Level, LevelSystem, _liouvillian
 from sivcav.errors import DomainError, InvalidParameterError
@@ -91,13 +93,6 @@ class TestPurcellBroadening:
         assert np.all(vals >= GAMMA0)
 
 
-def single_excitation_rate(g, detuning, kappa, gamma0):
-    """-2 Im(lambda) of the emitter-like eigenvalue of the non-Hermitian
-    Hamiltonian on {|e,0>, |g,1>}, in Hz: the exact broadened linewidth."""
-    h = np.array([[-0.5j * gamma0, g], [g, -detuning - 0.5j * kappa]])
-    return float(np.min(-2.0 * np.linalg.eigvals(h).imag))
-
-
 def engine_rates(g, detuning, kappa, gamma0):
     """Decay rates -Re(mu)/pi, in Hz, of every Liouvillian eigenvalue mu of
     the three-level system g0, g1 (one cavity photon), e0: a drive g1-e0 of
@@ -124,7 +119,7 @@ class TestBadCavityOracle:
     def check(g, detuning, kappa, gamma0):
         c = 4.0 * g * g / (kappa * gamma0)
         closed = purcell_broadened_linewidth(c, detuning, kappa, gamma0)
-        exact = single_excitation_rate(g, detuning, kappa, gamma0)
+        exact = single_excitation_linewidth(g, detuning, kappa, gamma0)
         bound = 5.0 * (g / kappa) ** 2 + 2.0 * gamma0 / kappa
         assert abs(closed - exact) <= bound * exact
         rates = engine_rates(g, detuning, kappa, gamma0)
@@ -151,6 +146,33 @@ class TestBadCavityOracle:
         assert closed == pytest.approx(GAMMA_ON, rel=1e-12)
         assert exact == pytest.approx(203.034e6, abs=1e3)
         assert (exact - closed) / closed == pytest.approx(1.7e-4, abs=0.05e-4)
+
+    # gamma0 = 157 MHz broadened to 203 MHz at smaller kappa: (kappa,
+    # Delta/kappa, (exact - closed) / closed); `cooperativity_report` accepts
+    # a miss within BAD_CAVITY_RTOL of the exact linewidth
+    @pytest.mark.parametrize("kappa, det, miss, accepted", [
+        (273e9, 0.042, 1.7e-4, True),
+        (10e9, 0.0, 4.7e-3, True),
+        (1e9, 0.0, 6.2e-2, False),
+        # kappa < gamma0: the emitter-like rate, 130.4 MHz, is the faster one
+        (0.1e9, 0.042, -0.357, False),
+    ])
+    def test_regime_table(self, kappa, det, miss, accepted):
+        c, _ = cooperativity_from_linewidths(GAMMA_ON, GAMMA0, det * kappa, kappa)
+        g = g_from_cooperativity(c, kappa, GAMMA0)
+        closed = purcell_broadened_linewidth(c, det * kappa, kappa, GAMMA0)
+        exact = single_excitation_linewidth(g, det * kappa, kappa, GAMMA0)
+        assert (exact - closed) / closed == pytest.approx(miss, rel=0.05)
+        assert (abs(closed - exact) <= BAD_CAVITY_RTOL * exact) == accepted
+
+    def test_deep_bad_cavity_keeps_full_precision(self):
+        # kappa / gamma0 = 1e20: an eigensolver's u * kappa would swamp
+        # gamma0, while the closed form is exact to O(gamma0 / kappa)
+        kappa = 1e20 * GAMMA0
+        g = g_from_cooperativity(0.3, kappa, GAMMA0)
+        exact = single_excitation_linewidth(g, 0.042 * kappa, kappa, GAMMA0)
+        closed = purcell_broadened_linewidth(0.3, 0.042 * kappa, kappa, GAMMA0)
+        assert exact == pytest.approx(closed, rel=1e-14)
 
 
 class TestCooperativity:

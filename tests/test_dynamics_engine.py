@@ -300,6 +300,26 @@ class TestPropagate:
                                match="^duration must be finite and >= 0$"):
                 propagate(sys, rho0, bad)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_norm_is_the_liouvillians(self, seed):
+        sys = random_system(np.random.default_rng(seed), 4)
+        assert engine._norm1(sys) == pytest.approx(
+            np.linalg.norm(engine._liouvillian(sys), 1), rel=1e-14)
+
+    def test_rate_times_time_beyond_float64_is_a_domain_error(self, monkeypatch):
+        # ||L||_1 = 2 (2 pi gamma) for a decay at gamma: past the limit the
+        # error names the product, before any eigendecomposition
+        sys = two_level(decay=1e6)
+        limit = engine._MAX_NORM_TIME
+        t_max = limit / (4.0 * math.pi * 1e6)
+        rho0 = diagonal_state([0, 1])
+        assert np.isfinite(propagate(sys, rho0, [0.0, 0.999 * t_max])).all()
+        sys = two_level(decay=1e6)
+        monkeypatch.setattr(np.linalg, "eig", None)
+        with pytest.raises(DomainError, match=r"^\|\|L\|\|_1 \* t = 9\.01e\+07 exceeds "
+                                              r"9\.01e\+07, beyond which float64 roundoff"):
+            propagate(sys, rho0, [0.0, 1.0001 * t_max])
+
     def test_rho0_of_wrong_shape_rejected(self):
         sys = two_level(decay=1e6)
         for bad in (np.eye(3) / 3, np.ones(4) / 2, np.zeros((2, 2, 3)),

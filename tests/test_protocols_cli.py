@@ -18,7 +18,7 @@ from sivcav.cli import main as cli_main
 from sivcav.config import ProtocolConfig, load_config, validate_tree
 from sivcav.errors import ConfigError
 from sivcav.protocols import build_siv_model, run_protocol
-from sivcav.siv_levels import spin_splitting
+from sivcav.siv_levels import transition_table
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -76,6 +76,14 @@ def write_cfg(tmp_path, tree, name="test.cfg"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(tree))
     return str(path)
+
+
+def edited(name, leaf):
+    """The tree of shipped config `name` with `leaf` = (*path, key, value) set."""
+    *path, key, value = leaf
+    tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
+    functools.reduce(operator.getitem, path, tree)[key] = value
+    return tree
 
 
 def child_env():
@@ -487,12 +495,12 @@ class TestRunProtocol:
         cfg = load_config(write_cfg(tmp_path, tree))
         manifest = run_protocol(cfg, out_dir=str(tmp_path / "o"))
         fits = json.loads((Path(manifest.out_dir) / "fits.json").read_text())
-        expected = spin_splitting(build_siv_model(cfg.blocks["emitter"]["model"]))
-        assert expected["degenerate"] == (b_field_t is not None)
+        expected = transition_table(build_siv_model(cfg.blocks["emitter"]["model"]))
+        assert expected.spin_resolved == (b_field_t is None)
         assert fits["spin_splitting_ghz"] == {
-            "f_s_ground": expected["f_s_ground"] / 1e9,
-            "f_s_excited": expected["f_s_excited"] / 1e9,
-            "degenerate": expected["degenerate"]}
+            "f_s_ground": expected.f_s_ground / 1e9,
+            "f_s_excited": expected.f_s_excited / 1e9,
+            "degenerate": not expected.spin_resolved}
 
     def test_pump_only_rows_are_solved_once(self, tmp_path, monkeypatch):
         # the shipped scan's points that drive only the pump line (72 of 481)
@@ -680,14 +688,53 @@ class TestCli:
         ("cooperativity_report", ("cooperativity", "gamma_on_mhz", 1e300)),
     ])
     def test_huge_leaf_is_a_one_line_runtime_error(self, tmp_path, capsys, name, leaf):
-        *path, key, value = leaf
-        tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
-        functools.reduce(operator.getitem, path, tree)[key] = value
-        rc = cli_main(["run", write_cfg(tmp_path, tree), "--out", str(tmp_path)])
+        rc = cli_main(["run", write_cfg(tmp_path, edited(name, leaf)),
+                       "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    # leaves that a model does not describe or float64 does not carry, each
+    # named by its one `error:` line, with exit 2: the cavity outside the
+    # bad-cavity regime (kappa below gamma0 itself), and ground flip rates
+    # near 1e191 and 1e281 Hz over microsecond delays
+    @pytest.mark.parametrize("name, leaf, message", [
+        ("cooperativity_report", ("cooperativity", "kappa_ghz", 0.1),
+         "protocol 'cooperativity_report': outside the bad-cavity regime: "
+         "at C = 0.295 the closed-form linewidth 203 MHz misses the exact "
+         "130.4 MHz by more than 0.01 relative\n"),
+        ("fig4_t1", ("spin_pump", "t1_ns", 1e-200),
+         "protocol 't1_recovery': ||L||_1 * t = 1e+203 exceeds 9.01e+07, "
+         "beyond which float64 roundoff breaks the 1e-8 trace tolerance\n"),
+        ("fig4_t1", ("spin_pump", "t1_ns", 1e-290),
+         "protocol 't1_recovery': ||L||_1 * t = 1e+293 exceeds 9.01e+07, "
+         "beyond which float64 roundoff breaks the 1e-8 trace tolerance\n"),
+    ])
+    def test_unmodelled_physics_is_a_named_runtime_error(self, tmp_path, capsys,
+                                                         name, leaf, message):
+        rc = cli_main(["run", write_cfg(tmp_path, edited(name, leaf)),
+                       "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}"
+
+    # fits that overflowed inside `lm_fit` leaked RuntimeWarnings (12 and 2
+    # stderr lines) before exit 0; the unconverged fit with its null sigma
+    # is now written in silence
+    @pytest.mark.parametrize("name, leaf, fit, sigma", [
+        ("fig3_saturation", ("synthetic", "gamma0_mhz", 1e300),
+         "saturation", "gamma0_sigma_mhz"),
+        ("fig4_cpt", ("cpt", "optical_rate_mhz", 1e-300),
+         "cpt_dip", "dip_fwhm_sigma_mhz"),
+    ])
+    def test_overflowing_fit_is_silent(self, tmp_path, name, leaf, fit, sigma):
+        proc = run_cli("run", write_cfg(tmp_path, edited(name, leaf)),
+                       "--out", str(tmp_path / "o"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        fits = json.loads(Path(proc.stdout.strip(), "fits.json").read_text())
+        assert fits[fit]["converged"] is False
+        assert fits[fit][sigma] is None
 
     # counts so large that the run would die allocating its arrays, with a
     # traceback, or run out of memory: each fails validation, with one
@@ -708,10 +755,7 @@ class TestCli:
     ])
     def test_huge_count_is_a_one_line_config_error(self, tmp_path, capsys, name,
                                                    leaf):
-        *path, key, value = leaf
-        tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
-        functools.reduce(operator.getitem, path, tree)[key] = value
-        cfg = write_cfg(tmp_path, tree)
+        cfg = write_cfg(tmp_path, edited(name, leaf))
         for argv in (["validate", cfg], ["run", cfg, "--out", str(tmp_path)]):
             rc = cli_main(argv)
             out, err = capsys.readouterr()
@@ -784,7 +828,7 @@ class TestCli:
             raise AssertionError(f"non-JSON constant {constant}")
 
         payload = json.loads(out, parse_constant=reject)
-        assert payload["flags"] == ["jacobian_overflow"]
+        assert payload["flags"] == ["jacobian_overflow", "singular_covariance"]
         assert {v["sigma"] for v in payload["params"].values()} == {None}
 
     def test_fit_header_is_the_first_non_empty_row(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from sivcav.siv_levels import (
     SivModel,
     build_hamiltonian,
     manifold_eigensystem,
-    spin_splitting,
     transition_table,
 )
 
@@ -84,9 +83,9 @@ class TestHamiltonian:
         m = ManifoldParams(lambda_so=46e9, quench_f=0.0, g_spin=2.0)
         model = SivModel(m, ManifoldParams(lambda_so=255e9, quench_f=0.0),
                          ZPL, b_field=(0.243, 0.0, 0.0), axis=(1, 0, 0))
-        out = spin_splitting(model)
-        assert out["f_s_ground"] == pytest.approx(6.8e9, abs=0.05e9)
-        assert out["f_s_excited"] == pytest.approx(out["f_s_ground"], rel=1e-9)
+        out = transition_table(model)
+        assert out.f_s_ground == pytest.approx(6.8e9, abs=0.05e9)
+        assert out.f_s_excited == pytest.approx(out.f_s_ground, rel=1e-9)
 
     def test_hermiticity_random(self):
         rng = np.random.default_rng(8)
@@ -228,9 +227,12 @@ class TestTransitionTable:
 
 
 class TestSpinSplitting:
+    """The lower-branch spin splittings the transition table carries."""
+
     def test_zero_field_degenerate(self):
-        out = spin_splitting(SivModel(GROUND, EXCITED, ZPL))
-        assert out == {"f_s_ground": 0.0, "f_s_excited": 0.0, "degenerate": True}
+        out = transition_table(SivModel(GROUND, EXCITED, ZPL))
+        assert out.spin_resolved is False
+        assert out.f_s_ground == 0.0 and out.f_s_excited == 0.0
 
     def test_pure_spin_zeeman_analytic(self):
         # quench 0 and field along the symmetry axis: g * muB * B / h in both
@@ -239,24 +241,24 @@ class TestSpinSplitting:
         e = ManifoldParams(lambda_so=255e9, quench_f=0.0, g_spin=2.0)
         b_mag = 0.18
         model = SivModel(g, e, ZPL, b_field=(0, 0, b_mag))
-        out = spin_splitting(model)
+        out = transition_table(model)
         expected = 2.0 * MU_B_OVER_H * b_mag
-        assert out["f_s_ground"] == pytest.approx(expected, rel=1e-9)
-        assert out["f_s_excited"] == pytest.approx(expected, rel=1e-9)
+        assert out.f_s_ground == pytest.approx(expected, rel=1e-9)
+        assert out.f_s_excited == pytest.approx(expected, rel=1e-9)
 
     def test_axial_field_orbital_contribution(self):
         # aligned field, no strain: lower-branch splitting (g + 2 f) muB B
         model = SivModel(GROUND, EXCITED, ZPL, b_field=(0, 0, 0.243))
-        out = spin_splitting(model)
+        out = transition_table(model)
         expected = (2.0 + 2 * 0.1) * MU_B_OVER_H * 0.243
-        assert out["f_s_ground"] == pytest.approx(expected, rel=1e-9)
+        assert out.f_s_ground == pytest.approx(expected, rel=1e-9)
 
     def test_ground_excited_differ_with_strain(self):
         g = ManifoldParams(lambda_so=46e9, strain_alpha=15e9, strain_beta=8e9)
         e = ManifoldParams(lambda_so=255e9, strain_alpha=250e9, strain_beta=100e9)
         model = SivModel(g, e, ZPL, b_field=(0, 0, 0.25))
-        out = spin_splitting(model)
-        assert abs(out["f_s_excited"] - out["f_s_ground"]) > 1e8
+        out = transition_table(model)
+        assert abs(out.f_s_excited - out.f_s_ground) > 1e8
 
 
 class TestModelValidation:
@@ -277,8 +279,8 @@ class TestModelValidation:
         # (field along lab z, axis z)
         m1 = SivModel(GROUND, EXCITED, ZPL, b_field=(0.2, 0, 0), axis=(1, 0, 0))
         m2 = SivModel(GROUND, EXCITED, ZPL, b_field=(0, 0, 0.2), axis=(0, 0, 1))
-        s1, s2 = spin_splitting(m1), spin_splitting(m2)
-        assert s1["f_s_ground"] == pytest.approx(s2["f_s_ground"], rel=1e-12)
+        s1, s2 = transition_table(m1), transition_table(m2)
+        assert s1.f_s_ground == pytest.approx(s2.f_s_ground, rel=1e-12)
 
     def test_overflowing_field_is_a_domain_error(self):
         # a finite lab-frame field whose defect-frame component overflows
