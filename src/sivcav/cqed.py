@@ -1,7 +1,7 @@
 """Cavity-QED parameter algebra.
 
-Relates measured linewidths to the coupled-system figures of merit: Lorentzian
-cavity lines, detuning-dependent Purcell broadening and the cooperativity
+Relates measured linewidths to the coupled-system figures of merit: Q factors,
+detuning-dependent Purcell broadening and the cooperativity
 
     C = 4 g^2 / (kappa * gamma0).
 
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError
 
 __all__ = [
-    "lorentzian",
     "q_factor",
     "purcell_broadened_linewidth",
     "cooperativity_from_linewidths",
@@ -38,19 +37,6 @@ __all__ = [
 #: largest relative miss of the closed-form Purcell-broadened linewidth
 #: against `single_excitation_linewidth` that counts as the bad-cavity regime
 BAD_CAVITY_RTOL = 1e-2
-
-
-def lorentzian(nu, center, fwhm, amplitude=1.0, offset=0.0):
-    """Lorentzian line, peak value amplitude+offset at `center`.
-
-    Accepts scalar or array `nu`.
-    """
-    if fwhm <= 0:
-        raise InvalidParameterError("fwhm must be positive")
-    nu = np.asarray(nu, dtype=float)
-    half = 0.5 * fwhm
-    out = amplitude * half ** 2 / ((nu - center) ** 2 + half ** 2) + offset
-    return float(out) if out.ndim == 0 else out
 
 
 def q_factor(resonance_freq: float, fwhm: float) -> float:

@@ -345,13 +345,14 @@ class PleEmitter:
             raise InvalidParameterError("temperature must be positive")
 
     def ground_populations(self) -> dict:
-        """Boltzmann weights of the distinct ground-state energies."""
-        energies = sorted({t.ground_energy for t in self.table.sublevel})
-        e0 = energies[0]
-        weights = [math.exp(-(e - e0) / (K_B_OVER_H * self.temperature))
-                   for e in energies]
+        """Boltzmann weights of the table's ground states, keyed by state index."""
+        energy = {t.ground_state: t.ground_energy for t in self.table.sublevel}
+        states = sorted(energy)
+        e0 = energy[states[0]]
+        weights = [math.exp(-(energy[i] - e0) / (K_B_OVER_H * self.temperature))
+                   for i in states]
         z = sum(weights)
-        return {e: w / z for e, w in zip(energies, weights)}
+        return {i: w / z for i, w in zip(states, weights)}
 
 
 def _two_level_excited_population(rabi_hz, detuning_hz, gamma_hz):
@@ -369,17 +370,10 @@ def _single_laser_signal(emitter: PleEmitter, freqs: np.ndarray) -> np.ndarray:
         if t.dipole_weight <= 0:
             continue
         om = emitter.rabi * math.sqrt(t.dipole_weight)
-        pop = pops[t.ground_energy]
+        pop = pops[t.ground_state]
         out += pop * emitter.linewidth * _two_level_excited_population(
             om, freqs - t.frequency, emitter.linewidth)
     return out
-
-
-def _lower_branch_transitions(table: TransitionTable):
-    """Sublevel lines whose ground state lies in the lower orbital branch."""
-    ground_energies = sorted({t.ground_energy for t in table.sublevel})
-    lower = set(ground_energies[:2])
-    return [t for t in table.sublevel if t.ground_energy in lower], sorted(lower)
 
 
 #: a pump-probe laser drives no line farther than this many linewidths away
@@ -389,46 +383,46 @@ _PUMP_PROBE_CUTOFF_LINEWIDTHS = 50.0
 def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi, t1=None):
     """Two-laser steady state over a reduced system per choice of lines.
 
-    Only transitions starting from the lower (thermally occupied) orbital
-    ground branch participate; each laser couples to its nearest transition
+    Only transitions from ground states 0 and 1 (the thermally occupied lower
+    orbital branch) participate; each laser couples to its nearest transition
     within `_PUMP_PROBE_CUTOFF_LINEWIDTHS`. Excited-state decay branches to
     the two ground sublevels with the table's dipole weights, renormalized
     over that pair (standing in for fast orbital relaxation of any
     population that leaves the doublet). The scan points that drive the same
     lines share one template system and are solved in one stack over their
-    detunings.
+    detunings. Template levels are named by state index: g0, g1, e<index>.
     """
-    candidates, grounds = _lower_branch_transitions(emitter.table)
-    if len(grounds) != 2:
-        raise InvalidParameterError("pump-probe scan needs a spin-resolved table")
-    g_label = {grounds[0]: "g1", grounds[1]: "g2"}
+    candidates = [t for t in emitter.table.sublevel if t.ground_state < 2]
     cutoff = _PUMP_PROBE_CUTOFF_LINEWIDTHS * emitter.linewidth
     gam = emitter.linewidth
 
-    # decay branching per excited state, renormalized over the ground doublet
+    # level energies by label, and decay branching per excited state,
+    # renormalized over the ground doublet
+    energy = {}
     branch = {}
     for t in candidates:
-        branch.setdefault(t.excited_energy, {})[t.ground_energy] = t.dipole_weight
+        energy[f"g{t.ground_state}"] = t.ground_energy
+        energy[f"e{t.excited_state}"] = 4.068e14 + t.excited_energy
+        branch.setdefault(t.excited_state, {})[t.ground_state] = t.dipole_weight
 
     def template(chosen):
-        levels = [Level("g1", grounds[0]), Level("g2", grounds[1])]
-        excited = sorted({t.excited_energy for t, _, _ in chosen})
-        e_label = {e: f"e{k}" for k, e in enumerate(excited)}
-        levels += [Level(e_label[e], 4.068e14 + e) for e in excited]
+        excited = sorted({t.excited_state for t, _, _ in chosen})
+        labels = ["g0", "g1"] + [f"e{f}" for f in excited]
         drives = [
-            Drive(g_label[t.ground_energy], e_label[t.excited_energy],
+            Drive(f"g{t.ground_state}", f"e{t.excited_state}",
                   rabi * math.sqrt(t.dipole_weight))
             for t, rabi, _ in chosen
         ]
         decays = []
-        for e in excited:
-            weights = branch[e]
+        for f in excited:
+            weights = branch[f]
             total = sum(weights.values())
-            for ge, wt in weights.items():
-                decays.append(Decay(e_label[e], g_label[ge], gam * wt / total))
+            for i, wt in weights.items():
+                decays.append(Decay(f"e{f}", f"g{i}", gam * wt / total))
         if t1 is not None:
-            decays += _spin_flips(t1, "g1", "g2")
-        return LevelSystem(tuple(levels), tuple(drives), tuple(decays))
+            decays += _spin_flips(t1, "g0", "g1")
+        return LevelSystem(tuple(Level(lb, energy[lb]) for lb in labels),
+                           tuple(drives), tuple(decays))
 
     # nearest line to each scan point and to the pump (first of equals);
     # -1 beyond the cutoff
@@ -441,8 +435,8 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi, t1=None
     groups = {}  # probe line -> scan indices; -1 where the probe adds no line
     for i, j in enumerate(nearest[:-1].tolist()):
         if j >= 0 and t_pump is not None and (
-                candidates[j].ground_energy == t_pump.ground_energy
-                and candidates[j].excited_energy == t_pump.excited_energy):
+                (candidates[j].ground_state, candidates[j].excited_state)
+                == (t_pump.ground_state, t_pump.excited_state)):
             j = -1
         groups.setdefault(j, []).append(i)
     out = np.zeros_like(freqs)

@@ -145,6 +145,16 @@ def assembly_field(magnets, points) -> np.ndarray:
     return out
 
 
+def _finite_norm(v, name: str) -> float:
+    """Euclidean norm of `v`; DomainError when it overflows float64."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if not math.isfinite(n):
+        raise DomainError(f"{name} overflows float64: its largest component "
+                          f"is {np.max(np.abs(v)):.3g}")
+    return n
+
+
 def field_angle(b, axis) -> float:
     """Signed angle (degrees) between field `b` and `axis`, in (-180, 180].
 
@@ -155,13 +165,14 @@ def field_angle(b, axis) -> float:
     """
     b = np.asarray(b, dtype=float)
     axis = np.asarray(axis, dtype=float)
-    nb, na = np.linalg.norm(b), np.linalg.norm(axis)
+    nb, na = _finite_norm(b, "field norm"), _finite_norm(axis, "axis norm")
     if nb == 0.0 or na == 0.0:
         raise DomainError("field_angle requires two nonzero vectors")
     a_hat = axis / na
     b_par = float(np.dot(b, a_hat))
     b_perp = b - b_par * a_hat
-    theta = math.degrees(math.atan2(np.linalg.norm(b_perp), b_par))
+    theta = math.degrees(math.atan2(_finite_norm(b_perp, "perpendicular field norm"),
+                                    b_par))
     ref = np.array([0.0, 0.0, 1.0])
     ref = ref - np.dot(ref, a_hat) * a_hat
     if np.linalg.norm(ref) < 1e-12:

@@ -191,9 +191,6 @@ def _run_pump_probe(cfg):
     pump_cfg = cfg.blocks["pump"]
     target = [t for t in emitter.table.lines_of(pump_cfg["parent"])
               if t.label == pump_cfg["line"]]
-    if not target:
-        raise SivCavError(
-            f"pump line {pump_cfg['parent']}{pump_cfg['line']} not in table")
     pump_freq = target[0].frequency + pump_cfg["detuning_mhz"] * 1e6
     parent_freq = [o.frequency for o in emitter.table.optical
                    if o.label == pump_cfg["parent"]][0]
@@ -285,15 +282,15 @@ def _run_cpt_scan(cfg):
 
 
 def _run_cavity_fit(cfg):
-    from .cqed import lorentzian, q_factor
-    from .fitting import Spectrum, fit_lorentzian
+    from .cqed import q_factor
+    from .fitting import LORENTZIAN, Spectrum, fit_lorentzian
 
     s = cfg.blocks["synthetic"]
     center = s["resonance_thz"] * 1e12
     kappa = s["kappa_ghz"] * 1e9
     half_span = 0.5 * s["span_ghz"] * 1e9
     nu = np.linspace(center - half_span, center + half_span, s["points"])
-    y = lorentzian(nu, center, kappa, s["amplitude"], s["offset"])
+    y = LORENTZIAN.func(nu, (center, kappa, s["amplitude"], s["offset"]))
     if s["noise_rel"] > 0:
         y = y + np.random.default_rng(cfg.seed).normal(
             0.0, s["noise_rel"] * s["amplitude"], size=y.shape)
@@ -333,7 +330,7 @@ def _run_saturation(cfg):
 
 
 def _run_magnet_map(cfg):
-    from .magnetics import assembly_field, field_angle, field_map_grid
+    from .magnetics import _finite_norm, assembly_field, field_angle, field_map_grid
 
     magnets = build_magnets(cfg.blocks["magnets"])
     axes = []
@@ -347,7 +344,7 @@ def _run_magnet_map(cfg):
         "pcc": {
             "point_mm": list(np.array(cfg.blocks["pcc_mm"], dtype=float)),
             "b_t": [float(v) for v in b_pcc],
-            "magnitude_t": float(np.linalg.norm(b_pcc)),
+            "magnitude_t": _finite_norm(b_pcc, "field magnitude at the pcc point"),
             "angle_from_x_deg": field_angle(b_pcc, (1.0, 0.0, 0.0)),
         }
     }

@@ -82,12 +82,6 @@ class ManifoldParams:
         if self.g_spin <= 0:
             raise InvalidParameterError("g_spin must be positive")
 
-    @property
-    def orbital_splitting(self) -> float:
-        """Zero-field splitting sqrt(lambda^2 + 4(alpha^2+beta^2)), Hz."""
-        return math.sqrt(self.lambda_so ** 2
-                         + 4.0 * (self.strain_alpha ** 2 + self.strain_beta ** 2))
-
 
 @dataclass(frozen=True)
 class SivModel:
@@ -218,6 +212,10 @@ class SublevelTransition:
     spin_character: str   # preserving | flipping | mixed | undefined
     ground_energy: float  # Hz, manifold eigenvalue of the lower state
     excited_energy: float  # Hz, manifold eigenvalue of the upper state
+    # indices of the two states into their manifold's ascending eigenvalues;
+    # 0 and 1 are the lower orbital branch
+    ground_state: int
+    excited_state: int
 
 
 @dataclass(frozen=True)
@@ -247,11 +245,19 @@ def transition_table(model: SivModel) -> TransitionTable:
 
     `f_s_ground` and `f_s_excited` are the spin splittings of the lower
     orbital branch of each manifold: exactly 0.0 at zero field, where the
-    table is not spin-resolved.
+    table is not spin-resolved. Raises DomainError when the manifold energies
+    reach the zero-phonon line center, where some line frequency
+    zpl + w_e - w_g can be zero or negative.
     """
     b = model.b_field_defect_frame()
     wg, vg = manifold_eigensystem(model.ground, b)
     we, ve = manifold_eigensystem(model.excited, b)
+    reach = np.max(np.abs(wg)) + np.max(np.abs(we))
+    if not reach < model.zpl_center:
+        raise DomainError(
+            f"manifold energies reach {reach:.3g} Hz (largest |ground| plus largest "
+            f"|excited| eigenvalue), not below the {model.zpl_center:.3g} Hz "
+            "zero-phonon line center: an optical line could have no positive frequency")
     spin_resolved = float(np.linalg.norm(b)) > _ZERO_FIELD_TESLA
 
     # centroids of the lower (0, 1) and upper (2, 3) orbital branch; each
@@ -281,6 +287,8 @@ def transition_table(model: SivModel) -> TransitionTable:
                 spin_character=_spin_character(r, spin_resolved),
                 ground_energy=wg[i],
                 excited_energy=we[f],
+                ground_state=i,
+                excited_state=f,
             ))
 
     return TransitionTable(

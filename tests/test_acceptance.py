@@ -17,7 +17,6 @@ from sivcav.constants import TWO_PI
 from sivcav.cqed import (
     cooperativity_from_linewidths,
     g_from_cooperativity,
-    lorentzian,
     purcell_broadened_linewidth,
     q_factor,
 )
@@ -30,6 +29,7 @@ from sivcav.dynamics import (
 from sivcav.dynamics.engine import _liouvillian
 from sivcav.dynamics.experiments import _fit_initialization
 from sivcav.fitting import (
+    LORENTZIAN,
     MODELS,
     Spectrum,
     fit_cpt_dip,
@@ -297,7 +297,7 @@ def test_criterion_09_fit_suite():
     nu0 = 406.8e12
     fwhm = nu0 / 1000.0
     nu = np.linspace(nu0 - 4 * fwhm, nu0 + 4 * fwhm, 301)
-    fit = fit_lorentzian(Spectrum(nu, lorentzian(nu, nu0, fwhm, 1.0, 0.02)))
+    fit = fit_lorentzian(Spectrum(nu, LORENTZIAN.func(nu, (nu0, fwhm, 1.0, 0.02))))
     q = q_factor(fit["center"], fit["fwhm"])
     assert abs(q - 1000.0) <= 10.0
     elapsed = time.perf_counter() - t0

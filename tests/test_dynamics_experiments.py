@@ -237,7 +237,8 @@ class TestCpt:
 def single_line_table(freq=406.8e12, weight=1.0):
     line = SublevelTransition(label="1", parent="C", frequency=freq,
                               dipole_weight=weight, spin_character="preserving",
-                              ground_energy=0.0, excited_energy=freq - 406.8e12)
+                              ground_energy=0.0, excited_energy=freq - 406.8e12,
+                              ground_state=0, excited_state=0)
     return TransitionTable(optical=(OpticalLine("C", freq),),
                            sublevel=(line,), delta_gs=46e9, delta_es=255e9,
                            f_s_ground=0.0, f_s_excited=0.0, spin_resolved=True)
@@ -351,6 +352,19 @@ class TestPleScan:
         spec = simulate_ple_scan([emitter], freqs, pump=(pump_freq, pump_rabi), t1=t1)
         ref = np.array([point_signal(float(nu)) for nu in freqs])
         assert np.max(np.abs(spec.y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_zero_field_is_the_vanishing_field_limit(self):
+        # the degenerate ground states at zero field are four states, not
+        # two energies: the signal matches 1 nT within roundoff
+        def scan(b_field):
+            model = SivModel(ManifoldParams(46e9, 30e9), ManifoldParams(255e9, 150e9),
+                             406.8e12, b_field=b_field)
+            emitter = PleEmitter(table=transition_table(model), linewidth=180e6,
+                                 rabi=25e6)
+            freqs = np.linspace(406.6e12, 406.7e12, 501)
+            return simulate_ple_scan([emitter], freqs).y
+
+        assert scan((0, 0, 0)) == pytest.approx(scan((0, 0, 1e-9)), rel=1e-6)
 
     def test_multiple_emitters_superpose(self):
         e1 = PleEmitter(table=single_line_table(406.80e12), linewidth=200e6,

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from sivcav.cqed import cooperativity_from_linewidths
 from sivcav.dynamics.experiments import SpinPumpParams, simulate_spin_pumping
@@ -47,6 +48,23 @@ MODEL_POINTS = {
     "cpt_dip": (np.linspace(-5, 5, 40), [0.2, 1.1, 0.8, 2.0]),
     "linear": (np.linspace(-3, 3, 40), [1.2, -0.4]),
 }
+
+
+class TestLorentzianLine:
+    def test_peak_value(self):
+        assert LORENTZIAN.func(5.0, (5.0, 2.0, 3.0, 0.5)) == pytest.approx(3.5)
+
+    def test_half_maximum_points(self):
+        for sign in (+1, -1):
+            val = LORENTZIAN.func(5.0 + sign * 1.0, (5.0, 2.0, 3.0, 0.5))
+            assert val == pytest.approx(3.0 / 2 + 0.5)
+
+    def test_integral_matches_quadrature(self):
+        # closed form: amplitude * pi * fwhm / 2 for the offset-free curve
+        amplitude, fwhm = 2.3, 0.7
+        num, _ = quad(lambda x: LORENTZIAN.func(x, (1.0, fwhm, amplitude, 0.0)),
+                      -np.inf, np.inf)
+        assert num == pytest.approx(amplitude * np.pi * fwhm / 2, rel=1e-9)
 
 
 class TestJacobians:

@@ -190,6 +190,15 @@ class TestFieldAngle:
         b = assembly_field(ASSEMBLY, PCC)
         assert field_angle(b, (1, 0, 0)) == pytest.approx(-10.0, abs=1.5)
 
+    @pytest.mark.parametrize("b, axis", [
+        ((1e300, 0, 0), (1, 0, 0)),
+        ((1, 0, 0), (0, 0, 1e200)),
+        ((1e200, 1e200, 0), (1, 0, 0)),
+    ])
+    def test_overflowing_norm_is_a_domain_error(self, b, axis):
+        with pytest.raises(DomainError, match="norm overflows float64"):
+            field_angle(b, axis)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             field_angle((0, 0, 0), (1, 0, 0))

@@ -78,11 +78,11 @@ def write_cfg(tmp_path, tree, name="test.cfg"):
     return str(path)
 
 
-def edited(name, leaf):
-    """The tree of shipped config `name` with `leaf` = (*path, key, value) set."""
-    *path, key, value = leaf
+def edited(name, *leaves):
+    """The tree of shipped config `name` with each leaf = (*path, key, value) set."""
     tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
-    functools.reduce(operator.getitem, path, tree)[key] = value
+    for *path, key, value in leaves:
+        functools.reduce(operator.getitem, path, tree)[key] = value
     return tree
 
 
@@ -475,6 +475,18 @@ class TestRunProtocol:
         assert report["cooperativity"] == pytest.approx(0.293, abs=0.01)
         assert report["g_ghz"] == pytest.approx(1.77, abs=0.05)
 
+    def test_cavity_fit_data_is_the_fitted_line_shape(self, tmp_path):
+        # one Lorentzian formula: the synthetic transmission is the fitted
+        # model bit for bit (a second formula missed it in the last bit at 247
+        # of these 401 points)
+        from sivcav.fitting import LORENTZIAN
+        from sivcav.protocols import _RUNNERS
+
+        tree = edited("fig1_cavity_fit", ("synthetic", "amplitude", 1.3),
+                      ("synthetic", "noise_rel", 0.0))
+        nu, y = _RUNNERS["cavity_fit"](load_config(write_cfg(tmp_path, tree))).columns
+        assert np.array_equal(y, LORENTZIAN.func(nu, (406.8e12, 273e9, 1.3, 0.05)))
+
     def test_magnet_map_pcc_field(self, tmp_path):
         cfg = load_config(str(CONFIGS / "fig2_magnet_map.cfg"))
         manifest = run_protocol(cfg, out_dir=str(tmp_path / "o"))
@@ -501,6 +513,35 @@ class TestRunProtocol:
             "f_s_ground": expected.f_s_ground / 1e9,
             "f_s_excited": expected.f_s_excited / 1e9,
             "degenerate": not expected.spin_resolved}
+
+    def test_zero_field_pump_probe_stays_in_the_lower_ground_branch(
+            self, tmp_path, monkeypatch):
+        # at zero field the two lower-branch ground states share one energy;
+        # every template drives and relaxes ground states 0 and 1 only, never
+        # the upper orbital branch
+        import sivcav.dynamics.experiments as experiments
+        from sivcav.siv_levels import ManifoldParams, manifold_eigensystem
+
+        templates = []
+        solve = experiments.detuned_steady_states
+
+        def collecting_solve(template, detunings):
+            templates.append(template)
+            return solve(template, detunings)
+
+        monkeypatch.setattr(experiments, "detuned_steady_states", collecting_solve)
+        tree = edited("fig2_pump_probe",
+                      ("emitter", "model", "b_field_t", [0.0, 0.0, 0.0]),
+                      ("scan", "points", 61))
+        run_protocol(load_config(write_cfg(tmp_path, tree)), out_dir=str(tmp_path))
+        wg, _ = manifold_eigensystem(ManifoldParams(46e9, 15e9, 8e9), (0, 0, 0))
+        assert templates
+        for template in templates:
+            energy = {lv.label: lv.energy for lv in template.levels}
+            ends = ({d.lower for d in template.drives}
+                    | {e for d in template.decays for e in (d.source, d.target)})
+            grounds = {lb for lb in ends if energy[lb] < 1e14}
+            assert grounds and {energy[lb] for lb in grounds} <= set(wg[:2])
 
     def test_pump_only_rows_are_solved_once(self, tmp_path, monkeypatch):
         # the shipped scan's points that drive only the pump line (72 of 481)
@@ -697,23 +738,42 @@ class TestCli:
 
     # leaves that a model does not describe or float64 does not carry, each
     # named by its one `error:` line, with exit 2: the cavity outside the
-    # bad-cavity regime (kappa below gamma0 itself), and ground flip rates
-    # near 1e191 and 1e281 Hz over microsecond delays
-    @pytest.mark.parametrize("name, leaf, message", [
-        ("cooperativity_report", ("cooperativity", "kappa_ghz", 0.1),
+    # bad-cavity regime (kappa below gamma0 itself), ground flip rates near
+    # 1e191 and 1e281 Hz over microsecond delays, manifold energies beyond
+    # the optical frequency (fields of 1e100-1e290 T, g-factors of 1e100)
+    # and a pcc field whose magnitude overflows
+    @pytest.mark.parametrize("name, leaves, message", [
+        ("cooperativity_report", [("cooperativity", "kappa_ghz", 0.1)],
          "protocol 'cooperativity_report': outside the bad-cavity regime: "
          "at C = 0.295 the closed-form linewidth 203 MHz misses the exact "
          "130.4 MHz by more than 0.01 relative\n"),
-        ("fig4_t1", ("spin_pump", "t1_ns", 1e-200),
+        ("fig4_t1", [("spin_pump", "t1_ns", 1e-200)],
          "protocol 't1_recovery': ||L||_1 * t = 1e+203 exceeds 9.01e+07, "
          "beyond which float64 roundoff breaks the 1e-8 trace tolerance\n"),
-        ("fig4_t1", ("spin_pump", "t1_ns", 1e-290),
+        ("fig4_t1", [("spin_pump", "t1_ns", 1e-290)],
          "protocol 't1_recovery': ||L||_1 * t = 1e+293 exceeds 9.01e+07, "
          "beyond which float64 roundoff breaks the 1e-8 trace tolerance\n"),
+        *[("fig2_pump_probe", [("emitter", "model", "b_field_t", 2, b)],
+           f"protocol 'pump_probe_scan': manifold energies reach {reach} Hz "
+           "(largest |ground| plus largest |excited| eigenvalue), not below "
+           "the 4.07e+14 Hz zero-phonon line center: an optical line could "
+           "have no positive frequency\n")
+          for b, reach in ((1e100, "2.8e+110"), (1e200, "2.8e+210"),
+                           (1e290, "2.8e+300"))],
+        ("fig2_pump_probe", [("emitter", "model", manifold, "g_spin", 1e100)
+                             for manifold in ("ground", "excited")],
+         "protocol 'pump_probe_scan': manifold energies reach 3.56e+109 Hz "
+         "(largest |ground| plus largest |excited| eigenvalue), not below "
+         "the 4.07e+14 Hz zero-phonon line center: an optical line could "
+         "have no positive frequency\n"),
+        ("fig2_magnet_map", [("magnets", i, "remanence_t", [1e300, 0.0, 0.0])
+                             for i in (0, 1)],
+         "protocol 'magnet_map': field magnitude at the pcc point overflows "
+         "float64: its largest component is 1.86e+299\n"),
     ])
     def test_unmodelled_physics_is_a_named_runtime_error(self, tmp_path, capsys,
-                                                         name, leaf, message):
-        rc = cli_main(["run", write_cfg(tmp_path, edited(name, leaf)),
+                                                         name, leaves, message):
+        rc = cli_main(["run", write_cfg(tmp_path, edited(name, *leaves)),
                        "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,15 +180,9 @@ class TestTransitionTable:
         assert flipping and all(t.dipole_weight > 0 for t in flipping)
         # raw weights against the independent reduced-overlap computation
         for t in table.sublevel:
-            gi = int(np.argmin(np.abs(wg - t.ground_energy)))
-            ei = int(np.argmin(np.abs(we - t.excited_energy)))
-            raw = overlap_oracle(vg[:, gi], ve[:, ei])
-            parent_lines = table.lines_of(t.parent)
-            idx = {x.label: x for x in parent_lines}
-            norm = sum(
-                overlap_oracle(vg[:, int(np.argmin(np.abs(wg - x.ground_energy)))],
-                               ve[:, int(np.argmin(np.abs(we - x.excited_energy)))])
-                for x in parent_lines)
+            raw = overlap_oracle(vg[:, t.ground_state], ve[:, t.excited_state])
+            norm = sum(overlap_oracle(vg[:, x.ground_state], ve[:, x.excited_state])
+                       for x in table.lines_of(t.parent))
             assert t.dipole_weight == pytest.approx(raw / norm, rel=1e-9)
 
     def test_frequency_reconstruction(self):
@@ -198,7 +194,8 @@ class TestTransitionTable:
         for t in table.sublevel:
             assert t.frequency == pytest.approx(
                 ZPL + t.excited_energy - t.ground_energy, abs=1e-3)
-            assert t.ground_energy in wg and t.excited_energy in we
+            assert wg[t.ground_state] == t.ground_energy
+            assert we[t.excited_state] == t.excited_energy
 
     def test_preserving_pair_separation_equals_splitting_difference(self):
         # strained manifolds so the ground and excited splittings differ
@@ -287,6 +284,16 @@ class TestModelValidation:
         model = SivModel(GROUND, EXCITED, ZPL, b_field=(1.5e308, 1.5e308, 0.0),
                          axis=(1, 1, 0))
         with pytest.raises(DomainError, match="^defect-frame magnetic field overflows"):
+            transition_table(model)
+
+    @pytest.mark.parametrize("zpl, b", [
+        (ZPL, (0.0, 0.0, 1e200)),  # Zeeman energies far beyond the optical line
+        (150e9, (0.0, 0.0, 0.0)),  # spin-orbit energies beyond a 150 GHz "line"
+    ])
+    def test_manifold_energies_beyond_the_zpl_are_a_domain_error(self, zpl, b):
+        model = SivModel(GROUND, EXCITED, zpl, b_field=b)
+        limit = re.escape(f"not below the {zpl:.3g} Hz zero-phonon line")
+        with pytest.raises(DomainError, match=f"^manifold energies reach .* {limit}"):
             transition_table(model)
 
     @pytest.mark.parametrize("lambda_so, g_spin, b, term", [
