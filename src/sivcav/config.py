@@ -285,19 +285,17 @@ _PLE_EMITTER = {
     "temperature_k": _number(default=4.0, positive=True),
 }
 
-_SPIN_PUMP = _block({
+# a T1 run probes with one pulse after each delay: it reads no pulse-train
+# keys, so only spin_pumping accepts n_pulses and pulse_gap_ns
+_SPIN_PUMP = {
     "rabi_mhz": _number(minimum=0.0),
     "optical_rate_mhz": _number(positive=True),
     "eta": _number(minimum=0.0, maximum=1.0),
     "t1_ns": _number(positive=True),
-    "f_s_ground_ghz": _number(default=6.8),
-    "f_s_excited_ghz": _number(default=7.0),
     "background": _number(default=0.0, minimum=0.0),
     "pulse_length_ns": _number(default=1000.0, positive=True),
-    "n_pulses": _count(1, 256, default=1),
-    "pulse_gap_ns": _number(default=1000.0, minimum=0.0),
     "samples_per_pulse": _count(8, 256, default=400),
-}, _pulse_samples)
+}
 
 _AXIS = _block({"start": _number(), "stop": _number(), "points": _count(1, 24)},
                _axis_span)
@@ -318,8 +316,12 @@ _SCHEMAS = {
         "scan": _scan("start_offset_ghz", "stop_offset_ghz", _count(2, 4096)),
         "t1_ns": _number(default=None, positive=True),
     },
-    "spin_pumping": {"spin_pump": _SPIN_PUMP},
-    "t1_recovery": {"spin_pump": _SPIN_PUMP,
+    "spin_pumping": {"spin_pump": _block({
+        **_SPIN_PUMP,
+        "n_pulses": _count(1, 256, default=1),
+        "pulse_gap_ns": _number(default=1000.0, minimum=0.0),
+    }, _pulse_samples)},
+    "t1_recovery": {"spin_pump": _block(_SPIN_PUMP),
                     "taus": _scan("start_ns", "stop_ns", _count(2, 256))},
     "cpt_scan": {
         "cpt": _block({

@@ -45,6 +45,12 @@ _FRAME_TOL_HZ = 10.0
 #: bordered matrix reads inf or near 1/u.
 _BORDERED_CONDITION_LIMIT = 1e14
 
+#: Relative size below which a singular value of a failed steady-state row
+#: counts toward its null space. Rates that span more than its inverse put
+#: the slow ones below it too, so the count no longer tells a null space
+#: from float64 roundoff.
+_NULL_SPACE_RTOL = 1e-10
+
 #: Largest ||L||_1 * t that `propagate` accepts. The eigenvalues of L, and
 #: the scaled-and-squared exponential alike, carry an absolute roundoff of
 #: about u ||L||_1 (u = 2^-53, the unit roundoff), so exp(L t) carries a
@@ -236,6 +242,15 @@ class LevelSystem:
             ops.append(c)
         return ops
 
+    def _named_rates(self) -> list:
+        """(name, Hz) of every drive's Rabi frequency, decay and dephasing."""
+        return ([(f"Rabi frequency {d.lower}-{d.upper}", d.rabi_freq)
+                 for d in self.drives]
+                + [(f"decay rate {d.source}->{d.target}", d.rate)
+                   for d in self.decays]
+                + [(f"dephasing rate {d.level_a}-{d.level_b}", d.rate)
+                   for d in self.dephasings])
+
     def radiative_rates(self) -> np.ndarray:
         """Per-level total radiative decay rate (Hz), for the signal observable."""
         rates = np.zeros(self.dim)
@@ -323,13 +338,7 @@ def _frame_free_liouvillian(sys: LevelSystem) -> np.ndarray:
                 lv -= 0.5 * (cdc[:, None, :, None] * eye[None, :, None, :]  # kron(cdc, 1)
                              + eye[:, None, :, None] * cdc.T[None, :, None, :])  # kron(1, cdc.T)
         if not np.all(np.isfinite(lv)):
-            rates = ([(f"Rabi frequency {d.lower}-{d.upper}", d.rabi_freq)
-                      for d in sys.drives]
-                     + [(f"decay rate {d.source}->{d.target}", d.rate)
-                        for d in sys.decays]
-                     + [(f"dephasing rate {d.level_a}-{d.level_b}", d.rate)
-                        for d in sys.dephasings])
-            name, rate = max(rates, key=lambda item: item[1])
+            name, rate = max(sys._named_rates(), key=lambda item: item[1])
             raise DomainError(f"Liouvillian overflows float64: {name} is {rate:.3g} Hz")
         sys._l0 = lv.reshape(n * n, n * n)
         sys._l0.flags.writeable = False
@@ -470,7 +479,7 @@ def _bordered_steady_states(lv: np.ndarray) -> np.ndarray:
         if not unique[i]:
             s = np.linalg.svd(lv[i], compute_uv=False)
             raise SteadyStateError("steady state is not unique: null space "
-                                   f"dimension {np.sum(s < 1e-10 * s[0])}")
+                                   f"dimension {np.sum(s < _NULL_SPACE_RTOL * s[0])}")
         raise SteadyStateError(f"steady state not positive (min eig {w_min[i]:.2e})")
     return rho
 
@@ -483,7 +492,9 @@ def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
     the single row, one steady state. The template's L0 is assembled once
     and each row adds its frame diagonal (see `_detuned_liouvillians`); the
     stack is solved by `_bordered_steady_states`, and the first failing row
-    raises. Each row is bit for bit the steady state of its own system.
+    raises. Each row is bit for bit the steady state of its own system. A
+    failure is a DomainError that names the two rates when the template's
+    nonzero rates span more than 1 / `_NULL_SPACE_RTOL`.
     """
     detunings = np.asarray(detunings, dtype=float)
     if (detunings.ndim != 2 or len(detunings) == 0
@@ -493,5 +504,18 @@ def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
     if not np.all(np.isfinite(detunings)):
         raise InvalidParameterError("laser_detuning must be finite")
     template._check_loops(detunings)
-    return _bordered_steady_states(_detuned_liouvillians(template, detunings))
+    lv = _detuned_liouvillians(template, detunings)
+    try:
+        return _bordered_steady_states(lv)
+    except SteadyStateError:
+        rates = sorted((rate, name) for name, rate in template._named_rates()
+                       if rate > 0)
+        if rates and rates[-1][0] > rates[0][0] / _NULL_SPACE_RTOL:
+            (lo, lo_name), (hi, hi_name) = rates[0], rates[-1]
+            raise DomainError(
+                f"rates span {hi / lo:.3g}, from the {lo_name} at {lo:.3g} Hz "
+                f"to the {hi_name} at {hi:.3g} Hz: beyond "
+                f"{1 / _NULL_SPACE_RTOL:.0e}, float64 cannot resolve the "
+                "steady state") from None
+        raise
 

@@ -116,14 +116,15 @@ def simulate_spin_pumping(p: SpinPumpParams):
     traces = []
     t0 = 0.0
     grid = np.linspace(0.0, p.pulse_length, p.samples_per_pulse)
-    for _ in range(p.n_pulses):
+    for k in range(p.n_pulses):
+        if k:  # the previous pulse and the dark gap after it
+            rho = _normalized(rhos[-1])
+            t0 += p.pulse_length
+            if p.pulse_gap > 0:
+                rho = _normalized(propagate(sys_off, rho, [p.pulse_gap])[0])
+                t0 += p.pulse_gap
         rhos = propagate(sys_on, rho, grid)
         traces.append(_trace(sys_on, grid + t0, rhos, p.background))
-        rho = _normalized(rhos[-1])
-        t0 += p.pulse_length
-        if p.pulse_gap > 0:
-            rho = _normalized(propagate(sys_off, rho, [p.pulse_gap])[0])
-            t0 += p.pulse_gap
     return traces
 
 

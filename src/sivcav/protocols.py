@@ -95,18 +95,18 @@ def build_ple_emitter(d: dict):
 def build_spin_pump_params(d: dict):
     from .dynamics import SpinPumpParams
 
+    # a t1_recovery block holds no pulse-train keys
+    train = {} if "n_pulses" not in d else dict(
+        n_pulses=d["n_pulses"], pulse_gap=d["pulse_gap_ns"] * 1e-9)
     return SpinPumpParams(
         rabi_freq=d["rabi_mhz"] * 1e6,
         optical_rate=d["optical_rate_mhz"] * 1e6,
         eta=d["eta"],
         t1=d["t1_ns"] * 1e-9,
-        f_s_ground=d["f_s_ground_ghz"] * 1e9,
-        f_s_excited=d["f_s_excited_ghz"] * 1e9,
         background=d["background"],
         pulse_length=d["pulse_length_ns"] * 1e-9,
-        n_pulses=d["n_pulses"],
-        pulse_gap=d["pulse_gap_ns"] * 1e-9,
         samples_per_pulse=d["samples_per_pulse"],
+        **train,
     )
 
 
@@ -199,6 +199,9 @@ def _run_pump_probe(cfg):
                         parent_freq + scan["stop_offset_ghz"] * 1e9,
                         scan["points"])
     t1 = cfg.blocks["t1_ns"] * 1e-9 if cfg.blocks["t1_ns"] else None
+    if t1 is None and not emitter.table.spin_resolved:
+        raise DomainError("at zero field no optical decay flips the ground spin, "
+                          "so without t1_ns the pumped steady state is not unique")
     with_pump = simulate_ple_scan([emitter], freqs,
                                   pump=(pump_freq, pump_cfg["rabi_mhz"] * 1e6),
                                   t1=t1)

@@ -104,10 +104,16 @@ class SivModel:
         a = np.asarray(self.axis, dtype=float)
         if b.shape != (3,) or not np.all(np.isfinite(b)):
             raise InvalidParameterError("b_field must be a finite 3-vector")
-        if a.shape != (3,) or not np.all(np.isfinite(a)) or np.linalg.norm(a) == 0:
+        if a.shape != (3,) or not np.all(np.isfinite(a)) or not np.any(a):
             raise InvalidParameterError("axis must be a nonzero 3-vector")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(a)
+        if not 0.0 < norm < math.inf:
+            # the squares overflow or underflow: scale to a unit component first
+            a = a / np.max(np.abs(a))
+            norm = np.linalg.norm(a)
         object.__setattr__(self, "b_field", tuple(b))
-        object.__setattr__(self, "axis", tuple(a / np.linalg.norm(a)))
+        object.__setattr__(self, "axis", tuple(a / norm))
 
     def b_field_defect_frame(self) -> np.ndarray:
         """Rotate the lab-frame field into the defect frame (z' = axis)."""

@@ -547,6 +547,19 @@ class TestSteadyStates:
         with pytest.raises(SteadyStateError, match=message):
             detuned_steady_states(disconnected_four_level(), np.zeros((3, 0)))
 
+    @pytest.mark.parametrize("rabi, decay", [(1e300, 50e6), (10e6, 1e-300)])
+    def test_rates_beyond_float64_are_named_not_counted(self, rabi, decay):
+        # a drive 1e292 times its decay, or a decay 1e307 times slower than
+        # its drive, read as a null space of dimension 2
+        template = two_level(rabi=rabi, decay=decay)
+        lo, hi = sorted([(decay, "decay rate e->g"), (rabi, "Rabi frequency g-e")])
+        message = (f"rates span {hi[0] / lo[0]:.3g}, from the {lo[1]} at "
+                   f"{lo[0]:.3g} Hz to the {hi[1]} at {hi[0]:.3g} Hz: beyond "
+                   "1e+10, float64 cannot resolve the steady state")
+        with pytest.raises(DomainError) as exc:
+            detuned_steady_states(template, [[1e6]])
+        assert str(exc.value) == message
+
     def test_first_failing_system_raises(self):
         static = LevelSystem(tuple(Level(f"l{i}", i * 1e9) for i in range(4)))
         with pytest.raises(SteadyStateError, match="^zero Liouvillian"):

@@ -83,6 +83,20 @@ class TestSpinPumping:
         traces = simulate_spin_pumping(params)
         assert np.max(traces[1].signal) < 0.75 * np.max(traces[0].signal)
 
+    def test_train_ends_with_its_last_pulse(self, monkeypatch):
+        # no dark gap is propagated after the last pulse
+        import sivcav.dynamics.experiments as experiments
+
+        calls = []
+
+        def recording(sys, rho0, dts):
+            calls.append("lit" if sys.drives else "dark")
+            return propagate(sys, rho0, dts)
+
+        monkeypatch.setattr(experiments, "propagate", recording)
+        simulate_spin_pumping(replace(CALIB, n_pulses=3))
+        assert calls == ["lit", "dark", "lit", "dark", "lit"]
+
     def test_populations_sum_to_one(self):
         trace = simulate_spin_pumping(CALIB)[0]
         sums = trace.populations.sum(axis=1)

@@ -514,6 +514,25 @@ class TestRunProtocol:
             "f_s_excited": expected.f_s_excited / 1e9,
             "degenerate": not expected.spin_resolved}
 
+    # the plain norm of the first axis overflowed, which made the axis
+    # (0, 0, 0) after two RuntimeWarnings; that of the second underflowed,
+    # which rejected the axis as zero
+    @pytest.mark.parametrize("axis", [[1.0e300, 0.46947, 0.0], [1.0e-300, 0.0, 0.0]])
+    def test_huge_or_tiny_axis_runs_as_its_direction(self, tmp_path, capsys, axis):
+        splits = []
+        for a in (axis, [1.0, 0.0, 0.0]):
+            tree = edited("fig2_pump_probe", ("emitter", "model", "axis", a),
+                          ("scan", "points", 21))
+            rc = cli_main(["run", write_cfg(tmp_path, tree),
+                           "--out", str(tmp_path / "o")])
+            out, err = capsys.readouterr()
+            assert (rc, err) == (0, "")
+            fits = json.loads(Path(out.strip(), "fits.json").read_text())
+            splits.append([fits["spin_splitting_ghz"][key]
+                           for key in ("f_s_ground", "f_s_excited")])
+        assert splits[0] == pytest.approx(splits[1], rel=1e-12)
+        assert splits[1] == pytest.approx([7.6142, 7.4008], abs=1e-4)
+
     def test_zero_field_pump_probe_stays_in_the_lower_ground_branch(
             self, tmp_path, monkeypatch):
         # at zero field the two lower-branch ground states share one energy;
@@ -740,8 +759,10 @@ class TestCli:
     # named by its one `error:` line, with exit 2: the cavity outside the
     # bad-cavity regime (kappa below gamma0 itself), ground flip rates near
     # 1e191 and 1e281 Hz over microsecond delays, manifold energies beyond
-    # the optical frequency (fields of 1e100-1e290 T, g-factors of 1e100)
-    # and a pcc field whose magnitude overflows
+    # the optical frequency (fields of 1e100-1e290 T, g-factors of 1e100),
+    # a pcc field whose magnitude overflows, drives of 1e306 Hz against rates
+    # near 1e6 Hz, and a zero-field pump-probe scan without spin relaxation
+    # (these three reported a null space of dimension 6, 3 and 2)
     @pytest.mark.parametrize("name, leaves, message", [
         ("cooperativity_report", [("cooperativity", "kappa_ghz", 0.1)],
          "protocol 'cooperativity_report': outside the bad-cavity regime: "
@@ -770,6 +791,18 @@ class TestCli:
                              for i in (0, 1)],
          "protocol 'magnet_map': field magnitude at the pcc point overflows "
          "float64: its largest component is 1.86e+299\n"),
+        ("fig2_pump_probe", [("pump", "rabi_mhz", 1e300)],
+         "protocol 'pump_probe_scan': rates span 5.47e+300, from the decay "
+         "rate g0->g1 at 1.26e+05 Hz to the Rabi frequency g1-e1 at 6.91e+305 "
+         "Hz: beyond 1e+10, float64 cannot resolve the steady state\n"),
+        ("fig4_cpt", [("cpt", "rabi_pump_mhz", 1e300)],
+         "protocol 'cpt_scan': rates span 6.09e+299, from the dephasing rate "
+         "g1-g2 at 1.64e+06 Hz to the Rabi frequency g1-e at 1e+306 Hz: beyond "
+         "1e+10, float64 cannot resolve the steady state\n"),
+        ("fig2_pump_probe", [("emitter", "model", "b_field_t", [0.0, 0.0, 0.0]),
+                             ("t1_ns", None)],
+         "protocol 'pump_probe_scan': at zero field no optical decay flips the "
+         "ground spin, so without t1_ns the pumped steady state is not unique\n"),
     ])
     def test_unmodelled_physics_is_a_named_runtime_error(self, tmp_path, capsys,
                                                          name, leaves, message):

@@ -271,6 +271,18 @@ class TestModelValidation:
         model = SivModel(GROUND, EXCITED, ZPL, axis=(2, 0, 0))
         assert model.axis == (1.0, 0.0, 0.0)
 
+    # the plain norm of these overflows to inf, which made the axis (0, 0, 0),
+    # or underflows to 0, which rejected it as zero
+    @pytest.mark.parametrize("axis, unit", [
+        ((1e300, 0.46947, 0.0), (1.0, 4.6947e-301, 0.0)),
+        ((1e-300, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, -5e-324, 5e-324), (0.0, -2 ** -0.5, 2 ** -0.5)),
+        ((1e308, 1e308, 1e308), (3 ** -0.5,) * 3),
+    ])
+    def test_huge_or_tiny_axis_is_its_direction(self, axis, unit):
+        model = SivModel(GROUND, EXCITED, ZPL, axis=axis)
+        assert model.axis == pytest.approx(unit, rel=1e-15, abs=0.0)
+
     def test_frame_rotation_consistency(self):
         # spectra must agree between (field along lab x, axis x) and
         # (field along lab z, axis z)
