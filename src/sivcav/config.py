@@ -41,8 +41,8 @@ PROTOCOLS = (
 
 
 class ProtocolConfig(namedtuple(
-        "ProtocolConfig", "protocol seed blocks output_dir source_path",
-        defaults=("runs", ""))):
+        "ProtocolConfig", "protocol seed blocks output_dir",
+        defaults=("runs",))):
     """Validated configuration with defaults filled in.
 
     `blocks` is the normalized tree with defaults applied. A named tuple, not
@@ -396,7 +396,7 @@ def _root(protocol):
 _ROOTS = {protocol: _root(protocol) for protocol in PROTOCOLS}
 
 
-def validate_tree(tree: dict, source_path: str = "") -> ProtocolConfig:
+def validate_tree(tree: dict) -> ProtocolConfig:
     """Validate a parsed configuration tree and fill defaults."""
     protocol = tree.get("protocol") if isinstance(tree, dict) else None
     # a missing or unknown protocol fails at the first key of any root table
@@ -407,7 +407,7 @@ def validate_tree(tree: dict, source_path: str = "") -> ProtocolConfig:
     if blocks["noise"] is None:
         del blocks["noise"]
     return ProtocolConfig(protocol=protocol, seed=seed, blocks=blocks,
-                          output_dir=output_dir, source_path=source_path)
+                          output_dir=output_dir)
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -447,4 +447,4 @@ def load_config(path) -> ProtocolConfig:
         raise ConfigError(f"cannot parse {path}: {exc}")
     if not isinstance(tree, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
-    return validate_tree(tree, source_path=str(path))
+    return validate_tree(tree)

@@ -19,6 +19,7 @@ from .experiments import (
     simulate_cpt_scan,
     fit_cpt_scan_forward,
     simulate_ple_scan,
+    simulate_pump_probe_scan,
 )
 
 __all__ = [
@@ -26,5 +27,5 @@ __all__ = [
     "propagate", "detuned_steady_states",
     "SpinPumpParams", "CptParams", "PleEmitter",
     "simulate_spin_pumping", "simulate_t1_recovery", "simulate_cpt_scan",
-    "fit_cpt_scan_forward", "simulate_ple_scan",
+    "fit_cpt_scan_forward", "simulate_ple_scan", "simulate_pump_probe_scan",
 ]

@@ -68,7 +68,7 @@ _EIGENBASIS_CONDITION_LIMIT = 1e4
 @dataclass(frozen=True)
 class Level:
     label: str
-    energy: float  # Hz; only checked for finiteness: the frame uses detunings
+    energy: float  # Hz; models pass 0.0, as the frame uses only detunings
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .engine import (
 __all__ = [
     "SpinPumpParams", "CptParams", "PleEmitter",
     "simulate_spin_pumping", "simulate_t1_recovery", "simulate_cpt_scan",
-    "fit_cpt_scan_forward", "simulate_ple_scan",
+    "fit_cpt_scan_forward", "simulate_ple_scan", "simulate_pump_probe_scan",
 ]
 
 
@@ -54,8 +54,8 @@ class SpinPumpParams:
     optical_rate: float         # Hz; excited population decays as exp(-2 pi rate t)
     eta: float                  # spin-flip branching fraction, in [0, 1]
     t1: float                   # s
-    f_s_ground: float = 6.8e9   # Hz, bookkeeping only
-    f_s_excited: float = 7.0e9  # Hz, bookkeeping only
+    f_s_ground: float = 6.8e9   # Hz, read only by the bench's oracle
+    f_s_excited: float = 7.0e9  # Hz, read only by the bench's oracle
     background: float = 0.0
     pulse_length: float = 1e-6  # s
     n_pulses: int = 1
@@ -81,12 +81,7 @@ def _spin_flips(t1: float, a: str, b: str) -> tuple:
 
 
 def _spin_pump_system(p: SpinPumpParams, laser_on: bool) -> LevelSystem:
-    levels = (
-        Level("g_dn", 0.0),
-        Level("g_up", p.f_s_ground),
-        Level("e_dn", 4.068e14),
-        Level("e_up", 4.068e14 + p.f_s_excited),
-    )
+    levels = tuple(Level(lb, 0.0) for lb in ("g_dn", "g_up", "e_dn", "e_up"))
     gam = p.optical_rate
     decays = (
         Decay("e_dn", "g_dn", (1.0 - p.eta) * gam),
@@ -206,7 +201,7 @@ class CptParams:
     rabi_probe: float      # Hz
     optical_rate: float    # Hz
     gamma_s: float         # Hz
-    f_s: float = 6.8e9     # Hz
+    f_s: float = 6.8e9     # Hz, read only by the bench's oracle
     detuning_split: str = "symmetric"  # symmetric | probe
 
     def __post_init__(self):
@@ -233,11 +228,7 @@ class CptParams:
 
 def _cpt_system(p: CptParams) -> LevelSystem:
     """The lambda system with both lasers on resonance: the scan template."""
-    levels = (
-        Level("g1", 0.0),
-        Level("g2", p.f_s),
-        Level("e", 4.068e14),
-    )
+    levels = (Level("g1", 0.0), Level("g2", 0.0), Level("e", 0.0))
     drives = (
         Drive("g1", "e", p.rabi_pump),
         Drive("g2", "e", p.rabi_probe),
@@ -361,7 +352,9 @@ def _two_level_excited_population(rabi_hz, detuning_hz, gamma_hz):
     om = TWO_PI * rabi_hz
     de = TWO_PI * detuning_hz
     ga = TWO_PI * gamma_hz
-    return 0.25 * om ** 2 / (de ** 2 + 0.5 * om ** 2 + 0.25 * ga ** 2)
+    # a detuning whose square overflows gives inf below the line: population 0
+    with np.errstate(over="ignore"):
+        return 0.25 * om ** 2 / (de ** 2 + 0.5 * om ** 2 + 0.25 * ga ** 2)
 
 
 def _single_laser_signal(emitter: PleEmitter, freqs: np.ndarray) -> np.ndarray:
@@ -381,10 +374,31 @@ def _single_laser_signal(emitter: PleEmitter, freqs: np.ndarray) -> np.ndarray:
 _PUMP_PROBE_CUTOFF_LINEWIDTHS = 50.0
 
 
-def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi, t1=None):
-    """Two-laser steady state over a reduced system per choice of lines.
+def _scan_frequencies(frequencies) -> np.ndarray:
+    freqs = np.asarray(frequencies, dtype=float)
+    if freqs.ndim != 1 or len(freqs) == 0:
+        raise InvalidParameterError("frequencies must be a non-empty 1-d array")
+    return freqs
 
-    Only transitions from ground states 0 and 1 (the thermally occupied lower
+
+def simulate_ple_scan(emitters, frequencies) -> Spectrum:
+    """Fluorescence versus scanning-laser frequency: each emitter contributes
+    an incoherent sum of saturated Lorentzians (dipole weight times thermal
+    ground population times steady two-level excitation)."""
+    freqs = _scan_frequencies(frequencies)
+    total = np.zeros_like(freqs)
+    for emitter in emitters:
+        total += _single_laser_signal(emitter, freqs)
+    return Spectrum(freqs, total)
+
+
+def simulate_pump_probe_scan(emitter: PleEmitter, frequencies, pump_frequency,
+                             pump_rabi, t1=None) -> Spectrum:
+    """Probe fluorescence versus probe frequency with a fixed pump laser.
+
+    The two-laser steady state makes weak spin-flipping lines appear once
+    optical pumping repopulates the sublevel they start from. Only
+    transitions from ground states 0 and 1 (the thermally occupied lower
     orbital branch) participate; each laser couples to its nearest transition
     within `_PUMP_PROBE_CUTOFF_LINEWIDTHS`. Excited-state decay branches to
     the two ground sublevels with the table's dipole weights, renormalized
@@ -392,18 +406,35 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi, t1=None
     population that leaves the doublet). The scan points that drive the same
     lines share one template system and are solved in one stack over their
     detunings. Template levels are named by state index: g0, g1, e<index>.
+
+    Raises DomainError without `t1` at zero field, where no optical decay
+    flips the ground spin, and for a pump beyond the cutoff of every line.
     """
+    freqs = _scan_frequencies(frequencies)
+    if t1 is None and not emitter.table.spin_resolved:
+        raise DomainError("at zero field no optical decay flips the ground spin, "
+                          "so without t1_ns the pumped steady state is not unique")
     candidates = [t for t in emitter.table.sublevel if t.ground_state < 2]
-    cutoff = _PUMP_PROBE_CUTOFF_LINEWIDTHS * emitter.linewidth
     gam = emitter.linewidth
 
-    # level energies by label, and decay branching per excited state,
-    # renormalized over the ground doublet
-    energy = {}
+    # nearest line to each scan point and to the pump (first of equals);
+    # -1 beyond the cutoff
+    line_freqs = np.array([t.frequency for t in candidates])
+    dist = np.abs(line_freqs - np.append(freqs, pump_frequency)[:, None])
+    nearest = np.argmin(dist, axis=1)
+    gap = dist[np.arange(len(dist)), nearest]
+    nearest[~(gap <= _PUMP_PROBE_CUTOFF_LINEWIDTHS * gam)] = -1
+    if nearest[-1] < 0:
+        raise DomainError(
+            f"the pump at {pump_frequency:.6g} Hz drives no line: it lies "
+            f"{gap[-1] / gam:.3g} linewidths from the nearest line of ground "
+            f"states 0 and 1, beyond the {_PUMP_PROBE_CUTOFF_LINEWIDTHS:g}-"
+            "linewidth cutoff")
+    t_pump = candidates[nearest[-1]]
+
+    # decay branching per excited state, renormalized over the ground doublet
     branch = {}
     for t in candidates:
-        energy[f"g{t.ground_state}"] = t.ground_energy
-        energy[f"e{t.excited_state}"] = 4.068e14 + t.excited_energy
         branch.setdefault(t.excited_state, {})[t.ground_state] = t.dipole_weight
 
     def template(chosen):
@@ -422,60 +453,21 @@ def _pump_probe_signal(emitter: PleEmitter, freqs, pump_freq, pump_rabi, t1=None
                 decays.append(Decay(f"e{f}", f"g{i}", gam * wt / total))
         if t1 is not None:
             decays += _spin_flips(t1, "g0", "g1")
-        return LevelSystem(tuple(Level(lb, energy[lb]) for lb in labels),
+        return LevelSystem(tuple(Level(lb, 0.0) for lb in labels),
                            tuple(drives), tuple(decays))
-
-    # nearest line to each scan point and to the pump (first of equals);
-    # -1 beyond the cutoff
-    line_freqs = np.array([t.frequency for t in candidates])
-    dist = np.abs(line_freqs - np.append(freqs, pump_freq)[:, None])
-    nearest = np.argmin(dist, axis=1)
-    nearest[dist[np.arange(len(dist)), nearest] > cutoff] = -1
-    t_pump = candidates[nearest[-1]] if nearest[-1] >= 0 else None
 
     groups = {}  # probe line -> scan indices; -1 where the probe adds no line
     for i, j in enumerate(nearest[:-1].tolist()):
-        if j >= 0 and t_pump is not None and (
-                (candidates[j].ground_state, candidates[j].excited_state)
-                == (t_pump.ground_state, t_pump.excited_state)):
-            j = -1
-        groups.setdefault(j, []).append(i)
+        groups.setdefault(-1 if j == nearest[-1] else j, []).append(i)
     out = np.zeros_like(freqs)
     for j, idx in groups.items():
         # without a probe line every scan index has the pump's one row
         rows = len(idx) if j >= 0 else 1
-        chosen = []  # (line, Rabi frequency, detuning at each row)
-        if t_pump is not None:
-            chosen.append((t_pump, pump_rabi,
-                           np.full(rows, pump_freq - t_pump.frequency)))
+        chosen = [(t_pump, pump_rabi,
+                   np.full(rows, pump_frequency - t_pump.frequency))]
         if j >= 0:
             chosen.append((candidates[j], emitter.rabi,
                            freqs[idx] - candidates[j].frequency))
-        if chosen:
-            detunings = np.stack([det for _, _, det in chosen], axis=-1)
-            out[idx] = _steady_signal(template(chosen), detunings)
-    return out
-
-
-def simulate_ple_scan(emitters, frequencies, pump=None, t1=None) -> Spectrum:
-    """Fluorescence versus scanning-laser frequency.
-
-    Without `pump`, each emitter contributes an incoherent sum of saturated
-    Lorentzians (dipole weight times thermal ground population times steady
-    two-level excitation). With `pump` = (frequency_hz, rabi_hz) fixed, the
-    probe response is computed from the two-laser steady state, which makes
-    weak spin-flipping lines appear once optical pumping repopulates the
-    sublevel they start from.
-    """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or len(freqs) == 0:
-        raise InvalidParameterError("frequencies must be a non-empty 1-d array")
-    total = np.zeros_like(freqs)
-    for emitter in emitters:
-        if pump is None:
-            total += _single_laser_signal(emitter, freqs)
-        else:
-            pump_freq, pump_rabi = pump
-            total += _pump_probe_signal(emitter, freqs, float(pump_freq),
-                                        float(pump_rabi), t1=t1)
-    return Spectrum(freqs, total)
+        detunings = np.stack([det for _, _, det in chosen], axis=-1)
+        out[idx] = _steady_signal(template(chosen), detunings)
+    return Spectrum(freqs, out)

@@ -32,6 +32,17 @@ __all__ = [
 SURFACE_MARGIN = 1e-9
 #: Grid points per block of `field_map_grid`: its temporaries are O(block).
 _POINT_BLOCK = 16384
+#: Largest coordinate magnitude (meters) of a magnet's faces or an evaluation
+#: point: the closed form sums three squared distances of at most a few times
+#: this, which stays far below float64's overflow near 1.8e308.
+_MAX_COORDINATE = 1e150
+
+
+def _within_reach(reach: float, what: str):
+    if reach > _MAX_COORDINATE:
+        raise DomainError(f"{what} reaches {reach:.3g} m, beyond the "
+                          f"{_MAX_COORDINATE:g} m within which the closed form's "
+                          "squared distances stay finite in float64")
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,7 @@ class CuboidMagnet:
             raise InvalidParameterError("magnet parameters must be finite")
         if np.any(d <= 0):
             raise InvalidParameterError("all dimensions must be positive")
+        _within_reach(float(np.max(np.abs(c) + 0.5 * d)), "a magnet")
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "dimensions", tuple(d))
         object.__setattr__(self, "magnetization", tuple(j))
@@ -106,6 +118,7 @@ def cuboid_field(magnet: CuboidMagnet, points) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != 3 or not np.all(np.isfinite(p)):
         raise InvalidParameterError("points must be finite, of shape (3,) or (N, 3)")
+    _within_reach(float(np.max(np.abs(p))), "an evaluation point")
     _reject(p, magnet.surface_distance(p) < SURFACE_MARGIN,
             f"is inside or within {SURFACE_MARGIN} m of the magnet surface")
     return _exterior_field(magnet, p)
@@ -196,6 +209,7 @@ def field_map_grid(magnets, x_values, y_values, z_values):
             for a in (x_values, y_values, z_values)]
     if any(a.size == 0 or not np.all(np.isfinite(a)) for a in axes):
         raise InvalidParameterError("grid axes must be non-empty and finite")
+    _within_reach(max(float(np.max(np.abs(a))) for a in axes), "the grid")
     points = np.empty(tuple(a.size for a in axes) + (3,))
     for i, a in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
         points[..., i] = a  # a broadcast, not the three copies of a dense grid

@@ -15,6 +15,7 @@ The seed changes a run only where it draws noise: a `noise:` block for
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import os
 import shutil
 import sys
@@ -172,20 +173,29 @@ def _maybe_noise(y: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
 _Table = namedtuple("_Table", "headers columns fits formats", defaults=(None,))
 
 
+def _linspace(start: float, stop: float, points: int, what: str) -> np.ndarray:
+    """`np.linspace` over config ends in Hz; DomainError when float64 cannot
+    carry the ends or the span."""
+    if not math.isfinite(stop - start):
+        raise DomainError(f"{what} runs from {start:.6g} to {stop:.6g} Hz: "
+                          "its ends or span overflow float64")
+    return np.linspace(start, stop, points)
+
+
 def _run_ple_scan(cfg):
     from .dynamics import simulate_ple_scan
 
     emitters = [build_ple_emitter(e) for e in cfg.blocks["emitters"]]
     scan = cfg.blocks["scan"]
-    freqs = np.linspace(scan["start_thz"] * 1e12, scan["stop_thz"] * 1e12,
-                        scan["points"])
+    freqs = _linspace(scan["start_thz"] * 1e12, scan["stop_thz"] * 1e12,
+                      scan["points"], "the scan")
     spec = simulate_ple_scan(emitters, freqs)
     y = _maybe_noise(spec.y, cfg)
     return _Table(["x", "value"], [spec.x, y], {})
 
 
 def _run_pump_probe(cfg):
-    from .dynamics import simulate_ple_scan
+    from .dynamics import simulate_ple_scan, simulate_pump_probe_scan
 
     emitter = build_ple_emitter(cfg.blocks["emitter"])
     pump_cfg = cfg.blocks["pump"]
@@ -195,16 +205,12 @@ def _run_pump_probe(cfg):
     parent_freq = [o.frequency for o in emitter.table.optical
                    if o.label == pump_cfg["parent"]][0]
     scan = cfg.blocks["scan"]
-    freqs = np.linspace(parent_freq + scan["start_offset_ghz"] * 1e9,
-                        parent_freq + scan["stop_offset_ghz"] * 1e9,
-                        scan["points"])
+    freqs = _linspace(parent_freq + scan["start_offset_ghz"] * 1e9,
+                      parent_freq + scan["stop_offset_ghz"] * 1e9,
+                      scan["points"], "the scan")
     t1 = cfg.blocks["t1_ns"] * 1e-9 if cfg.blocks["t1_ns"] else None
-    if t1 is None and not emitter.table.spin_resolved:
-        raise DomainError("at zero field no optical decay flips the ground spin, "
-                          "so without t1_ns the pumped steady state is not unique")
-    with_pump = simulate_ple_scan([emitter], freqs,
-                                  pump=(pump_freq, pump_cfg["rabi_mhz"] * 1e6),
-                                  t1=t1)
+    with_pump = simulate_pump_probe_scan(emitter, freqs, pump_freq,
+                                         pump_cfg["rabi_mhz"] * 1e6, t1=t1)
     without = simulate_ple_scan([emitter], freqs)
     y_pump = _maybe_noise(with_pump.y, cfg)
     table = emitter.table
@@ -292,7 +298,16 @@ def _run_cavity_fit(cfg):
     center = s["resonance_thz"] * 1e12
     kappa = s["kappa_ghz"] * 1e9
     half_span = 0.5 * s["span_ghz"] * 1e9
-    nu = np.linspace(center - half_span, center + half_span, s["points"])
+    # the line shape squares its half width and each point's distance to the
+    # center, which reaches half the span
+    if not 0.0 < (0.5 * kappa) * (0.5 * kappa) < math.inf:
+        raise DomainError(f"half of synthetic.kappa_ghz is {0.5 * kappa:.3g} Hz, "
+                          "whose square float64 cannot carry")
+    if not half_span * half_span < math.inf:
+        raise DomainError(f"half of synthetic.span_ghz is {half_span:.3g} Hz, "
+                          "whose square overflows float64")
+    nu = _linspace(center - half_span, center + half_span, s["points"],
+                   "the synthetic scan")
     y = LORENTZIAN.func(nu, (center, kappa, s["amplitude"], s["offset"]))
     if s["noise_rel"] > 0:
         y = y + np.random.default_rng(cfg.seed).normal(
@@ -317,8 +332,12 @@ def _run_saturation(cfg):
     powers = np.linspace(s["power_max"] / s["points"], s["power_max"], s["points"])
     y = SATURATION.func(powers, (s["gamma0_mhz"] * 1e6, s["p_sat"]))
     if s["noise_rel"] > 0:
-        y = y * (1.0 + np.random.default_rng(cfg.seed).normal(
-            0.0, s["noise_rel"], size=y.shape))
+        with np.errstate(over="ignore"):
+            y = y * (1.0 + np.random.default_rng(cfg.seed).normal(
+                0.0, s["noise_rel"], size=y.shape))
+        if not np.all(np.isfinite(y)):
+            raise DomainError(f"synthetic.noise_rel {s['noise_rel']:g} scales the "
+                              "noisy data beyond float64")
     fit = fit_saturation(Spectrum(powers, y))
     fits = {
         "saturation": {

@@ -16,7 +16,7 @@ import yaml
 
 from sivcav.cli import main as cli_main
 from sivcav.config import _NOISE, _NOISE_OK, _ROOTS, _block, validate_tree
-from sivcav.errors import ConfigError
+from sivcav.errors import ConfigError, SivCavError
 from sivcav.protocols import run_protocol
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -28,8 +28,8 @@ SHIPPED = {tree["protocol"]: tree for tree in
 #: `bench/gen.py` writes f_s_ghz and `bench/checks.py` reads it through
 #: build_cpt_params, so it cannot be rejected without changing the bench.
 NO_EFFECT = {
-    ("cpt_scan", "cpt.f_s_ghz"): "reaches only Level.energy, which nothing "
-                                 "reads beyond a finiteness check",
+    ("cpt_scan", "cpt.f_s_ghz"): "reaches only CptParams.f_s, which only the "
+                                 "bench's oracle reads",
 }
 #: (protocol, dotted key) -> why a run key leaves the output bytes as they
 #: are: the seed only seeds noise, and output_dir only places the files
@@ -41,6 +41,10 @@ RUN_KEYS = {
     **{(protocol, "output_dir"): "moves the files but leaves their bytes"
        for protocol in _ROOTS},
 }
+#: (protocol, dotted key) -> values that validate but whose run is rejected:
+#: the lines of parents B and D start from ground states 2 and 3, which the
+#: pump-probe model does not hold, so such a pump drives none of its lines
+RUN_REJECTED = {("pump_probe_scan", "pump.parent"): {"B", "D"}}
 #: (protocol, dotted key) -> edits of the shipped config that let the key act:
 #: T2* and the spin dephasing rate exclude each other, the shipped PLE scan
 #: applies no magnetic field, without which the g-factor, the orbital
@@ -64,8 +68,8 @@ ALWAYS_REJECTED = {("magnet_map", f"grid.y_mm.{key}")
                    for key in ("start", "stop", "points")} \
     | {(protocol, "protocol") for protocol in _ROOTS}
 #: (protocol, spin_pump key, a value once accepted) of keys that no run of
-#: the protocol reads: the spin splittings reach only Level.energy, and a T1
-#: run has no pulse train
+#: the protocol reads: no model reads the spin splittings, and a T1 run has
+#: no pulse train
 UNREAD = [
     *[(protocol, key, value) for protocol in ("spin_pumping", "t1_recovery")
       for key, value in (("f_s_ground_ghz", 6.8), ("f_s_excited_ghz", 7.0))],
@@ -154,6 +158,10 @@ def test_every_key_changes_the_output_or_is_rejected(tmp_path, monkeypatch,
         except ConfigError:
             continue
         accepted += 1
+        if new in RUN_REJECTED.get(key, ()):
+            with pytest.raises(SivCavError, match="drives no line"):
+                outputs(tree)
+            continue
         changed = outputs(tree) != expected
         assert changed != (key in NO_EFFECT or key in RUN_KEYS), (key, new)
     assert (accepted == 0) == (key in ALWAYS_REJECTED), key
@@ -163,8 +171,8 @@ def test_exemptions_name_schema_keys():
     keys = {(protocol, dotted(path)) for protocol in _ROOTS
             for path, _ in leaf_keys(root_table(protocol),
                                      validate_tree(SHIPPED[protocol]).to_dict())}
-    assert set(NO_EFFECT) | set(RUN_KEYS) | set(BASE_EDITS) | ALWAYS_REJECTED \
-        <= keys
+    assert set(NO_EFFECT) | set(RUN_KEYS) | set(BASE_EDITS) | set(RUN_REJECTED) \
+        | ALWAYS_REJECTED <= keys
 
 
 @pytest.mark.parametrize("protocol, key, value", UNREAD)

@@ -14,6 +14,7 @@ from sivcav.dynamics import (
     Trace,
     simulate_cpt_scan,
     simulate_ple_scan,
+    simulate_pump_probe_scan,
     simulate_spin_pumping,
     propagate,
     simulate_t1_recovery,
@@ -24,7 +25,7 @@ from sivcav.dynamics.experiments import (
     _spin_pump_system,
     thermal_ground_state,
 )
-from sivcav.errors import FitError, InvalidParameterError
+from sivcav.errors import DomainError, FitError, InvalidParameterError
 from sivcav.fitting import Spectrum, fit_exponential, fit_lorentzian
 from sivcav.siv_levels import (
     ManifoldParams,
@@ -266,7 +267,57 @@ DEMO_MODEL = SivModel(
     axis=(0.88295, 0.46947, 0.0))
 
 
+def assert_pump_probe_matches_per_point(emitter, freqs, pump_freq, pump_rabi, t1):
+    """`simulate_pump_probe_scan` against an oracle that, per scan point,
+    picks each laser's nearest line, keys its states on their energies,
+    builds the reduced system at that point's detunings and solves it alone."""
+    table = emitter.table
+    grounds = sorted({t.ground_energy for t in table.sublevel})[:2]
+    cands = [t for t in table.sublevel if t.ground_energy in grounds]
+    g_label = {grounds[0]: "g1", grounds[1]: "g2"}
+    cutoff = 50 * emitter.linewidth
+
+    def nearest(freq):
+        best = min(cands, key=lambda t: abs(t.frequency - freq))
+        return best if abs(best.frequency - freq) <= cutoff else None
+
+    def point_signal(nu):
+        t_pump, t_probe = nearest(pump_freq), nearest(nu)
+        chosen = [(t_pump, pump_rabi, pump_freq - t_pump.frequency)]
+        if (t_probe is not None
+                and (t_probe.ground_energy, t_probe.excited_energy)
+                != (t_pump.ground_energy, t_pump.excited_energy)):
+            chosen.append((t_probe, emitter.rabi, nu - t_probe.frequency))
+        excited = sorted({t.excited_energy for t, _, _ in chosen})
+        e_label = {e: f"e{k}" for k, e in enumerate(excited)}
+        levels = [Level("g1", grounds[0]), Level("g2", grounds[1])]
+        levels += [Level(e_label[e], 4.068e14 + e) for e in excited]
+        drives = [Drive(g_label[t.ground_energy], e_label[t.excited_energy],
+                        rabi * np.sqrt(t.dipole_weight), det)
+                  for t, rabi, det in chosen]
+        decays = [Decay("g1", "g2", 1 / (4 * np.pi * t1), radiative=False),
+                  Decay("g2", "g1", 1 / (4 * np.pi * t1), radiative=False)]
+        for e in excited:
+            weights = {t.ground_energy: t.dipole_weight for t in cands
+                       if t.excited_energy == e}
+            total = sum(weights.values())
+            decays += [Decay(e_label[e], g_label[g], emitter.linewidth * w / total)
+                       for g, w in weights.items()]
+        sys_ = LevelSystem(tuple(levels), tuple(drives), tuple(decays))
+        return float(np.real(np.diag(steady_state(sys_))) @ sys_.radiative_rates())
+
+    spec = simulate_pump_probe_scan(emitter, freqs, pump_freq, pump_rabi, t1=t1)
+    ref = np.array([point_signal(float(nu)) for nu in freqs])
+    assert np.max(np.abs(spec.y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestPleScan:
+    def test_detuning_whose_square_overflows_reads_zero(self):
+        # a scan end of 1e150 THz leaked an overflow warning before exit 0
+        emitter = PleEmitter(table=single_line_table(), linewidth=200e6, rabi=5e6)
+        spec = simulate_ple_scan([emitter], [406.8e12, 1e162])
+        assert spec.y[0] > 0 and spec.y[1] == 0.0
+
     def test_single_transition_is_lorentzian(self):
         emitter = PleEmitter(table=single_line_table(), linewidth=200e6,
                              rabi=5e6)
@@ -309,8 +360,8 @@ class TestPleScan:
 
         window = np.linspace(partner.frequency - 1.5e9,
                              partner.frequency + 1.5e9, 301)
-        probed = simulate_ple_scan([emitter], window,
-                                   pump=(pump.frequency, 30e6), t1=630e-9)
+        probed = simulate_pump_probe_scan(emitter, window, pump.frequency, 30e6,
+                                          t1=630e-9)
         unpumped = simulate_ple_scan([emitter], window)
         assert np.max(probed.y) > 5 * np.max(unpumped.y)
         # the revealed feature sits one ground spin splitting from the pump
@@ -318,54 +369,63 @@ class TestPleScan:
         assert centroid - pump.frequency == pytest.approx(fs, abs=30e6)
 
     def test_pump_probe_matches_per_point_systems(self):
-        # per scan point: pick each laser's nearest line, build the reduced
-        # system with that point's detunings and solve it alone
         table = transition_table(DEMO_MODEL)
         emitter = PleEmitter(table=table, linewidth=157e6, rabi=15e6)
         lines = {t.label: t for t in table.lines_of("C")}
-        pump_freq, pump_rabi, t1 = lines["2"].frequency + 20e6, 30e6, 630e-9
-        grounds = sorted({t.ground_energy for t in table.sublevel})[:2]
-        cands = [t for t in table.sublevel if t.ground_energy in grounds]
-        g_label = {grounds[0]: "g1", grounds[1]: "g2"}
-        cutoff = 50 * emitter.linewidth
-
-        def nearest(freq):
-            best = min(cands, key=lambda t: abs(t.frequency - freq))
-            return best if abs(best.frequency - freq) <= cutoff else None
-
-        def point_signal(nu):
-            t_pump, t_probe = nearest(pump_freq), nearest(nu)
-            chosen = [(t_pump, pump_rabi, pump_freq - t_pump.frequency)]
-            if (t_probe is not None
-                    and (t_probe.ground_energy, t_probe.excited_energy)
-                    != (t_pump.ground_energy, t_pump.excited_energy)):
-                chosen.append((t_probe, emitter.rabi, nu - t_probe.frequency))
-            excited = sorted({t.excited_energy for t, _, _ in chosen})
-            e_label = {e: f"e{k}" for k, e in enumerate(excited)}
-            levels = [Level("g1", grounds[0]), Level("g2", grounds[1])]
-            levels += [Level(e_label[e], 4.068e14 + e) for e in excited]
-            drives = [Drive(g_label[t.ground_energy], e_label[t.excited_energy],
-                            rabi * np.sqrt(t.dipole_weight), det)
-                      for t, rabi, det in chosen]
-            decays = [Decay("g1", "g2", 1 / (4 * np.pi * t1), radiative=False),
-                      Decay("g2", "g1", 1 / (4 * np.pi * t1), radiative=False)]
-            for e in excited:
-                weights = {t.ground_energy: t.dipole_weight for t in cands
-                           if t.excited_energy == e}
-                total = sum(weights.values())
-                decays += [Decay(e_label[e], g_label[g], emitter.linewidth * w / total)
-                           for g, w in weights.items()]
-            sys_ = LevelSystem(tuple(levels), tuple(drives), tuple(decays))
-            return float(np.real(np.diag(steady_state(sys_)))
-                         @ sys_.radiative_rates())
-
         # spans probe lines of both excited states, the pump's own line and
         # points beyond every line's cutoff
-        freqs = np.linspace(min(t.frequency for t in cands) - 12e9,
-                            max(t.frequency for t in cands) + 12e9, 61)
-        spec = simulate_ple_scan([emitter], freqs, pump=(pump_freq, pump_rabi), t1=t1)
-        ref = np.array([point_signal(float(nu)) for nu in freqs])
-        assert np.max(np.abs(spec.y - ref)) <= 1e-12 * np.max(np.abs(ref))
+        cands = [t.frequency for t in table.sublevel if t.ground_state < 2]
+        freqs = np.linspace(min(cands) - 12e9, max(cands) + 12e9, 61)
+        assert_pump_probe_matches_per_point(emitter, freqs,
+                                            lines["2"].frequency + 20e6, 30e6,
+                                            630e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(strain=st.tuples(*[st.floats(0.0, 50e9)] * 2,
+                            *[st.floats(0.0, 300e9)] * 2),
+           b_norm=st.floats(0.01, 1.0),
+           direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+               lambda v: np.linalg.norm(v) > 0.1),
+           line=st.integers(0, 7), detuning=st.floats(-1.0, 1.0),
+           t1=st.floats(100e-9, 10e-6))
+    def test_pump_probe_matches_per_point_systems_on_random_models(
+            self, strain, b_norm, direction, line, detuning, t1):
+        # the index-named templates against the energy-keyed oracle, with the
+        # pump on a line of ground state 0 or 1 and within one linewidth of it
+        b = b_norm * np.array(direction) / np.linalg.norm(direction)
+        model = SivModel(ManifoldParams(46e9, *strain[:2]),
+                         ManifoldParams(255e9, *strain[2:]), 406.8e12,
+                         b_field=tuple(b), axis=DEMO_MODEL.axis)
+        emitter = PleEmitter(table=transition_table(model), linewidth=157e6,
+                             rabi=15e6)
+        cands = [t for t in emitter.table.sublevel if t.ground_state < 2]
+        pump_freq = cands[line].frequency + detuning * emitter.linewidth
+        nus = [t.frequency for t in cands]
+        freqs = np.linspace(min(nus) - 12e9, max(nus) + 12e9, 61)
+        assert_pump_probe_matches_per_point(emitter, freqs, pump_freq, 30e6, t1)
+
+    def test_pump_probe_without_t1_at_zero_field_is_rejected(self):
+        model = replace(DEMO_MODEL, b_field=(0.0, 0.0, 0.0))
+        emitter = PleEmitter(table=transition_table(model), linewidth=157e6,
+                             rabi=15e6)
+        pump = emitter.table.lines_of("C")[1].frequency
+        with pytest.raises(DomainError, match="at zero field no optical decay "
+                                              "flips the ground spin"):
+            simulate_pump_probe_scan(emitter, [pump], pump, 30e6)
+        # t1 relaxes the ground spin, and the scan runs
+        assert simulate_pump_probe_scan(emitter, [pump], pump, 30e6, 630e-9).y[0] > 0
+
+    def test_pump_beyond_every_line_is_rejected(self):
+        emitter = PleEmitter(table=transition_table(DEMO_MODEL), linewidth=157e6,
+                             rabi=15e6)
+        cands = [t.frequency for t in emitter.table.sublevel if t.ground_state < 2]
+        # just beyond the cutoff, far beyond, not finite, and on a line of
+        # ground states 2 and 3 (parent B), which the model does not hold
+        pumps = [max(cands) + 50.01 * 157e6, -1e306, np.inf, np.nan,
+                 emitter.table.lines_of("B")[1].frequency]
+        for pump in pumps:
+            with pytest.raises(DomainError, match="drives no line"):
+                simulate_pump_probe_scan(emitter, cands, pump, 30e6, 630e-9)
 
     def test_zero_field_is_the_vanishing_field_limit(self):
         # the degenerate ground states at zero field are four states, not

@@ -400,6 +400,15 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             cuboid_field(MAGNET, (np.inf, 0, 0))
 
+    def test_distances_whose_squares_overflow_rejected(self):
+        # these reached the closed form and were reported as an edge line
+        with pytest.raises(DomainError, match="a magnet reaches 5e"):
+            CuboidMagnet((0, 0, 0), (1e297, 0.01, 0.01), (1, 0, 0))
+        with pytest.raises(DomainError, match="an evaluation point reaches 1e"):
+            cuboid_field(MAGNET, [(0.05, 0, 0), (0, -1e297, 0)])
+        with pytest.raises(DomainError, match="the grid reaches 1e"):
+            field_map_grid([MAGNET], [0.05], [0.0], [0.0, 1e297])
+
     @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))])
     def test_point_shape_required(self, bad):
         with pytest.raises(InvalidParameterError):

@@ -170,6 +170,12 @@ class TestConfigLoading:
         b = load_config(write_cfg(tmp_path, reordered, "b.cfg"))
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_loaded_config_is_its_validated_tree(self, name):
+        # loading from a file records nothing that the tree does not hold
+        tree = yaml.safe_load((CONFIGS / name).read_text())
+        assert load_config(str(CONFIGS / name)) == validate_tree(tree)
+
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(SHIPPED),
            rnd=st.randoms(), pick=st.integers(0, 10 ** 6))
@@ -536,10 +542,10 @@ class TestRunProtocol:
     def test_zero_field_pump_probe_stays_in_the_lower_ground_branch(
             self, tmp_path, monkeypatch):
         # at zero field the two lower-branch ground states share one energy;
-        # every template drives and relaxes ground states 0 and 1 only, never
-        # the upper orbital branch
+        # every template drives lines of the table from ground states 0 and 1
+        # and relaxes into those two only, never the upper orbital branch
         import sivcav.dynamics.experiments as experiments
-        from sivcav.siv_levels import ManifoldParams, manifold_eigensystem
+        from sivcav.protocols import build_ple_emitter
 
         templates = []
         solve = experiments.detuned_steady_states
@@ -552,15 +558,19 @@ class TestRunProtocol:
         tree = edited("fig2_pump_probe",
                       ("emitter", "model", "b_field_t", [0.0, 0.0, 0.0]),
                       ("scan", "points", 61))
-        run_protocol(load_config(write_cfg(tmp_path, tree)), out_dir=str(tmp_path))
-        wg, _ = manifold_eigensystem(ManifoldParams(46e9, 15e9, 8e9), (0, 0, 0))
+        cfg = load_config(write_cfg(tmp_path, tree))
+        run_protocol(cfg, out_dir=str(tmp_path))
+        table = build_ple_emitter(cfg.blocks["emitter"]).table
+        lines = {(f"g{t.ground_state}", f"e{t.excited_state}")
+                 for t in table.sublevel}
         assert templates
         for template in templates:
-            energy = {lv.label: lv.energy for lv in template.levels}
-            ends = ({d.lower for d in template.drives}
-                    | {e for d in template.decays for e in (d.source, d.target)})
-            grounds = {lb for lb in ends if energy[lb] < 1e14}
-            assert grounds and {energy[lb] for lb in grounds} <= set(wg[:2])
+            drives = {(d.lower, d.upper) for d in template.drives}
+            assert drives and drives <= lines
+            grounds = ({d.lower for d in template.drives}
+                       | {d.target for d in template.decays})
+            assert grounds == {"g0", "g1"}
+            assert all(lv.energy == 0.0 for lv in template.levels)
 
     def test_pump_only_rows_are_solved_once(self, tmp_path, monkeypatch):
         # the shipped scan's points that drive only the pump line (72 of 481)
@@ -746,6 +756,27 @@ class TestCli:
         # kappa overflows to inf Hz, and gamma_on / gamma0 makes g overflow
         ("cooperativity_report", ("cooperativity", "kappa_ghz", 1e300)),
         ("cooperativity_report", ("cooperativity", "gamma_on_mhz", 1e300)),
+        # these leaked numpy RuntimeWarnings before their error line: magnet
+        # distances whose squares overflow (reported as log(0) on an edge
+        # line), scan ends and widths beyond float64 in Hz, and noise that
+        # scales the data beyond it
+        *[("fig2_magnet_map", ("magnets", i, "center_mm", j, v))
+          for i in range(2) for j in range(3) for v in (1e300, -1e300)],
+        *[("fig2_magnet_map", ("magnets", i, "dimensions_mm", j, 1e300))
+          for i in range(2) for j in range(3)],
+        *[("fig2_magnet_map", ("grid", axis, end, v))
+          for axis in ("x_mm", "z_mm") for end, v in (("start", -1e300),
+                                                      ("stop", 1e300))],
+        *[("fig2_magnet_map", ("pcc_mm", j, v))
+          for j in range(3) for v in (1e300, -1e300)],
+        *[("fig1_cavity_fit", ("synthetic", key, v))
+          for key, v in (("resonance_thz", 1e300), ("span_ghz", 1e300),
+                         ("kappa_ghz", 1e300), ("kappa_ghz", 1e-300))],
+        ("fig1_ple", ("scan", "start_thz", -1e300)),
+        ("fig1_ple", ("scan", "stop_thz", 1e300)),
+        ("fig2_pump_probe", ("scan", "start_offset_ghz", -1e300)),
+        ("fig2_pump_probe", ("scan", "stop_offset_ghz", 1e300)),
+        ("fig3_saturation", ("synthetic", "noise_rel", 1e300)),
     ])
     def test_huge_leaf_is_a_one_line_runtime_error(self, tmp_path, capsys, name, leaf):
         rc = cli_main(["run", write_cfg(tmp_path, edited(name, leaf)),
@@ -761,8 +792,11 @@ class TestCli:
     # 1e191 and 1e281 Hz over microsecond delays, manifold energies beyond
     # the optical frequency (fields of 1e100-1e290 T, g-factors of 1e100),
     # a pcc field whose magnitude overflows, drives of 1e306 Hz against rates
-    # near 1e6 Hz, and a zero-field pump-probe scan without spin relaxation
-    # (these three reported a null space of dimension 6, 3 and 2)
+    # near 1e6 Hz, a zero-field pump-probe scan without spin relaxation
+    # (these three reported a null space of dimension 6, 3 and 2), a pump
+    # that drives no line of ground states 0 and 1 (these ran with exit 0),
+    # magnet distances whose squares overflow, scans beyond float64 in Hz,
+    # and noise that scales the data beyond it
     @pytest.mark.parametrize("name, leaves, message", [
         ("cooperativity_report", [("cooperativity", "kappa_ghz", 0.1)],
          "protocol 'cooperativity_report': outside the bad-cavity regime: "
@@ -803,6 +837,38 @@ class TestCli:
                              ("t1_ns", None)],
          "protocol 'pump_probe_scan': at zero field no optical decay flips the "
          "ground spin, so without t1_ns the pumped steady state is not unique\n"),
+        *[("fig2_pump_probe", [("pump", key, v)],
+           f"protocol 'pump_probe_scan': the pump at {at} Hz drives no line: it "
+           f"lies {gap} linewidths from the nearest line of ground states 0 and "
+           "1, beyond the 50-linewidth cutoff\n")
+          for key, v, at, gap in (("parent", "B", "4.0707e+14", "319"),
+                                  ("parent", "D", "4.06474e+14", "316"),
+                                  ("detuning_mhz", 1e300, "1e+306", "6.37e+297"),
+                                  ("detuning_mhz", -1e300, "-1e+306", "6.37e+297"))],
+        ("fig2_magnet_map", [("magnets", 0, "center_mm", 0, -1e300)],
+         "protocol 'magnet_map': a magnet reaches 1e+297 m, beyond the 1e+150 m "
+         "within which the closed form's squared distances stay finite in "
+         "float64\n"),
+        ("fig2_magnet_map", [("grid", "x_mm", "stop", 1e300)],
+         "protocol 'magnet_map': the grid reaches 1e+297 m, beyond the 1e+150 m "
+         "within which the closed form's squared distances stay finite in "
+         "float64\n"),
+        ("fig2_magnet_map", [("pcc_mm", 2, 1e300)],
+         "protocol 'magnet_map': an evaluation point reaches 1e+297 m, beyond the "
+         "1e+150 m within which the closed form's squared distances stay finite "
+         "in float64\n"),
+        ("fig1_ple", [("scan", "stop_thz", 1e300)],
+         "protocol 'ple_scan': the scan runs from 4.066e+14 to inf Hz: its ends "
+         "or span overflow float64\n"),
+        ("fig1_cavity_fit", [("synthetic", "kappa_ghz", 1e-300)],
+         "protocol 'cavity_fit': half of synthetic.kappa_ghz is 5e-292 Hz, whose "
+         "square float64 cannot carry\n"),
+        ("fig1_cavity_fit", [("synthetic", "span_ghz", 1e300)],
+         "protocol 'cavity_fit': half of synthetic.span_ghz is inf Hz, whose "
+         "square overflows float64\n"),
+        ("fig3_saturation", [("synthetic", "noise_rel", 1e300)],
+         "protocol 'saturation_study': synthetic.noise_rel 1e+300 scales the "
+         "noisy data beyond float64\n"),
     ])
     def test_unmodelled_physics_is_a_named_runtime_error(self, tmp_path, capsys,
                                                          name, leaves, message):
