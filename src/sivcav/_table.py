@@ -216,11 +216,11 @@ def _finite_or_null(value):
     return value
 
 
-def json_text(payload, indent=2) -> str:
+def json_text(payload) -> str:
     """Sorted-key JSON with every non-finite float written as null.
 
     NaN and infinities are not JSON; `allow_nan=False` makes any that slip
     past the substitution raise instead of printing bare `NaN`.
     """
-    return json.dumps(_finite_or_null(payload), indent=indent, sort_keys=True,
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
                       allow_nan=False)

@@ -35,14 +35,17 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     run.add_argument("--verbose", action="store_true")
+    run.set_defaults(func=_cmd_run)
 
     val = sub.add_parser("validate", help="validate a protocol config")
     val.add_argument("config", help="path to the protocol config file")
+    val.set_defaults(func=_cmd_validate)
 
     fit = sub.add_parser("fit", help="fit a shipped model to CSV data")
     fit.add_argument("model", help="shipped model name; an unknown name lists them")
     fit.add_argument("csv", help="CSV file with x in the first column and y "
                                  "in the second (header optional)")
+    fit.set_defaults(func=_cmd_fit)
     return p
 
 
@@ -93,6 +96,7 @@ def _cmd_validate(args) -> int:
 def _cmd_fit(args) -> int:
     import numpy as np
 
+    from ._table import json_text
     from .fitting import MODELS, Spectrum, lm_fit
 
     if args.model not in MODELS:
@@ -102,20 +106,14 @@ def _cmd_fit(args) -> int:
     order = np.argsort(x)
     spectrum = Spectrum(x[order], y[order])
     result = lm_fit(MODELS[args.model], spectrum)
-    print(result.to_json())
+    print(json_text(result.as_dict()))
     return 0
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        raise SivCavError(f"unknown command {args.command}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,10 +17,4 @@ MU_B_OVER_H = 13996244917.1
 #: Boltzmann constant over Planck constant, Hz per kelvin.
 K_B_OVER_H = 1.380649e-23 / 6.62607015e-34
 
-#: Speed of light, m/s.
-C_LIGHT = 299792458.0
-
-#: Vacuum permeability, T*m/A.
-MU_0 = 1.25663706127e-06
-
 TWO_PI = 2.0 * math.pi

@@ -142,9 +142,9 @@ def _fit_initialization(trace: Trace):
     t_tail = t[ipk:] - t[ipk]
     if len(tail) < 8:
         raise FitError("too few samples after the signal peak")
-    from ..fitting import fit_exponential
+    from ..fitting import EXP_DECAY, lm_fit
 
-    fit = fit_exponential(Spectrum(t_tail, tail), kind="decay")
+    fit = lm_fit(EXP_DECAY, Spectrum(t_tail, tail))
     if "timescale_unidentifiable" not in fit.flags:
         if t_tail[-1] < 5.0 * fit["timescale"]:
             raise FitError(

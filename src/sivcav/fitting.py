@@ -6,17 +6,18 @@ an analytic Jacobian and a deterministic initial-guess heuristic, so the
 default path contains no randomness. The CPT dip and the exponential recovery
 are mirrors of the Lorentzian and the exponential decay (see `_mirror`).
 Parameter uncertainties are 1-sigma values from the residual-scaled
-covariance (J^T J)^-1.
+covariance (J^T J)^-1. `lm_fit` is the one entry point: it flags a peak, dip
+or exponential whose height is consistent with zero, since a flat trace
+constrains no width or timescale, so every caller sees the same flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import json_text
 from .errors import FitError, InvalidParameterError
 from .spectrum import Spectrum
 
@@ -26,10 +27,12 @@ __all__ = [
     "Model",
     "MODELS",
     "lm_fit",
-    "fit_lorentzian",
-    "fit_exponential",
-    "fit_saturation",
-    "fit_cpt_dip",
+    "LORENTZIAN",
+    "EXP_DECAY",
+    "EXP_RECOVERY",
+    "SATURATION",
+    "CPT_DIP",
+    "LINEAR",
 ]
 
 _LAMBDA0 = 1e-3
@@ -38,6 +41,16 @@ _LAMBDA_MAX = 1e12
 _GRAD_RTOL = 1e-10
 _STEP_RTOL = 1e-12
 _MAX_ITER = 200
+
+# a flat peak, dip or exponential constrains no width or timescale: the index
+# of each shape's height parameter, and the flag a fit gets when that height
+# is consistent with zero
+_NULL_HEIGHT = {
+    "lorentzian": (2, "width_unidentifiable"),
+    "cpt_dip": (2, "width_unidentifiable"),
+    "exponential_decay": (0, "timescale_unidentifiable"),
+    "exponential_recovery": (0, "timescale_unidentifiable"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,10 +82,6 @@ class FitResult:
             "flags": list(self.flags),
         }
 
-    def to_json(self, indent=2) -> str:
-        """JSON of `as_dict()`; a non-finite value (a NaN sigma) is null."""
-        return json_text(self.as_dict(), indent=indent)
-
 
 @dataclass(frozen=True)
 class Model:
@@ -99,7 +108,11 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     Steps are clipped to `model.lower`, for at most 200 iterations.
     Non-convergence returns the best parameters found with converged=False;
     so does a fit whose covariance is singular or not finite
-    ('singular_covariance'), whose sigmas are then NaN.
+    ('singular_covariance'), whose sigmas are then NaN. A Lorentzian or CPT
+    dip whose height is consistent with zero (|value| below its own sigma or
+    1e-12 of the data span, or a sigma that is not finite) is flagged
+    'width_unidentifiable'; an exponential's amplitude likewise,
+    'timescale_unidentifiable'.
     """
     x, y = spectrum.x, spectrum.y
     w = 1.0 / spectrum.sigma if spectrum.sigma is not None else np.ones_like(y)
@@ -203,6 +216,11 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
         converged = False
     else:
         sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if model.name in _NULL_HEIGHT:
+        k, flag = _NULL_HEIGHT[model.name]
+        span = max(abs(np.max(y) - np.min(y)), 1e-300)
+        if not math.isfinite(sigmas[k]) or abs(p[k]) < max(sigmas[k], 1e-12 * span):
+            flags.append(flag)
     return FitResult(
         model=model.name,
         param_names=tuple(model.param_names),
@@ -252,10 +270,7 @@ def _peak_width_guess(x, y, baseline, peak_idx):
         if (y[i] - half) * (y[i + 1] - half) <= 0:
             right = x[i + 1]
             break
-    width = abs(right - left)
-    if width <= 0:
-        width = abs(x[-1] - x[0]) / 10.0
-    return width
+    return abs(right - left)
 
 
 def _lorentz_guess(spec: Spectrum):
@@ -331,14 +346,16 @@ def _saturation_jac(power, p):
 
 
 def _saturation_guess(spec: Spectrum):
-    power, y = spec.x, spec.y
-    order = np.argsort(power)
-    gamma0 = float(y[order[0]])
-    if gamma0 <= 0:
-        gamma0 = max(float(np.min(y)), 1e-300)
-    p_hi, y_hi = power[order[-1]], y[order[-1]]
-    ratio2 = (y_hi / gamma0) ** 2 - 1.0
-    p_sat = p_hi / ratio2 if ratio2 > 0 else max(p_hi, 1e-300)
+    y = spec.y[np.argsort(spec.x)]
+    p_hi = float(np.max(spec.x))
+    # the lowest-power linewidth; noise can make it non-positive, and then
+    # the first positive one, or the data's scale, stands in
+    positive = y[y > 0]
+    gamma0 = float(positive[0]) if positive.size \
+        else max(float(np.max(np.abs(y))), 1e-300)
+    ratio2 = (y[-1] / gamma0) ** 2 - 1.0
+    # both stay inside the model's bounds, whatever the sign of the powers
+    p_sat = max(p_hi / ratio2 if ratio2 > 0 else p_hi, 1e-300)
     return np.array([gamma0, p_sat])
 
 
@@ -406,53 +423,3 @@ LINEAR = Model(
 
 MODELS = {m.name: m for m in
           (LORENTZIAN, EXP_DECAY, EXP_RECOVERY, SATURATION, CPT_DIP, LINEAR)}
-
-
-# ---------------------------------------------------------------------------
-# convenience wrappers
-# ---------------------------------------------------------------------------
-
-def _flag_if_null(result: FitResult, spectrum: Spectrum, name: str,
-                  flag: str) -> FitResult:
-    """Add `flag` when parameter `name` is consistent with zero: |value|
-    below its own sigma (or 1e-12 of the data span), or a sigma that is not
-    finite, which bounds nothing."""
-    span = max(abs(np.max(spectrum.y) - np.min(spectrum.y)), 1e-300)
-    sigma = result.sigma_of(name)
-    if not math.isfinite(sigma) or abs(result[name]) < max(sigma, 1e-12 * span):
-        return replace(result, flags=result.flags + (flag,))
-    return result
-
-
-def fit_lorentzian(spectrum: Spectrum, p0=None) -> FitResult:
-    """Fit a Lorentzian peak; initial guess from peak location and half-max width."""
-    return lm_fit(LORENTZIAN, spectrum, p0)
-
-
-def fit_exponential(spectrum: Spectrum, kind: str = "decay", p0=None) -> FitResult:
-    """Fit an exponential decay or recovery.
-
-    A fit whose amplitude is consistent with zero (|A| < its own sigma) gets
-    the 'timescale_unidentifiable' flag: a constant trace constrains no
-    timescale.
-    """
-    if kind not in ("decay", "recovery"):
-        raise InvalidParameterError("kind must be 'decay' or 'recovery'")
-    model = EXP_DECAY if kind == "decay" else EXP_RECOVERY
-    return _flag_if_null(lm_fit(model, spectrum, p0), spectrum, "amplitude",
-                         "timescale_unidentifiable")
-
-
-def fit_saturation(spectrum: Spectrum, p0=None) -> FitResult:
-    """Fit gamma(P) = gamma0*sqrt(1+P/Psat) to linewidth-vs-power data."""
-    return lm_fit(SATURATION, spectrum, p0)
-
-
-def fit_cpt_dip(spectrum: Spectrum, p0=None) -> FitResult:
-    """Fit an inverted-Lorentzian dip.
-
-    A fit whose depth is consistent with zero gets the
-    'width_unidentifiable' flag: a flat scan constrains no dip width.
-    """
-    return _flag_if_null(lm_fit(CPT_DIP, spectrum, p0), spectrum, "depth",
-                         "width_unidentifiable")

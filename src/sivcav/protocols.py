@@ -175,11 +175,16 @@ _Table = namedtuple("_Table", "headers columns fits formats", defaults=(None,))
 
 def _linspace(start: float, stop: float, points: int, what: str) -> np.ndarray:
     """`np.linspace` over config ends in Hz; DomainError when float64 cannot
-    carry the ends or the span."""
+    carry the ends or the span, or cannot tell the points apart."""
     if not math.isfinite(stop - start):
         raise DomainError(f"{what} runs from {start:.6g} to {stop:.6g} Hz: "
                           "its ends or span overflow float64")
-    return np.linspace(start, stop, points)
+    x = np.linspace(start, stop, points)
+    if not np.all(np.diff(x) > 0.0):
+        raise DomainError(f"{what} steps {(stop - start) / (points - 1):.3g} Hz "
+                          f"between its {points} points, below what float64 "
+                          f"resolves at {max(abs(start), abs(stop)):.6g} Hz")
+    return x
 
 
 def _run_ple_scan(cfg):
@@ -188,7 +193,7 @@ def _run_ple_scan(cfg):
     emitters = [build_ple_emitter(e) for e in cfg.blocks["emitters"]]
     scan = cfg.blocks["scan"]
     freqs = _linspace(scan["start_thz"] * 1e12, scan["stop_thz"] * 1e12,
-                      scan["points"], "the scan")
+                      scan["points"], "the scan (scan.start_thz to scan.stop_thz)")
     spec = simulate_ple_scan(emitters, freqs)
     y = _maybe_noise(spec.y, cfg)
     return _Table(["x", "value"], [spec.x, y], {})
@@ -207,7 +212,8 @@ def _run_pump_probe(cfg):
     scan = cfg.blocks["scan"]
     freqs = _linspace(parent_freq + scan["start_offset_ghz"] * 1e9,
                       parent_freq + scan["stop_offset_ghz"] * 1e9,
-                      scan["points"], "the scan")
+                      scan["points"],
+                      "the scan (scan.start_offset_ghz to scan.stop_offset_ghz)")
     t1 = cfg.blocks["t1_ns"] * 1e-9 if cfg.blocks["t1_ns"] else None
     with_pump = simulate_pump_probe_scan(emitter, freqs, pump_freq,
                                          pump_cfg["rabi_mhz"] * 1e6, t1=t1)
@@ -246,14 +252,14 @@ def _run_spin_pumping(cfg):
 
 def _run_t1_recovery(cfg):
     from .dynamics import simulate_t1_recovery
-    from .fitting import fit_exponential
+    from .fitting import EXP_RECOVERY, lm_fit
 
     params = build_spin_pump_params(cfg.blocks["spin_pump"])
     taus_cfg = cfg.blocks["taus"]
     taus = np.linspace(taus_cfg["start_ns"] * 1e-9, taus_cfg["stop_ns"] * 1e-9,
                        taus_cfg["points"])
     spec = simulate_t1_recovery(params, taus)
-    fit = fit_exponential(spec, kind="recovery")
+    fit = lm_fit(EXP_RECOVERY, spec)
     fits = {
         "t1_recovery": {
             "t1_ns": fit["timescale"] * 1e9,
@@ -267,7 +273,7 @@ def _run_t1_recovery(cfg):
 
 def _run_cpt_scan(cfg):
     from .dynamics import simulate_cpt_scan
-    from .fitting import Spectrum, fit_cpt_dip
+    from .fitting import CPT_DIP, Spectrum, lm_fit
 
     params = build_cpt_params(cfg.blocks["cpt"])
     scan = cfg.blocks["scan"]
@@ -275,7 +281,7 @@ def _run_cpt_scan(cfg):
     detunings = np.linspace(-half, half, scan["points"])
     spec = simulate_cpt_scan(params, detunings)
     y = _maybe_noise(spec.y, cfg)
-    result = fit_cpt_dip(Spectrum(detunings, y))
+    result = lm_fit(CPT_DIP, Spectrum(detunings, y))
     fits = {
         "cpt_dip": {
             "dip_fwhm_mhz": result["dip_fwhm"] / 1e6,
@@ -292,27 +298,33 @@ def _run_cpt_scan(cfg):
 
 def _run_cavity_fit(cfg):
     from .cqed import q_factor
-    from .fitting import LORENTZIAN, Spectrum, fit_lorentzian
+    from .fitting import LORENTZIAN, Spectrum, lm_fit
 
     s = cfg.blocks["synthetic"]
     center = s["resonance_thz"] * 1e12
     kappa = s["kappa_ghz"] * 1e9
     half_span = 0.5 * s["span_ghz"] * 1e9
     # the line shape squares its half width and each point's distance to the
-    # center, which reaches half the span
+    # center, which reaches half the span; the fit's Jacobian multiplies a
+    # half width (up to half the span in the guess, half of kappa in the
+    # data) by squared distances to a center in the scan, up to the span
     if not 0.0 < (0.5 * kappa) * (0.5 * kappa) < math.inf:
         raise DomainError(f"half of synthetic.kappa_ghz is {0.5 * kappa:.3g} Hz, "
                           "whose square float64 cannot carry")
     if not half_span * half_span < math.inf:
         raise DomainError(f"half of synthetic.span_ghz is {half_span:.3g} Hz, "
                           "whose square overflows float64")
+    if not max(half_span, 0.5 * kappa) * (2.0 * half_span) ** 2 < math.inf:
+        raise DomainError(f"synthetic.span_ghz is {2.0 * half_span:.3g} Hz, too "
+                          "wide for float64 to carry the Lorentzian fit's Jacobian")
     nu = _linspace(center - half_span, center + half_span, s["points"],
-                   "the synthetic scan")
+                   "the synthetic scan (synthetic.span_ghz about "
+                   "synthetic.resonance_thz)")
     y = LORENTZIAN.func(nu, (center, kappa, s["amplitude"], s["offset"]))
     if s["noise_rel"] > 0:
         y = y + np.random.default_rng(cfg.seed).normal(
             0.0, s["noise_rel"] * s["amplitude"], size=y.shape)
-    fit = fit_lorentzian(Spectrum(nu, y))
+    fit = lm_fit(LORENTZIAN, Spectrum(nu, y))
     fits = {
         "cavity": {
             "kappa_ghz": fit["fwhm"] / 1e9,
@@ -326,7 +338,7 @@ def _run_cavity_fit(cfg):
 
 
 def _run_saturation(cfg):
-    from .fitting import SATURATION, Spectrum, fit_saturation
+    from .fitting import SATURATION, Spectrum, lm_fit
 
     s = cfg.blocks["synthetic"]
     powers = np.linspace(s["power_max"] / s["points"], s["power_max"], s["points"])
@@ -338,7 +350,7 @@ def _run_saturation(cfg):
         if not np.all(np.isfinite(y)):
             raise DomainError(f"synthetic.noise_rel {s['noise_rel']:g} scales the "
                               "noisy data beyond float64")
-    fit = fit_saturation(Spectrum(powers, y))
+    fit = lm_fit(SATURATION, Spectrum(powers, y))
     fits = {
         "saturation": {
             "gamma0_mhz": fit["gamma0"] / 1e6,

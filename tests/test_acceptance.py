@@ -29,13 +29,14 @@ from sivcav.dynamics import (
 from sivcav.dynamics.engine import _liouvillian
 from sivcav.dynamics.experiments import _fit_initialization
 from sivcav.fitting import (
+    CPT_DIP,
+    EXP_DECAY,
+    EXP_RECOVERY,
     LORENTZIAN,
     MODELS,
+    SATURATION,
     Spectrum,
-    fit_cpt_dip,
-    fit_exponential,
-    fit_lorentzian,
-    fit_saturation,
+    lm_fit,
 )
 from sivcav.magnetics import assembly_field
 from sivcav.protocols import build_magnets, build_siv_model, run_protocol
@@ -98,7 +99,7 @@ def test_criterion_03_saturation_closure():
     gamma0 = s["gamma0_mhz"] * 1e6
     y = gamma0 * np.sqrt(1 + powers / s["p_sat"]) \
         * (1 + rng.normal(0, s["noise_rel"], s["points"]))
-    fit = fit_saturation(Spectrum(powers, y))
+    fit = lm_fit(SATURATION, Spectrum(powers, y))
     elapsed = time.perf_counter() - t0
     rel = abs(fit["gamma0"] - gamma0) / gamma0
     assert rel < 0.05
@@ -137,8 +138,8 @@ def test_criterion_05_spin_pumping_calibration():
 
     trace = simulate_spin_pumping(params)[0]
     i_pk = int(np.argmax(trace.signal))
-    fit = fit_exponential(Spectrum(trace.times[i_pk:] - trace.times[i_pk],
-                                   trace.signal[i_pk:]), "decay")
+    fit = lm_fit(EXP_DECAY, Spectrum(trace.times[i_pk:] - trace.times[i_pk],
+                                       trace.signal[i_pk:]))
     tau = fit["timescale"]
     fidelity = _fit_initialization(trace)[1]
     assert abs(tau - 70e-9) <= 0.2 * 70e-9
@@ -146,7 +147,7 @@ def test_criterion_05_spin_pumping_calibration():
 
     taus = np.linspace(20e-9, 4e-6, 25)
     rec = simulate_t1_recovery(params, taus)
-    t1_fit = fit_exponential(rec, kind="recovery")
+    t1_fit = lm_fit(EXP_RECOVERY, rec)
     assert abs(t1_fit["timescale"] - 630e-9) <= 0.02 * 630e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -163,7 +164,7 @@ def test_criterion_06_cpt():
     for om in (12e6, 6e6, 3e6):
         p = CptParams(rabi_pump=om, rabi_probe=om, optical_rate=157e6,
                       gamma_s=gamma_s)
-        res = fit_cpt_dip(simulate_cpt_scan(p, det))
+        res = lm_fit(CPT_DIP, simulate_cpt_scan(p, det))
         assert res.converged
         widths.append(res["dip_fwhm"])
     assert widths[0] > widths[1] > widths[2]  # power broadening
@@ -297,7 +298,7 @@ def test_criterion_09_fit_suite():
     nu0 = 406.8e12
     fwhm = nu0 / 1000.0
     nu = np.linspace(nu0 - 4 * fwhm, nu0 + 4 * fwhm, 301)
-    fit = fit_lorentzian(Spectrum(nu, LORENTZIAN.func(nu, (nu0, fwhm, 1.0, 0.02))))
+    fit = lm_fit(LORENTZIAN, Spectrum(nu, LORENTZIAN.func(nu, (nu0, fwhm, 1.0, 0.02))))
     q = q_factor(fit["center"], fit["fwhm"])
     assert abs(q - 1000.0) <= 10.0
     elapsed = time.perf_counter() - t0

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.constants import c as C_LIGHT
 
-from sivcav.constants import C_LIGHT
 from sivcav.cqed import (
     BAD_CAVITY_RTOL,
     cooperativity_from_linewidths,
@@ -15,7 +15,7 @@ from sivcav.cqed import (
 )
 from sivcav.dynamics.engine import Decay, Drive, Level, LevelSystem, _liouvillian
 from sivcav.errors import DomainError, InvalidParameterError
-from sivcav.fitting import LORENTZIAN, Spectrum, fit_lorentzian
+from sivcav.fitting import LORENTZIAN, Spectrum, lm_fit
 
 KAPPA = 273e9
 GAMMA0 = 157e6
@@ -42,7 +42,7 @@ class TestQFactor:
         fwhm = nu0 / 1000.0
         nu = np.linspace(nu0 - 4 * fwhm, nu0 + 4 * fwhm, 301)
         spec = Spectrum(nu, LORENTZIAN.func(nu, (nu0, fwhm, 1.0, 0.02)))
-        fit = fit_lorentzian(spec)
+        fit = lm_fit(LORENTZIAN, spec)
         assert q_factor(fit["center"], fit["fwhm"]) == pytest.approx(1000, rel=0.01)
 
 

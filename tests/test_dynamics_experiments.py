@@ -26,7 +26,14 @@ from sivcav.dynamics.experiments import (
     thermal_ground_state,
 )
 from sivcav.errors import DomainError, FitError, InvalidParameterError
-from sivcav.fitting import Spectrum, fit_exponential, fit_lorentzian
+from sivcav.fitting import (
+    CPT_DIP,
+    EXP_DECAY,
+    EXP_RECOVERY,
+    LORENTZIAN,
+    Spectrum,
+    lm_fit,
+)
 from sivcav.siv_levels import (
     ManifoldParams,
     OpticalLine,
@@ -59,9 +66,9 @@ class TestSpinPumping:
     def test_calibrated_timescale_and_fidelity(self):
         trace = simulate_spin_pumping(CALIB)[0]
         i_pk = int(np.argmax(trace.signal))
-        fit = fit_exponential(
-            Spectrum(trace.times[i_pk:] - trace.times[i_pk],
-                     trace.signal[i_pk:]), "decay")
+        fit = lm_fit(
+            EXP_DECAY, Spectrum(trace.times[i_pk:] - trace.times[i_pk],
+                                trace.signal[i_pk:]))
         assert fit["timescale"] == pytest.approx(70e-9, rel=0.2)
         assert initialization_fidelity(trace) == pytest.approx(0.75, abs=0.05)
 
@@ -133,7 +140,7 @@ class TestT1Recovery:
     def test_fit_recovers_configured_t1(self):
         taus = np.linspace(20e-9, 4e-6, 25)
         spec = simulate_t1_recovery(CALIB, taus)
-        fit = fit_exponential(spec, kind="recovery")
+        fit = lm_fit(EXP_RECOVERY, spec)
         assert fit["timescale"] == pytest.approx(630e-9, rel=0.02)
 
     def test_zero_gap_peak_equals_pumped_level(self):
@@ -198,19 +205,17 @@ class TestCpt:
         p = CptParams.from_t2_star(97e-9, rabi_pump=3e6, rabi_probe=3e6,
                                    optical_rate=157e6)
         det = np.linspace(-5e6, 5e6, 121)
-        from sivcav.fitting import fit_cpt_dip
-        res = fit_cpt_dip(simulate_cpt_scan(p, det))
+        res = lm_fit(CPT_DIP, simulate_cpt_scan(p, det))
         assert res["dip_fwhm"] == pytest.approx(p.dark_dip_fwhm(), rel=0.05)
         assert res["dip_fwhm"] / 1e6 == pytest.approx(3.3, rel=0.1)
 
     def test_power_broadening_monotone(self):
         det = np.linspace(-8e6, 8e6, 81)
         widths = []
-        from sivcav.fitting import fit_cpt_dip
         for om in (12e6, 8e6, 5e6):
             p = CptParams.from_t2_star(97e-9, rabi_pump=om, rabi_probe=om,
                                        optical_rate=157e6)
-            res = fit_cpt_dip(simulate_cpt_scan(p, det))
+            res = lm_fit(CPT_DIP, simulate_cpt_scan(p, det))
             widths.append(res["dip_fwhm"])
         assert widths[0] > widths[1] > widths[2]
 
@@ -323,7 +328,7 @@ class TestPleScan:
                              rabi=5e6)
         freqs = np.linspace(406.8e12 - 2e9, 406.8e12 + 2e9, 401)
         spec = simulate_ple_scan([emitter], freqs)
-        fit = fit_lorentzian(Spectrum(freqs, spec.y))
+        fit = lm_fit(LORENTZIAN, Spectrum(freqs, spec.y))
         assert fit.converged
         assert fit["center"] == pytest.approx(406.8e12, abs=2e6)
         # weak drive: FWHM approaches the natural linewidth

@@ -49,3 +49,17 @@ def test_reexports_are_exported_at_home(name):
         if export not in getattr(home, "__all__", (export,)):
             strays.append(f"{export} (defined in {home_name})")
     assert not strays, f"{name}.__all__ re-exports names private at home: {strays}"
+
+
+def test_readme_lists_the_fit_models():
+    # the README's `fit` paragraph names the models `sivcav fit` takes; each
+    # is one of `sivcav.fitting.MODELS`, exported there as a constant
+    from sivcav import fitting
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"`fit` fits one of the\s+shipped models \(([^)]*)\)", text)
+    assert listed, "README has no list of the `fit` models"
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(fitting.MODELS)
+    exported = [getattr(fitting, name) for name in fitting.__all__]
+    for name, model in fitting.MODELS.items():
+        assert any(e is model for e in exported), f"{name} is not exported"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from sivcav._table import json_text
 from sivcav.cqed import cooperativity_from_linewidths
 from sivcav.dynamics.experiments import SpinPumpParams, simulate_spin_pumping
 from sivcav.errors import FitError, InvalidParameterError
@@ -19,10 +20,6 @@ from sivcav.fitting import (
     SATURATION,
     Model,
     Spectrum,
-    fit_cpt_dip,
-    fit_exponential,
-    fit_lorentzian,
-    fit_saturation,
     lm_fit,
 )
 
@@ -102,8 +99,8 @@ class TestLmCore:
                                 pulse_length=1000.0 * 1e-9)
         trace = simulate_spin_pumping(params)[0]
         i = int(np.argmax(trace.signal))
-        fit = fit_exponential(Spectrum(trace.times[i:] - trace.times[i],
-                                       trace.signal[i:]), "decay")
+        fit = lm_fit(EXP_DECAY, Spectrum(trace.times[i:] - trace.times[i],
+                                          trace.signal[i:]))
         assert fit.converged
         assert fit.n_iterations < 20
         assert fit["timescale"] == pytest.approx(71.0e-9, rel=0.01)
@@ -158,13 +155,13 @@ class TestLmCore:
         assert not result.converged
         # the pseudo-inverse's diagonal bounds nothing: no sigma, not a zero
         assert np.isnan(result.sigmas).all()
-        assert {p["sigma"] for p in json.loads(result.to_json())["params"].values()} \
-            == {None}
+        params = json.loads(json_text(result.as_dict()))["params"]
+        assert {p["sigma"] for p in params.values()} == {None}
 
     def test_result_json_round_trip(self):
         x = np.linspace(-3, 3, 40)
         result = lm_fit(LORENTZIAN, Spectrum(x, LORENTZIAN.func(x, [0, 1, 1, 0])))
-        payload = json.loads(result.to_json())
+        payload = json.loads(json_text(result.as_dict()))
         assert payload["model"] == "lorentzian"
         assert set(payload["params"]) == {"center", "fwhm", "amplitude", "offset"}
         assert {"value", "sigma"} <= set(payload["params"]["fwhm"])
@@ -178,7 +175,7 @@ class TestLmCore:
         # amplitude apart from zero, so the timescale is unidentifiable too
         t = np.linspace(0.0, 9.14, 5)
         y = np.array([-14.07, -3.88, 5.05, -6.08, 0.076])
-        result = fit_exponential(Spectrum(t, y), kind="recovery")
+        result = lm_fit(EXP_RECOVERY, Spectrum(t, y))
         # the covariance of the overflowed Jacobian is not finite: singular
         assert result.flags == ("jacobian_overflow", "singular_covariance",
                                 "timescale_unidentifiable")
@@ -188,7 +185,7 @@ class TestLmCore:
         def reject(constant):
             raise AssertionError(f"non-JSON constant {constant}")
 
-        payload = json.loads(result.to_json(), parse_constant=reject)
+        payload = json.loads(json_text(result.as_dict()), parse_constant=reject)
         assert [v["sigma"] for v in payload["params"].values()] == [None] * 3
         assert payload["params"]["timescale"]["value"] == 1e-300
 
@@ -197,7 +194,7 @@ class TestLorentzianFit:
     def test_noiseless_recovery(self):
         x = np.linspace(406.0e12, 407.6e12, 300)
         p_true = [406.8e12, 273e9, 1.0, 0.05]
-        result = fit_lorentzian(Spectrum(x, LORENTZIAN.func(x, p_true)))
+        result = lm_fit(LORENTZIAN, Spectrum(x, LORENTZIAN.func(x, p_true)))
         assert result.converged
         for name, truth in zip(("center", "fwhm", "amplitude", "offset"), p_true):
             tol = 1e-3 * abs(truth) if truth else 1e-6
@@ -207,12 +204,12 @@ class TestLorentzianFit:
         rng = np.random.default_rng(99)
         x = np.linspace(-6, 6, 200)
         y = LORENTZIAN.func(x, [0.0, 2.0, 1.0, 0.1]) + rng.normal(0, 0.05, 200)
-        result = fit_lorentzian(Spectrum(x, y))
+        result = lm_fit(LORENTZIAN, Spectrum(x, y))
         assert result["fwhm"] == pytest.approx(2.0, rel=0.05)
 
     def test_flat_spectrum_no_crash(self):
         x = np.linspace(0, 10, 50)
-        result = fit_lorentzian(Spectrum(x, np.full(50, 3.0)))
+        result = lm_fit(LORENTZIAN, Spectrum(x, np.full(50, 3.0)))
         assert (not result.converged) or abs(result["amplitude"]) < 1e-6
 
 
@@ -220,31 +217,26 @@ class TestExponentialFit:
     def test_decay_closure_70ns(self):
         t = np.linspace(0, 1e-6, 300)
         y = EXP_DECAY.func(t, [5.0, 70e-9, 1.0])
-        result = fit_exponential(Spectrum(t, y), kind="decay")
+        result = lm_fit(EXP_DECAY, Spectrum(t, y))
         assert result["timescale"] == pytest.approx(70e-9, rel=0.01)
 
     def test_recovery_closure_630ns(self):
         t = np.linspace(0, 4e-6, 200)
         y = EXP_RECOVERY.func(t, [2.0, 630e-9, 6.0])
-        result = fit_exponential(Spectrum(t, y), kind="recovery")
+        result = lm_fit(EXP_RECOVERY, Spectrum(t, y))
         assert result["timescale"] == pytest.approx(630e-9, rel=0.01)
 
     def test_constant_trace_flagged(self):
         t = np.linspace(0, 1, 60)
-        result = fit_exponential(Spectrum(t, np.full(60, 2.0)), kind="decay")
+        result = lm_fit(EXP_DECAY, Spectrum(t, np.full(60, 2.0)))
         assert "timescale_unidentifiable" in result.flags
-
-    def test_kind_checked(self):
-        with pytest.raises(InvalidParameterError):
-            fit_exponential(Spectrum(np.arange(10.0), np.arange(10.0)),
-                            kind="oscillation")
 
 
 class TestSaturationFit:
     def test_noiseless_recovery(self):
         p = np.linspace(0.5, 8, 12)
         y = SATURATION.func(p, [157e6, 1.3])
-        result = fit_saturation(Spectrum(p, y))
+        result = lm_fit(SATURATION, Spectrum(p, y))
         assert result["gamma0"] == pytest.approx(157e6, rel=0.005)
         assert result["p_sat"] == pytest.approx(1.3, rel=0.005)
 
@@ -252,14 +244,34 @@ class TestSaturationFit:
         # two parameters need three points: lm_fit's own count guard
         for n in (1, 2):
             with pytest.raises(FitError, match="^model 'saturation' needs at least 3"):
-                fit_saturation(Spectrum(np.arange(1.0, n + 1.0), np.full(n, 2.0)))
+                lm_fit(SATURATION, Spectrum(np.arange(1.0, n + 1.0), np.full(n, 2.0)))
+
+    @pytest.mark.parametrize("first", [0.0, -0.5])
+    def test_non_positive_first_linewidth_starts_inside_the_bounds(self, first):
+        # noise can push the lowest-power linewidth to zero or below: the
+        # guess then starts from the first positive one (it started from
+        # gamma0 = 1e-300 and p_sat = 0, below the model's bound)
+        p = np.linspace(0.5, 8, 12)
+        y = SATURATION.func(p, [157e6, 1.3])
+        y[0] = first
+        p0 = SATURATION.guess(Spectrum(p, y))
+        assert p0[0] == y[1]
+        assert np.all(p0 >= SATURATION.lower)
+        result = lm_fit(SATURATION, Spectrum(p, y))
+        assert np.all(np.isfinite(result.params))
+
+    def test_no_positive_linewidth_starts_at_the_data_scale(self):
+        p = np.linspace(0.5, 8, 12)
+        p0 = SATURATION.guess(Spectrum(p, np.linspace(-3.0, -1.0, 12)))
+        assert list(p0) == [3.0, 8.0]
+        assert lm_fit(SATURATION, Spectrum(p, np.zeros(12)))["gamma0"] == 1e-300
 
     def test_chain_into_cooperativity(self):
         # on-resonance saturation data extrapolates to gamma_on = 203 MHz,
         # which against gamma0 = 157 MHz gives the measured cooperativity
         p = np.linspace(0.3, 6, 10)
         y = SATURATION.func(p, [203e6, 0.9])
-        fit = fit_saturation(Spectrum(p, y))
+        fit = lm_fit(SATURATION, Spectrum(p, y))
         c, ok = cooperativity_from_linewidths(fit["gamma0"], 157e6, 0.0, 273e9)
         assert ok
         assert c == pytest.approx(0.293, abs=0.005)
@@ -269,13 +281,24 @@ class TestCptDipFit:
     def test_synthetic_dip_recovery(self):
         x = np.linspace(-12e6, 12e6, 201)
         y = CPT_DIP.func(x, [0.0, 3.3e6, 0.6, 1.0])
-        result = fit_cpt_dip(Spectrum(x, y))
+        result = lm_fit(CPT_DIP, Spectrum(x, y))
         assert result["dip_fwhm"] == pytest.approx(3.3e6, rel=0.02)
 
     def test_zero_depth_flagged(self):
         x = np.linspace(-5e6, 5e6, 101)
-        result = fit_cpt_dip(Spectrum(x, np.full(101, 4.0)))
+        result = lm_fit(CPT_DIP, Spectrum(x, np.full(101, 4.0)))
         assert "width_unidentifiable" in result.flags
+
+
+class TestIdentifiability:
+    # `sivcav fit` on a flat CSV checks the flags of each shape that has a
+    # height; a clear shape, or a model without one, carries no flag
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_clear_shape_is_not_flagged(self, name):
+        x, p = MODEL_POINTS[name]
+        result = lm_fit(MODELS[name], Spectrum(x, MODELS[name].func(x, p)))
+        assert result.converged
+        assert result.flags == ()
 
 
 MIRROR_BASES = {"cpt_dip": LORENTZIAN, "exponential_recovery": EXP_DECAY}
@@ -336,9 +359,9 @@ class TestFitProperties:
     def test_reparameterization_shift_invariance(self):
         x = np.linspace(-6, 6, 150)
         y = LORENTZIAN.func(x, [0.7, 1.9, 1.2, 0.2])
-        r1 = fit_lorentzian(Spectrum(x, y))
+        r1 = lm_fit(LORENTZIAN, Spectrum(x, y))
         shift = 123.456
-        r2 = fit_lorentzian(Spectrum(x + shift, y))
+        r2 = lm_fit(LORENTZIAN, Spectrum(x + shift, y))
         assert r2["center"] - r1["center"] == pytest.approx(shift, rel=1e-9)
         assert r2["fwhm"] == pytest.approx(r1["fwhm"], rel=1e-9)
 
@@ -348,7 +371,7 @@ class TestFitProperties:
             rng = np.random.default_rng(seed)
             x = np.linspace(-6, 6, n)
             y = LORENTZIAN.func(x, [0.0, 2.0, 1.0, 0.1]) + rng.normal(0, 0.03, n)
-            return fit_lorentzian(Spectrum(x, y))
+            return lm_fit(LORENTZIAN, Spectrum(x, y))
 
         small = [run(100, s).sigma_of("fwhm") for s in range(8)]
         large = [run(400, s + 100).sigma_of("fwhm") for s in range(8)]

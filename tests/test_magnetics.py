@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from scipy.constants import mu_0 as MU_0
 
 from sivcav._table import csv_text
 from sivcav.config import validate_tree
-from sivcav.constants import MU_0
 from sivcav.errors import DomainError, InvalidParameterError
 from sivcav import magnetics
 from sivcav.magnetics import (

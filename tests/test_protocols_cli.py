@@ -414,7 +414,7 @@ class TestRunProtocol:
         # vanish, and the gradient test alone would call the collapsed
         # fit (width 3.85e-235 MHz) converged; its covariance is singular,
         # so its sigma is null, not 0, and the width is unidentifiable
-        from sivcav.fitting import Spectrum, fit_cpt_dip
+        from sivcav.fitting import CPT_DIP, Spectrum, lm_fit
 
         tree = yaml.safe_load((CONFIGS / "fig4_cpt.cfg").read_text())
         tree["cpt"]["rabi_pump_mhz"] = tree["cpt"]["rabi_probe_mhz"] = 20.0
@@ -427,8 +427,8 @@ class TestRunProtocol:
         assert fits["cpt_dip"]["converged"] is False
         x, y = np.loadtxt(Path(manifest.out_dir) / "data.csv", delimiter=",",
                           skiprows=1, unpack=True)
-        assert fit_cpt_dip(Spectrum(x, y)).flags == ("singular_covariance",
-                                                    "width_unidentifiable")
+        assert lm_fit(CPT_DIP, Spectrum(x, y)).flags == ("singular_covariance",
+                                                        "width_unidentifiable")
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("name", ["fig1_cavity_fit.cfg", "fig3_saturation.cfg",
@@ -858,8 +858,30 @@ class TestCli:
          "1e+150 m within which the closed form's squared distances stay finite "
          "in float64\n"),
         ("fig1_ple", [("scan", "stop_thz", 1e300)],
-         "protocol 'ple_scan': the scan runs from 4.066e+14 to inf Hz: its ends "
-         "or span overflow float64\n"),
+         "protocol 'ple_scan': the scan (scan.start_thz to scan.stop_thz) runs "
+         "from 4.066e+14 to inf Hz: its ends or span overflow float64\n"),
+        # scans whose points collapse below the ulp of their ends, and spans
+        # whose squares fit in float64 but the Lorentzian Jacobian's products
+        # do not (these said "x must be strictly monotone" or "Jacobian is not
+        # finite at p0", naming no leaf)
+        *[("fig1_cavity_fit", [("synthetic", "resonance_thz", v)],
+           "protocol 'cavity_fit': the synthetic scan (synthetic.span_ghz about "
+           "synthetic.resonance_thz) steps 0 Hz between its 401 points, below "
+           f"what float64 resolves at {at} Hz\n")
+          for v, at in ((1e140, "1e+152"), (1e20, "1e+32"))],
+        ("fig2_pump_probe", [("scan", "start_offset_ghz", 0.0),
+                             ("scan", "stop_offset_ghz", 1e-12)],
+         "protocol 'pump_probe_scan': the scan (scan.start_offset_ghz to "
+         "scan.stop_offset_ghz) steps 0 Hz between its 481 points, below what "
+         "float64 resolves at 4.06531e+14 Hz\n"),
+        ("fig1_ple", [("scan", "stop_thz", 406.600000000001)],
+         "protocol 'ple_scan': the scan (scan.start_thz to scan.stop_thz) steps "
+         "0.002 Hz between its 501 points, below what float64 resolves at "
+         "4.066e+14 Hz\n"),
+        *[("fig1_cavity_fit", [("synthetic", "span_ghz", v)],
+           f"protocol 'cavity_fit': synthetic.span_ghz is {hz} Hz, too wide for "
+           "float64 to carry the Lorentzian fit's Jacobian\n")
+          for v, hz in ((1e95, "1e+104"), (1e120, "1e+129"), (1e145, "1e+154"))],
         ("fig1_cavity_fit", [("synthetic", "kappa_ghz", 1e-300)],
          "protocol 'cavity_fit': half of synthetic.kappa_ghz is 5e-292 Hz, whose "
          "square float64 cannot carry\n"),
@@ -878,6 +900,17 @@ class TestCli:
         assert (rc, out) == (2, "")
         assert err == f"error: {message}"
 
+    @pytest.mark.parametrize("span_ghz", [1e80, 1e93])
+    def test_wide_span_within_the_jacobian_guard_runs(self, tmp_path, capsys,
+                                                      span_ghz):
+        # the Jacobian's squared denominators overflow to inf here, which
+        # leaves its products finite: the fit runs and writes its result
+        tree = edited("fig1_cavity_fit", ("synthetic", "span_ghz", span_ghz))
+        rc = cli_main(["run", write_cfg(tmp_path, tree), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert Path(out.strip(), "fits.json").exists()
+
     # fits that overflowed inside `lm_fit` leaked RuntimeWarnings (12 and 2
     # stderr lines) before exit 0; the unconverged fit with its null sigma
     # is now written in silence
@@ -894,6 +927,17 @@ class TestCli:
         fits = json.loads(Path(proc.stdout.strip(), "fits.json").read_text())
         assert fits[fit]["converged"] is False
         assert fits[fit][sigma] is None
+
+    def test_noise_below_zero_at_the_lowest_power_still_fits(self, tmp_path):
+        # at noise_rel 3 and seed 4 the lowest-power linewidth draws negative:
+        # the saturation guess started below its own bound, and the run
+        # exited 2 with "initial parameters violate the bounds"
+        tree = edited("fig3_saturation", ("synthetic", "noise_rel", 3.0))
+        proc = run_cli("run", write_cfg(tmp_path, tree), "--seed", "4",
+                       "--out", str(tmp_path / "o"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        fits = json.loads(Path(proc.stdout.strip(), "fits.json").read_text())
+        assert fits["saturation"]["gamma0_mhz"] > 0.0
 
     # counts so large that the run would die allocating its arrays, with a
     # traceback, or run out of memory: each fails validation, with one
@@ -987,8 +1031,31 @@ class TestCli:
             raise AssertionError(f"non-JSON constant {constant}")
 
         payload = json.loads(out, parse_constant=reject)
-        assert payload["flags"] == ["jacobian_overflow", "singular_covariance"]
+        assert payload["flags"] == ["jacobian_overflow", "singular_covariance",
+                                    "timescale_unidentifiable"]
         assert {v["sigma"] for v in payload["params"].values()} == {None}
+
+    @pytest.mark.parametrize("model, flag", [
+        ("lorentzian", "width_unidentifiable"),
+        ("cpt_dip", "width_unidentifiable"),
+        ("exponential_decay", "timescale_unidentifiable"),
+        ("exponential_recovery", "timescale_unidentifiable"),
+    ])
+    def test_fit_flags_a_flat_csv_as_lm_fit_does(self, tmp_path, capsys, model,
+                                                 flag):
+        # a flat trace constrains no width or timescale, whoever fits it
+        from sivcav.fitting import MODELS, Spectrum, lm_fit
+
+        x = np.linspace(0.0, 5.0, 40)
+        csv_path = tmp_path / "flat.csv"
+        csv_path.write_text("".join(f"{a},3.0\n" for a in x))
+        assert cli_main(["fit", model, str(csv_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        flags = json.loads(out)["flags"]
+        assert flag in flags
+        direct = lm_fit(MODELS[model], Spectrum(x, np.full(40, 3.0)))
+        assert tuple(flags) == direct.flags
 
     def test_fit_header_is_the_first_non_empty_row(self, tmp_path, capsys):
         from sivcav.fitting import LINEAR
