@@ -11,6 +11,7 @@ Diagnostics go to stderr; data goes to files or stdout only.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -69,6 +70,8 @@ def _read_xy_csv(path: str):
                 if header:
                     continue  # the first non-empty row may be a header
                 raise SivCavError(f"{path}:{line_no}: non-numeric data")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise SivCavError(f"{path}:{line_no}: non-finite value")
             xs.append(x)
             ys.append(y)
     if len(xs) < 2:
@@ -102,7 +105,10 @@ def _cmd_fit(args) -> int:
     if args.model not in MODELS:
         raise SivCavError(f"unknown model '{args.model}' "
                           f"(choose from {', '.join(sorted(MODELS))})")
-    x, y = _read_xy_csv(args.csv)
+    try:
+        x, y = _read_xy_csv(args.csv)
+    except UnicodeDecodeError as exc:
+        raise SivCavError(f"cannot read {args.csv}: not UTF-8 ({exc.reason})") from None
     order = np.argsort(x)
     spectrum = Spectrum(x[order], y[order])
     result = lm_fit(MODELS[args.model], spectrum)

@@ -27,19 +27,6 @@ from .errors import ConfigError
 
 __all__ = ["ProtocolConfig", "load_config", "validate_tree", "PROTOCOLS"]
 
-PROTOCOLS = (
-    "ple_scan",
-    "pump_probe_scan",
-    "spin_pumping",
-    "t1_recovery",
-    "cpt_scan",
-    "cavity_fit",
-    "saturation_study",
-    "magnet_map",
-    "cooperativity_report",
-)
-
-
 class ProtocolConfig(namedtuple(
         "ProtocolConfig", "protocol seed blocks output_dir",
         defaults=("runs",))):
@@ -57,10 +44,6 @@ class ProtocolConfig(namedtuple(
                    "blocks": self.blocks}
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-    def to_dict(self) -> dict:
-        return {"protocol": self.protocol, "seed": self.seed,
-                "output_dir": self.output_dir, **self.blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +351,9 @@ _SCHEMAS = {
         "detuning_over_kappa": _number(default=0.0),
     })},
 }
+
+#: every protocol name, in schema order
+PROTOCOLS = tuple(_SCHEMAS)
 
 #: protocols whose scan output may carry optional seeded Gaussian noise
 _NOISE_OK = {"ple_scan", "pump_probe_scan", "cpt_scan"}

@@ -5,8 +5,9 @@ angular units happens only here. Conventions:
 
 * a decay with rate Gamma empties its source population as exp(-2*pi*Gamma*t);
 * a dephasing with rate gamma damps the pair coherence as exp(-2*pi*gamma*t);
-* the rotating frame is constructed per drive graph, so absolute level
-  energies never enter the numerics, only detunings.
+* the rotating frame is constructed per drive tree (drives that close a
+  loop are rejected), so absolute level energies never enter the numerics,
+  only detunings.
 
 The Liouvillian acts on row-major vectorized density matrices:
 vec(A rho B) = (A kron B^T) vec(rho).
@@ -32,11 +33,6 @@ __all__ = [
     "Level", "Drive", "Decay", "Dephasing", "LevelSystem", "Trace",
     "propagate", "detuned_steady_states",
 ]
-
-#: loop-closure tolerance of the rotating-frame check, Hz: the largest
-#: amount by which the signed sum of laser detunings around a drive loop may
-#: miss zero. Only detunings enter the sum, so its roundoff is far below this.
-_FRAME_TOL_HZ = 10.0
 
 #: 1-norm condition number of the trace-bordered Liouvillian beyond which the
 #: steady state counts as not unique. Below it, LU with partial pivoting keeps
@@ -104,8 +100,7 @@ class LevelSystem:
         self.dephasings = tuple(dephasings)
         self._validate()
         self._index = {lv.label: i for i, lv in enumerate(self.levels)}
-        self._frame_map, self._loop_labels, self._loop_rows = self._solve_rotating_frame()
-        self._check_loops(np.array([d.laser_detuning for d in self.drives]))
+        self._frame_map = self._solve_rotating_frame()
         self._l0 = None           # detuning-free Liouvillian; first use, then read-only
         self._eigenbasis = None   # (lam, V) or (); computed on first propagation
 
@@ -151,25 +146,24 @@ class LevelSystem:
                 raise InvalidParameterError("dephasing rate must be finite and >= 0")
 
     def _solve_rotating_frame(self):
-        """(n_levels, n_drives) map from detunings to frame shifts, plus the
-        level label and row of every drive that closes a loop.
+        """(n_levels, n_drives) map from detunings to frame shifts.
 
         Walks the drive graph: a drive lower -> upper with laser detuning d
         gives shift(upper) = shift(lower) - d, so each level's shift is a 0/+-1
         combination of detunings (the first level of each connected drive
-        graph, and every undriven level, has shift 0). A loop-closing drive's
-        row times the detunings is the loop's frequency mismatch. Absolute
-        level energies never enter.
+        graph, and every undriven level, has shift 0). Absolute level
+        energies never enter. The drives must form a tree on each connected
+        set of levels: a walk that reaches a level along a second path finds
+        a different 0/+-1 row there, and raises RotatingFrameError naming
+        that level.
         """
-        n_drives = len(self.drives)
-        frame_map = np.zeros((self.dim, n_drives))
+        frame_map = np.zeros((self.dim, len(self.drives)))
         assigned = [False] * self.dim
         adj = [[] for _ in self.levels]
         for k, d in enumerate(self.drives):
             i, j = self._index[d.lower], self._index[d.upper]
             adj[i].append((j, k, -1.0))
             adj[j].append((i, k, +1.0))
-        loops = []
         for root in range(self.dim):
             if assigned[root] or not adj[root]:
                 continue
@@ -185,20 +179,10 @@ class LevelSystem:
                         assigned[b] = True
                         stack.append(b)
                     elif np.any(row != frame_map[b]):
-                        loops.append((self.levels[b].label, row - frame_map[b]))
-        rows = np.reshape([row for _, row in loops], (len(loops), n_drives))
-        return frame_map, [label for label, _ in loops], rows
-
-    def _check_loops(self, detunings):
-        """Raise RotatingFrameError for the first row of `detunings` (shape
-        (..., n_drives)) whose drive loops do not close within tolerance."""
-        mismatch = np.atleast_2d(detunings @ self._loop_rows.T)
-        bad = np.abs(mismatch) > _FRAME_TOL_HZ
-        if np.any(bad):
-            row, loop = np.argwhere(bad)[0]
-            raise RotatingFrameError(
-                f"drive loop through '{self._loop_labels[loop]}' closes with a "
-                f"{mismatch[row, loop]:.3g} Hz frequency mismatch")
+                        raise RotatingFrameError(
+                            f"drives close a loop through '{self.levels[b].label}': "
+                            "the drives of a level system must form a tree")
+        return frame_map
 
     def _frame_shifts(self, detunings) -> np.ndarray:
         """Frame shift per level (Hz) for detunings of shape (..., n_drives).
@@ -503,7 +487,6 @@ def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
             "detuned_steady_states needs detunings of shape (N >= 1, n_drives)")
     if not np.all(np.isfinite(detunings)):
         raise InvalidParameterError("laser_detuning must be finite")
-    template._check_loops(detunings)
     lv = _detuned_liouvillians(template, detunings)
     try:
         return _bordered_steady_states(lv)

@@ -14,7 +14,7 @@ class DomainError(SivCavError, ValueError):
 
 
 class RotatingFrameError(SivCavError, ValueError):
-    """The set of drives admits no consistent rotating frame."""
+    """The drives close a loop; the rotating frame is built for trees of drives."""
 
 
 class SteadyStateError(SivCavError, RuntimeError):

@@ -115,7 +115,6 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     'timescale_unidentifiable'.
     """
     x, y = spectrum.x, spectrum.y
-    w = 1.0 / spectrum.sigma if spectrum.sigma is not None else np.ones_like(y)
     npar = len(model.param_names)
     if len(x) < npar + 1:
         raise FitError(
@@ -133,10 +132,10 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
         raise InvalidParameterError("initial parameters violate the bounds")
 
     def residuals(params):
-        return (y - model.func(x, params)) * w
+        return y - model.func(x, params)
 
     def jacobian(params):
-        return -model.jac(x, params) * w[:, None]
+        return -model.jac(x, params)
 
     def trial(step):
         """(params, residuals, cost) at p + step clipped to the bounds, or

@@ -173,17 +173,19 @@ def _maybe_noise(y: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
 _Table = namedtuple("_Table", "headers columns fits formats", defaults=(None,))
 
 
-def _linspace(start: float, stop: float, points: int, what: str) -> np.ndarray:
-    """`np.linspace` over config ends in Hz; DomainError when float64 cannot
-    carry the ends or the span, or cannot tell the points apart."""
+def _linspace(start: float, stop: float, points: int, what: str,
+              unit: str = "Hz") -> np.ndarray:
+    """`np.linspace` over config ends in `unit`; DomainError when float64
+    cannot carry the ends or the span, or cannot tell the points apart."""
     if not math.isfinite(stop - start):
-        raise DomainError(f"{what} runs from {start:.6g} to {stop:.6g} Hz: "
+        raise DomainError(f"{what} runs from {start:.6g} to {stop:.6g} {unit}: "
                           "its ends or span overflow float64")
     x = np.linspace(start, stop, points)
     if not np.all(np.diff(x) > 0.0):
-        raise DomainError(f"{what} steps {(stop - start) / (points - 1):.3g} Hz "
-                          f"between its {points} points, below what float64 "
-                          f"resolves at {max(abs(start), abs(stop)):.6g} Hz")
+        raise DomainError(f"{what} steps {(stop - start) / (points - 1):.3g} "
+                          f"{unit} between its {points} points, below what "
+                          f"float64 resolves at {max(abs(start), abs(stop)):.6g} "
+                          f"{unit}")
     return x
 
 
@@ -256,8 +258,9 @@ def _run_t1_recovery(cfg):
 
     params = build_spin_pump_params(cfg.blocks["spin_pump"])
     taus_cfg = cfg.blocks["taus"]
-    taus = np.linspace(taus_cfg["start_ns"] * 1e-9, taus_cfg["stop_ns"] * 1e-9,
-                       taus_cfg["points"])
+    taus = _linspace(taus_cfg["start_ns"] * 1e-9, taus_cfg["stop_ns"] * 1e-9,
+                     taus_cfg["points"],
+                     "the delays (taus.start_ns to taus.stop_ns)", "s")
     spec = simulate_t1_recovery(params, taus)
     fit = lm_fit(EXP_RECOVERY, spec)
     fits = {

@@ -13,11 +13,11 @@ __all__ = ["Spectrum"]
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled 1-d trace with optional per-point standard deviations."""
+    """Sampled 1-d trace: finite y at strictly monotone, finite x. Fits
+    weight every point alike."""
 
     x: np.ndarray
     y: np.ndarray
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -29,11 +29,5 @@ class Spectrum:
             raise InvalidParameterError("x must be strictly monotone")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise InvalidParameterError("spectrum values must be finite")
-        sigma = self.sigma
-        if sigma is not None:
-            sigma = np.asarray(sigma, dtype=float)
-            if sigma.shape != x.shape or np.any(sigma <= 0):
-                raise InvalidParameterError("sigma must be positive, same length as x")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "sigma", sigma)

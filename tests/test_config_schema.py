@@ -18,6 +18,7 @@ from sivcav.cli import main as cli_main
 from sivcav.config import _NOISE, _NOISE_OK, _ROOTS, _block, validate_tree
 from sivcav.errors import ConfigError, SivCavError
 from sivcav.protocols import run_protocol
+from test_protocols_cli import config_tree
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 #: protocol -> its shipped config tree
@@ -131,7 +132,7 @@ def outputs(tree):
 
 def schema_cases():
     for protocol in _ROOTS:
-        blocks = validate_tree(SHIPPED[protocol]).to_dict()
+        blocks = config_tree(validate_tree(SHIPPED[protocol]))
         for path, parse in leaf_keys(root_table(protocol), blocks):
             yield pytest.param(protocol, path, getattr(parse, "choices", None),
                                id=f"{protocol}:{dotted(path)}")
@@ -145,7 +146,7 @@ def test_every_key_changes_the_output_or_is_rejected(tmp_path, monkeypatch,
     base = copy.deepcopy(SHIPPED[protocol])
     for (*owner, leaf), value in BASE_EDITS.get(key, {}).items():
         functools.reduce(operator.getitem, owner, base)[leaf] = value
-    blocks = validate_tree(base).to_dict()
+    blocks = config_tree(validate_tree(base))
     *owner, leaf = path
     value = functools.reduce(operator.getitem, owner, blocks)[leaf]
     expected = outputs(base)
@@ -170,7 +171,7 @@ def test_every_key_changes_the_output_or_is_rejected(tmp_path, monkeypatch,
 def test_exemptions_name_schema_keys():
     keys = {(protocol, dotted(path)) for protocol in _ROOTS
             for path, _ in leaf_keys(root_table(protocol),
-                                     validate_tree(SHIPPED[protocol]).to_dict())}
+                                     config_tree(validate_tree(SHIPPED[protocol])))}
     assert set(NO_EFFECT) | set(RUN_KEYS) | set(BASE_EDITS) | set(RUN_REJECTED) \
         | ALWAYS_REJECTED <= keys
 

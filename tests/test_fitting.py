@@ -378,13 +378,6 @@ class TestFitProperties:
         ratio = np.mean(small) / np.mean(large)
         assert ratio == pytest.approx(2.0, rel=0.2)
 
-    def test_weighted_fit_uses_sigma(self):
-        x = np.linspace(-5, 5, 80)
-        y = LORENTZIAN.func(x, [0.0, 2.0, 1.0, 0.0])
-        sigma = np.full(80, 0.05)
-        result = lm_fit(LORENTZIAN, Spectrum(x, y, sigma=sigma))
-        assert result.converged
-
 
 class TestSpectrumValidation:
     def test_monotone_required(self):
@@ -398,10 +391,6 @@ class TestSpectrumValidation:
     def test_finite_required(self):
         with pytest.raises(InvalidParameterError):
             Spectrum(np.arange(3.0), np.array([0.0, np.nan, 1.0]))
-
-    def test_sigma_positive(self):
-        with pytest.raises(InvalidParameterError):
-            Spectrum(np.arange(3.0), np.zeros(3), sigma=np.array([1.0, 0.0, 1.0]))
 
     def test_descending_axis_allowed(self):
         Spectrum(np.array([3.0, 2.0, 1.0]), np.zeros(3))

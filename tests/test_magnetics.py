@@ -186,6 +186,12 @@ class TestFieldAngle:
     def test_perpendicular_ninety(self):
         assert abs(field_angle((0, 0, 1), (1, 0, 0))) == pytest.approx(90.0)
 
+    @pytest.mark.parametrize("b, angle", [((1, 0, 0), 90.0), ((1, 0, 1), 45.0),
+                                          ((-1, 0, 1), -45.0)])
+    def test_axis_along_z_takes_its_sign_from_x(self, b, angle):
+        # z is no sign reference for an axis along z itself: x is
+        assert field_angle(b, (0, 0, 2)) == pytest.approx(angle)
+
     def test_shipped_assembly_out_of_plane_angle(self):
         b = assembly_field(ASSEMBLY, PCC)
         assert field_angle(b, (1, 0, 0)) == pytest.approx(-10.0, abs=1.5)

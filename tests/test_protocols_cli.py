@@ -78,6 +78,12 @@ def write_cfg(tmp_path, tree, name="test.cfg"):
     return str(path)
 
 
+def config_tree(cfg):
+    """The configuration tree that `cfg` echoes: its run keys and blocks."""
+    return {"protocol": cfg.protocol, "seed": cfg.seed,
+            "output_dir": cfg.output_dir, **cfg.blocks}
+
+
 def edited(name, *leaves):
     """The tree of shipped config `name` with each leaf = (*path, key, value) set."""
     tree = yaml.safe_load((CONFIGS / f"{name}.cfg").read_text())
@@ -141,6 +147,14 @@ def changed(value):
 
 
 class TestConfigLoading:
+    def test_every_schema_protocol_has_a_runner(self):
+        # a protocol in the schema without a runner would validate and then
+        # fail `run` with a KeyError traceback
+        from sivcav import config, protocols
+
+        assert config.PROTOCOLS == tuple(config._SCHEMAS) \
+            == tuple(protocols._RUNNERS)
+
     def test_minimal_cpt_parses_with_defaults(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL_CPT))
         assert cfg.protocol == "cpt_scan"
@@ -151,7 +165,7 @@ class TestConfigLoading:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_echo_round_trip_lossless(self, name):
         cfg = load_config(str(CONFIGS / name))
-        echoed = validate_tree(cfg.to_dict())
+        echoed = validate_tree(config_tree(cfg))
         assert echoed.config_hash() == cfg.config_hash()
         assert echoed.blocks == cfg.blocks
 
@@ -891,6 +905,15 @@ class TestCli:
         ("fig3_saturation", [("synthetic", "noise_rel", 1e300)],
          "protocol 'saturation_study': synthetic.noise_rel 1e+300 scales the "
          "noisy data beyond float64\n"),
+        # delays that float64 cannot tell apart (these said "taus must be
+        # non-negative and increasing", naming no leaf)
+        *[("fig4_t1", [("taus", "start_ns", start), ("taus", "stop_ns", stop)],
+           "protocol 't1_recovery': the delays (taus.start_ns to taus.stop_ns) "
+           f"steps {step} s between its 25 points, below what float64 "
+           f"resolves at {at} s\n")
+          for start, stop, step, at in (
+              (1e10, 1.0000000000000011e10, "5.18e-16", "10"),
+              (1e250, 1.0000000000000011e250, "4.32e+224", "1e+241"))],
     ])
     def test_unmodelled_physics_is_a_named_runtime_error(self, tmp_path, capsys,
                                                          name, leaves, message):
@@ -980,6 +1003,8 @@ class TestCli:
                      "can't decode byte 0xe9", id="not-utf8"),
         pytest.param(b"protocol: cpt_scan\ncpt:\n  t2_star_ns: 97.0\n  t2_star_ns: 50.0",
                      "at line 4: duplicate key 't2_star_ns'", id="repeated-key"),
+        pytest.param(b"- protocol: cpt_scan\n",
+                     "must contain a mapping at the top level", id="top-level-list"),
         pytest.param(b"protocol: cpt_scan\ncpt: [1, 2\n",
                      "at line 3: did not find expected ',' or ']'", id="yaml-syntax"),
         pytest.param(b"protocol: cooperativity_report\ncooperativity: "
@@ -1003,6 +1028,13 @@ class TestCli:
         out_dir = capsys.readouterr().out.strip()
         assert Path(out_dir, "data.csv").exists()
         assert Path(out_dir, "manifest.json").exists()
+
+    def test_verbose_run_reports_its_files_on_stderr(self, tmp_path, capsys):
+        rc = cli_main(["run", str(CONFIGS / "cooperativity_report.cfg"),
+                       "--out", str(tmp_path), "--verbose"])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert err == f"wrote {out.strip()}/{{data.csv,fits.json,manifest.json}}\n"
 
     def test_fit_subcommand_outputs_json(self, tmp_path, capsys):
         from sivcav.fitting import LORENTZIAN
@@ -1073,6 +1105,28 @@ class TestCli:
         assert cli_main(["fit", "linear", str(csv_path)]) == 2
         assert capsys.readouterr().err == \
             f"error: {csv_path}:12: non-numeric data\n"
+
+    # a CSV that is not UTF-8 printed a UnicodeDecodeError traceback with
+    # exit 1, and a non-finite cell was named by neither file nor line:
+    # each bad CSV is one `error:` line and exit 2
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(b"x,y\n0,1\n1,caf\xe9\n", "cannot read {}: not UTF-8 "
+                     "(invalid continuation byte)", id="not-utf8"),
+        pytest.param(b"x,y\n0,1\n1,nan\n2,3\n", "{}:3: non-finite value",
+                     id="nan"),
+        pytest.param(b"0,1\n-inf,2\n3,4\n", "{}:2: non-finite value", id="inf"),
+        pytest.param(b"0\n1\n2\n", "{}:1: need at least two columns",
+                     id="one-column"),
+        pytest.param(b"x,y\n", "{}: no data rows found", id="header-only"),
+    ])
+    def test_bad_csv_is_a_one_line_runtime_error(self, tmp_path, capsys, text,
+                                                 message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(text)
+        rc = cli_main(["fit", "linear", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message.format(csv_path)}\n"
 
     def test_fit_missing_csv_exit_two(self, capsys):
         rc = cli_main(["fit", "lorentzian", "/no/such/file.csv"])
