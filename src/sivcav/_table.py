@@ -18,16 +18,15 @@ e = floor(log10|x|). The kernel computes it so:
   |frac(s) - 1/2| <= 2^-51 * s (more than that bound) goes to the fallback,
   so the kernel also never meets an exact decimal tie, which `%` rounds half
   to even;
-- an m that rounds up to 10^(p+1) is written as 10^p with e + 1;
+- an m that rounds up to 10^(p+1) is written as 10^p with e + 1, and a
+  zero as m = 0 and e = 0, signed by its sign bit;
 - the digits of m and of e come from small lookup tables of 4-byte words.
 
-The fallback formats with `%`, once per distinct value: the cells left
-undecided above, every non-finite value, every |x| outside (1e-290, 1e290)
-(zero and subnormals included), every cell of a column whose format is not
-such an "%.{p}e" (a "%d" column, say), and a block's "%.{p}e" cells when
-they hold fewer than `_MIN_KERNEL_VALUES` distinct values. Of each unit
-interval of s, a share 2^-50 * s < 2^-50 * 10^(p+1) is undecided: under
-0.9 % for p = 12 and under 1e-5 for p = 9.
+The fallback formats each cell with `%`: the cells left undecided above,
+every non-finite value and every nonzero |x| outside (1e-290, 1e290). Of
+each unit interval of s, a share 2^-50 * s < 2^-50 * 10^(p+1) is undecided:
+under 0.9 % for p = 12 and under 1e-5 for p = 9. A column of any other
+format (a "%d" column, say) is formatted with `%` once per distinct value.
 
 Rows are formatted in blocks of `_BLOCK_ROWS`. A block's cells go into a
 fixed-width, NUL-padded uint8 buffer, one row per CSV row; the NULs are
@@ -48,7 +47,6 @@ from .errors import InvalidParameterError
 _BLOCK_ROWS = 4096
 _MAX_PRECISION = 13      # 10^(p+1) < 2^53, so floor(s) is exact
 _MAX_MAGNITUDE = 1e290   # keeps e and 10^(p - e) well inside the tables
-_MIN_KERNEL_VALUES = 64  # below this, `%` beats the kernel's fixed cost
 _LOW_POWER = -300        # pow10[k - _LOW_POWER] is 10^k, for k up to 308
 _EXP_OFFSET = 300        # exponent[e + _EXP_OFFSET] holds the text after m
 
@@ -62,7 +60,7 @@ def _ascii_rows(strings, width) -> np.ndarray:
 @functools.cache
 def _tables():
     """The kernel's lookup tables, built on its first call, so that importing
-    this module or writing only small tables does not pay for them.
+    this module does not pay for them.
 
     pow10 holds 10^k as a correctly rounded 10^(16 j) times the exact 10^r,
     r < 16. A kernel cell is a row of uint32 words: a head word
@@ -100,9 +98,6 @@ def _take(table, index) -> np.ndarray:
 def _e_cells(values, p) -> np.ndarray:
     """Per value, "," + "%.{p}e" % v as a NUL-padded uint8 row."""
     n_words = -(-p // 4)
-    width = 4 * n_words + 12
-    if len(values) < _MIN_KERNEL_VALUES:
-        return _ascii_rows(_percent(f",%.{p}e", values), width)
     pow10, head, digits4, exponent = _tables()
     a = np.abs(values)
     exact = (a > 1.0 / _MAX_MAGNITUDE) & (a < _MAX_MAGNITUDE)
@@ -116,6 +111,9 @@ def _e_cells(values, p) -> np.ndarray:
     frac = s - m
     exact &= np.abs(frac - 0.5) > s * 2.0 ** -51
     m = m.astype(np.int64) + (frac > 0.5)
+    zero = values == 0.0  # ran as a = 1 above, so e is already 0
+    exact |= zero
+    m[zero] = 0
     carry = m == 10 ** (p + 1)
     m[carry] = 10 ** p
     e += carry
@@ -135,7 +133,8 @@ def _e_cells(values, p) -> np.ndarray:
     cells = cells.view(np.uint8)
     if not exact.all():
         rest = ~exact
-        cells[rest] = _ascii_rows(_percent(f",%.{p}e", values[rest]), width)
+        cells[rest] = _ascii_rows(_percent(f",%.{p}e", values[rest]),
+                                  cells.shape[1])
     return cells
 
 
@@ -154,23 +153,16 @@ def _block_text(block, formats, precisions) -> str:
     cells = [None] * len(block)
     for p in set(precisions) - {None}:
         cols = [i for i, q in enumerate(precisions) if q == p]
-        bits, inverse = np.unique(np.concatenate([block[i] for i in cols]).view(
-            np.int64), return_inverse=True)
-        rows = _take(_e_cells(bits.view(np.float64), p),
-                     inverse.reshape(len(cols), n).T)
-        if len(cols) == len(block):  # rows already is the whole block
-            cells = [rows]
-            break
-        width = rows.shape[1] // len(cols)
+        rows = _e_cells(np.concatenate([block[i] for i in cols]), p)
         for j, i in enumerate(cols):
-            cells[i] = rows[:, j * width:(j + 1) * width]
+            cells[i] = rows[j * n:(j + 1) * n]
     for i, (a, fmt, p) in enumerate(zip(block, formats, precisions)):
         if p is None:
             _, first, inverse = np.unique(a.view(np.int64), return_index=True,
                                           return_inverse=True)
             text = _percent("," + fmt, a[first])
             cells[i] = _take(_ascii_rows(text, max(map(len, text))), inverse)
-    buf = cells[0] if len(cells) == 1 else np.hstack(cells)
+    buf = np.hstack(cells)
     buf[:, 0] = ord("\n")
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -184,10 +176,10 @@ def csv_text(headers, columns, formats):
     float format, int64 for a "%d" one (so a bool mask writes 0/1), each
     block converted on its own. The text is byte for byte that of
     `fmt % value` per cell. Cells of an "%.{p}e" format with 1 <= p <= 13 go
-    through the exact kernel described above, after one `np.unique` over a
-    block's cells of that precision; all other cells are formatted with `%`
-    once per distinct value of their column and block. Values are told apart
-    by their bits, so -0.0 and 0.0 keep their own text.
+    through the exact kernel described above, one call per block and
+    precision, which leaves to `%` only the cells it cannot decide; all
+    other cells are formatted with `%` once per distinct value of their
+    column and block, told apart by their bits.
     """
     arrays = [np.asarray(c) for c in columns]
     shapes = [a.shape for a in arrays]

@@ -53,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
 def _read_xy_csv(path: str):
     import numpy as np
 
-    xs, ys = [], []
+    xs, ys, x_line = [], [], {}
     seen_row = False
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -72,6 +72,10 @@ def _read_xy_csv(path: str):
                 raise SivCavError(f"{path}:{line_no}: non-numeric data")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise SivCavError(f"{path}:{line_no}: non-finite value")
+            if x in x_line:  # the fit sorts x: a repeat is the one non-monotone x
+                raise SivCavError(f"{path}:{x_line[x]} and {path}:{line_no}: "
+                                  f"x value {x} repeats")
+            x_line[x] = line_no
             xs.append(x)
             ys.append(y)
     if len(xs) < 2:

@@ -152,17 +152,18 @@ def _write_atomic(path: str, chunks):
         raise
 
 
-def _json_text(payload: dict) -> str:
-    return json_text(payload) + "\n"
-
-
 def _maybe_noise(y: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
     noise = cfg.blocks.get("noise")
     if not noise or noise["sigma_rel"] == 0.0:
         return y
     scale = float(np.max(np.abs(y)))
-    return y + np.random.default_rng(cfg.seed).normal(
-        0.0, noise["sigma_rel"] * scale, size=y.shape)
+    with np.errstate(over="ignore"):
+        y = y + np.random.default_rng(cfg.seed).normal(
+            0.0, noise["sigma_rel"] * scale, size=y.shape)
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"noise.sigma_rel {noise['sigma_rel']:g} scales the "
+                          "noisy data beyond float64")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def _run_cpt_scan(cfg):
     params = build_cpt_params(cfg.blocks["cpt"])
     scan = cfg.blocks["scan"]
     half = 0.5 * scan["span_mhz"] * 1e6
-    detunings = np.linspace(-half, half, scan["points"])
+    detunings = _linspace(-half, half, scan["points"], "the scan (scan.span_mhz)")
     spec = simulate_cpt_scan(params, detunings)
     y = _maybe_noise(spec.y, cfg)
     result = lm_fit(CPT_DIP, Spectrum(detunings, y))
@@ -461,7 +462,8 @@ def run_protocol(cfg: ProtocolConfig, out_dir: str | None = None,
         formats = table.formats or ["%.12e"] * len(table.columns)
         _write_atomic(os.path.join(run_dir, "data.csv"),
                       csv_text(table.headers, table.columns, formats))
-        _write_atomic(os.path.join(run_dir, "fits.json"), [_json_text(table.fits)])
+        _write_atomic(os.path.join(run_dir, "fits.json"),
+                      [json_text(table.fits), "\n"])
         finished = _dt.datetime.now(_dt.timezone.utc).isoformat()
         manifest = RunManifest(
             config_hash=run_hash,
@@ -473,7 +475,7 @@ def run_protocol(cfg: ProtocolConfig, out_dir: str | None = None,
             out_dir=run_dir,
         )
         _write_atomic(os.path.join(run_dir, "manifest.json"),
-                      [_json_text(manifest.as_dict())])
+                      [json_text(manifest.as_dict()), "\n"])
         if verbose:
             print(f"wrote {run_dir}/{{data.csv,fits.json,manifest.json}}",
                   file=sys.stderr)

@@ -9,6 +9,7 @@ from sivcav.cqed import (
     BAD_CAVITY_RTOL,
     cooperativity_from_linewidths,
     g_from_cooperativity,
+    lorentz_filter,
     purcell_broadened_linewidth,
     q_factor,
     single_excitation_linewidth,
@@ -200,6 +201,24 @@ class TestCooperativity:
                                           math.inf)
         with pytest.raises(DomainError, match="g is inf"):
             g_from_cooperativity(1e298, KAPPA, GAMMA0)
+
+
+    # each argument outside its formula's domain, and the one message that
+    # names it
+    @pytest.mark.parametrize("func, args, error, message", [
+        (lorentz_filter, (0.0, 0.0), InvalidParameterError, "kappa must be positive"),
+        (purcell_broadened_linewidth, (1.0, 0.0, KAPPA, 0.0), InvalidParameterError,
+         "gamma0 must be positive"),
+        (purcell_broadened_linewidth, (-1.0, 0.0, KAPPA, GAMMA0), DomainError,
+         "cooperativity must be non-negative"),
+        (cooperativity_from_linewidths, (GAMMA_ON, -GAMMA0, 0.0, KAPPA),
+         InvalidParameterError, "gamma0 must be positive"),
+        (g_from_cooperativity, (1.0, KAPPA, 0.0), InvalidParameterError,
+         "kappa and gamma0 must be positive"),
+    ])
+    def test_bad_argument_is_named(self, func, args, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            func(*args)
 
 
 class TestScaleCovariance:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -877,17 +878,49 @@ class TestValidation:
                 engine._check_density(bad)
         engine._check_density(diagonal_state([0.7, 0.3]))
 
-    def test_system_validation(self):
-        with pytest.raises(InvalidParameterError):
-            LevelSystem((Level("a", 0.0), Level("a", 1.0)))
-        with pytest.raises(InvalidParameterError):
-            LevelSystem((Level("a", 0.0),), drives=(Drive("a", "a", 1e6),))
-        with pytest.raises(InvalidParameterError):
-            LevelSystem((Level("a", 0.0), Level("b", 1e9)),
-                        decays=(Decay("a", "b", -1.0),))
-        with pytest.raises(InvalidParameterError):
-            LevelSystem((Level("a", 0.0), Level("b", 1e9)),
-                        decays=(Decay("a", "c", 1.0),))
+    # each fault of a level system, on the levels a and b unless it names
+    # its own, and the one message that names it
+    @pytest.mark.parametrize("parts, message", [
+        ({"levels": ()}, "LevelSystem needs at least one level"),
+        ({"levels": (Level("a", 0.0), Level("a", 1.0))},
+         "level labels must be unique"),
+        ({"levels": (Level("a", 0.0), Level("b", math.inf))},
+         "energy of level b must be finite"),
+        ({"drives": (Drive("a", "a", 1e6),)}, "drive endpoints must be distinct"),
+        ({"drives": (Drive("a", "c", 1e6),)},
+         "drive references unknown level: Drive(lower='a', upper='c', "
+         "rabi_freq=1000000.0, laser_detuning=0.0)"),
+        ({"drives": (Drive("a", "b", -1.0),)},
+         "drive rabi_freq must be finite and >= 0"),
+        ({"drives": (Drive("a", "b", math.inf),)},
+         "drive rabi_freq must be finite and >= 0"),
+        ({"drives": (Drive("a", "b", 1e6, math.nan),)},
+         "laser_detuning must be finite"),
+        ({"decays": (Decay("b", "b", 1.0),)}, "decay source and target must differ"),
+        ({"decays": (Decay("a", "c", 1.0),)},
+         "decay references unknown level: Decay(source='a', target='c', "
+         "rate=1.0, radiative=True)"),
+        ({"decays": (Decay("a", "b", -1.0),)}, "decay rate must be finite and >= 0"),
+        ({"dephasings": (Dephasing("a", "a", 1.0),)},
+         "dephasing pair must be distinct"),
+        ({"dephasings": (Dephasing("c", "b", 1.0),)},
+         "dephasing references unknown level: Dephasing(level_a='c', "
+         "level_b='b', rate=1.0)"),
+        ({"dephasings": (Dephasing("a", "b", math.nan),)},
+         "dephasing rate must be finite and >= 0"),
+    ])
+    def test_system_validation(self, parts, message):
+        parts = {"levels": (Level("a", 0.0), Level("b", 1e9)), **parts}
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            LevelSystem(**parts)
+
+    def test_state_that_is_not_positive_is_named(self):
+        # no Lindblad generator has one; this bordered system (trace row,
+        # coherences 0, rho_00 + 3 rho_11 = 0) solves to diag(1.5, -0.5)
+        lv = np.array([[[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 3]]])
+        with pytest.raises(SteadyStateError,
+                           match=r"^steady state not positive \(min eig -5.00e-01\)$"):
+            engine._bordered_steady_states(lv)
 
     def test_overflowing_rate_is_a_domain_error(self):
         # a decay rate of 8e307 Hz is finite, but 2 pi times it is not; both
@@ -902,3 +935,9 @@ class TestValidation:
     def test_trace_type_length_check(self):
         with pytest.raises(InvalidParameterError):
             Trace(np.array([0.0, 1.0]), np.array([1.0]), np.zeros((2, 2)))
+
+    def test_trace_populations_must_sum_to_one(self):
+        pops = np.array([[0.5, 0.5], [0.5, 0.5 + 2e-8]])
+        with pytest.raises(InvalidParameterError, match="^trace populations must "
+                                                        "sum to 1 within 1e-8 at every time$"):
+            Trace(np.array([0.0, 1.0]), np.ones(2), pops)

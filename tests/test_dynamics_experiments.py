@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sivcav.dynamics import (
     CptParams,
@@ -274,12 +276,17 @@ DEMO_MODEL = SivModel(
 
 def assert_pump_probe_matches_per_point(emitter, freqs, pump_freq, pump_rabi, t1):
     """`simulate_pump_probe_scan` against an oracle that, per scan point,
-    picks each laser's nearest line, keys its states on their energies,
-    builds the reduced system at that point's detunings and solves it alone."""
+    picks each laser's nearest line, keys its states on the lines' state
+    indices, builds the reduced system at that point's detunings and solves
+    it alone."""
     table = emitter.table
-    grounds = sorted({t.ground_energy for t in table.sublevel})[:2]
-    cands = [t for t in table.sublevel if t.ground_energy in grounds]
-    g_label = {grounds[0]: "g1", grounds[1]: "g2"}
+    ground = {t.ground_state: t.ground_energy for t in table.sublevel}
+    excited = {t.excited_state: t.excited_energy for t in table.sublevel}
+    # the indices count up the eigenvalues: where two states' energies
+    # differ, the lower index has the lower energy
+    for energy in (ground, excited):
+        assert [energy[k] for k in sorted(energy)] == sorted(energy.values())
+    cands = [t for t in table.sublevel if t.ground_state < 2]
     cutoff = 50 * emitter.linewidth
 
     def nearest(freq):
@@ -290,24 +297,23 @@ def assert_pump_probe_matches_per_point(emitter, freqs, pump_freq, pump_rabi, t1
         t_pump, t_probe = nearest(pump_freq), nearest(nu)
         chosen = [(t_pump, pump_rabi, pump_freq - t_pump.frequency)]
         if (t_probe is not None
-                and (t_probe.ground_energy, t_probe.excited_energy)
-                != (t_pump.ground_energy, t_pump.excited_energy)):
+                and (t_probe.ground_state, t_probe.excited_state)
+                != (t_pump.ground_state, t_pump.excited_state)):
             chosen.append((t_probe, emitter.rabi, nu - t_probe.frequency))
-        excited = sorted({t.excited_energy for t, _, _ in chosen})
-        e_label = {e: f"e{k}" for k, e in enumerate(excited)}
-        levels = [Level("g1", grounds[0]), Level("g2", grounds[1])]
-        levels += [Level(e_label[e], 4.068e14 + e) for e in excited]
-        drives = [Drive(g_label[t.ground_energy], e_label[t.excited_energy],
+        upper = sorted({t.excited_state for t, _, _ in chosen})
+        levels = [Level(f"g{i}", ground[i]) for i in (0, 1)]
+        levels += [Level(f"e{f}", 4.068e14 + excited[f]) for f in upper]
+        drives = [Drive(f"g{t.ground_state}", f"e{t.excited_state}",
                         rabi * np.sqrt(t.dipole_weight), det)
                   for t, rabi, det in chosen]
-        decays = [Decay("g1", "g2", 1 / (4 * np.pi * t1), radiative=False),
-                  Decay("g2", "g1", 1 / (4 * np.pi * t1), radiative=False)]
-        for e in excited:
-            weights = {t.ground_energy: t.dipole_weight for t in cands
-                       if t.excited_energy == e}
+        decays = [Decay("g0", "g1", 1 / (4 * np.pi * t1), radiative=False),
+                  Decay("g1", "g0", 1 / (4 * np.pi * t1), radiative=False)]
+        for f in upper:
+            weights = {t.ground_state: t.dipole_weight for t in cands
+                       if t.excited_state == f}
             total = sum(weights.values())
-            decays += [Decay(e_label[e], g_label[g], emitter.linewidth * w / total)
-                       for g, w in weights.items()]
+            decays += [Decay(f"e{f}", f"g{i}", emitter.linewidth * w / total)
+                       for i, w in weights.items()]
         sys_ = LevelSystem(tuple(levels), tuple(drives), tuple(decays))
         return float(np.real(np.diag(steady_state(sys_))) @ sys_.radiative_rates())
 
@@ -393,10 +399,15 @@ class TestPleScan:
                lambda v: np.linalg.norm(v) > 0.1),
            line=st.integers(0, 7), detuning=st.floats(-1.0, 1.0),
            t1=st.floats(100e-9, 10e-6))
+    # zero strain and a field across the symmetry axis: the two lower ground
+    # states stay exactly degenerate, so do lines C1/C4 and C2/C3, and an
+    # oracle keyed on energies took an upper-branch state as its second one
+    @example(strain=(0.0, 0.0, 0.0, 0.0), b_norm=1.0, direction=(0.0, 0.0, 1.0),
+             line=0, detuning=0.0, t1=8.102912187170022e-06)
     def test_pump_probe_matches_per_point_systems_on_random_models(
             self, strain, b_norm, direction, line, detuning, t1):
-        # the index-named templates against the energy-keyed oracle, with the
-        # pump on a line of ground state 0 or 1 and within one linewidth of it
+        # the templates against the per-point oracle, with the pump on a line
+        # of ground state 0 or 1 and within one linewidth of it
         b = b_norm * np.array(direction) / np.linalg.norm(direction)
         model = SivModel(ManifoldParams(46e9, *strain[:2]),
                          ManifoldParams(255e9, *strain[2:]), 406.8e12,
@@ -461,3 +472,43 @@ class TestPleScan:
                              rabi=5e6, temperature=4.0)
         pops = emitter.ground_populations()
         assert sum(pops.values()) == pytest.approx(1.0)
+
+
+CPT = dict(rabi_pump=5e6, rabi_probe=5e6, optical_rate=157e6, gamma_s=1e6)
+
+
+# each bad argument of a forward model's parameters or inputs, and the one
+# message that names it
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: replace(CALIB, optical_rate=0.0), InvalidParameterError,
+     "rabi_freq >= 0 and optical_rate > 0 required"),
+    (lambda: replace(CALIB, samples_per_pulse=7), InvalidParameterError,
+     "need n_pulses >= 1, samples_per_pulse >= 8"),
+    (lambda: _fit_initialization(synthetic_trace(0.0, 0.0)), FitError,
+     "trace has no positive signal peak"),
+    (lambda: CptParams(**{**CPT, "rabi_probe": -1.0}), InvalidParameterError,
+     "Rabi frequencies must be >= 0"),
+    (lambda: CptParams(**{**CPT, "optical_rate": 0.0}), InvalidParameterError,
+     "optical_rate must be positive"),
+    (lambda: CptParams(**{**CPT, "gamma_s": -1.0}), InvalidParameterError,
+     "gamma_s must be >= 0"),
+    (lambda: CptParams(**CPT, detuning_split="pump"), InvalidParameterError,
+     "detuning_split must be 'symmetric' or 'probe'"),
+    (lambda: CptParams.from_t2_star(0.0, rabi_pump=1e6, rabi_probe=1e6,
+                                    optical_rate=157e6),
+     InvalidParameterError, "t2_star must be positive"),
+    (lambda: PleEmitter(single_line_table(), linewidth=0.0, rabi=5e6),
+     InvalidParameterError, "linewidth must be positive"),
+    (lambda: PleEmitter(single_line_table(), linewidth=200e6, rabi=-1.0),
+     InvalidParameterError, "rabi must be >= 0"),
+    (lambda: PleEmitter(single_line_table(), linewidth=200e6, rabi=5e6,
+                        temperature=0.0),
+     InvalidParameterError, "temperature must be positive"),
+    (lambda: simulate_ple_scan([PleEmitter(single_line_table(), 200e6, 5e6)], []),
+     InvalidParameterError, "frequencies must be a non-empty 1-d array"),
+], ids=["spin-pump-rate", "spin-pump-samples", "no-peak", "cpt-rabi",
+        "cpt-rate", "cpt-gamma-s", "cpt-split", "cpt-t2-star", "ple-linewidth",
+        "ple-rabi", "ple-temperature", "ple-frequencies"])
+def test_bad_argument_is_named(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,12 +1,12 @@
 """Every float leaf of every shipped config, at the extremes of float64.
 
-Each float leaf of each file in `configs/` is set to +-1e300 and +-1e-300 and
-run in process through `sivcav run`. The run must either succeed silently
-(exit 0, nothing on stderr) or fail with its documented exit code (1 for a
-config error, 2 for a runtime error) and exactly one `error:` line. Warnings
-are errors under this suite's settings, so a numpy `RuntimeWarning` that
-leaks from a run fails its case too. Integer leaves (counts, the seed) have
-bound tests of their own.
+Each float leaf of each file in `configs/` is set to +-1e300, +-1e303 and
++-1e-300 and run in process through `sivcav run`. The run must either
+succeed silently (exit 0, nothing on stderr) or fail with its documented exit
+code (1 for a config error, 2 for a runtime error) and exactly one `error:`
+line. Warnings are errors under this suite's settings, so a numpy
+`RuntimeWarning` that leaks from a run fails its case too. Integer leaves
+(counts, the seed) have bound tests of their own.
 """
 
 import functools
@@ -19,7 +19,8 @@ import yaml
 from sivcav.cli import main as cli_main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-EXTREMES = (1e300, -1e300, 1e-300, -1e-300)
+# 1e303 MHz is beyond float64 in Hz
+EXTREMES = (1e300, -1e300, 1e303, -1e303, 1e-300, -1e-300)
 
 
 def float_leaves(tree, path=()):

@@ -79,6 +79,13 @@ class TestJacobians:
 
 
 class TestLmCore:
+    def test_p0_of_the_wrong_length_is_named(self):
+        x = np.linspace(-5, 5, 50)
+        spec = Spectrum(x, LORENTZIAN.func(x, [0.3, 1.7, 2.2, 0.4]))
+        with pytest.raises(InvalidParameterError,
+                           match="^expected 4 initial parameters$"):
+            lm_fit(LORENTZIAN, spec, p0=[0.3, 1.7, 2.2])
+
     def test_exact_start_converges_immediately(self):
         x = np.linspace(-5, 5, 50)
         p_true = np.array([0.3, 1.7, 2.2, 0.4])

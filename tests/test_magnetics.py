@@ -396,6 +396,16 @@ class TestArrayKernel:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("center, dimensions, magnetization", [
+        ((0, 0), (0.01, 0.01, 0.01), (1, 0, 0)),
+        ((0, 0, 0), (0.01,) * 4, (1, 0, 0)),
+        ((0, 0, 0), (0.01, 0.01, 0.01), 1.0),
+    ])
+    def test_three_vectors_required(self, center, dimensions, magnetization):
+        with pytest.raises(InvalidParameterError, match="^center, dimensions, "
+                                                        "magnetization must be 3-vectors$"):
+            CuboidMagnet(center, dimensions, magnetization)
+
     def test_dimensions_positive(self):
         with pytest.raises(InvalidParameterError):
             CuboidMagnet((0, 0, 0), (0.01, -0.01, 0.01), (1, 0, 0))

@@ -905,6 +905,15 @@ class TestCli:
         ("fig3_saturation", [("synthetic", "noise_rel", 1e300)],
          "protocol 'saturation_study': synthetic.noise_rel 1e+300 scales the "
          "noisy data beyond float64\n"),
+        # noise beyond float64 wrote inf to data.csv with exit 0, and a CPT
+        # span beyond it said "laser_detuning must be finite" after a numpy
+        # RuntimeWarning
+        ("fig1_ple", [("noise", {"sigma_rel": 1e308})],
+         "protocol 'ple_scan': noise.sigma_rel 1e+308 scales the noisy data "
+         "beyond float64\n"),
+        ("fig4_cpt", [("scan", "span_mhz", 1e303)],
+         "protocol 'cpt_scan': the scan (scan.span_mhz) runs from -inf to inf "
+         "Hz: its ends or span overflow float64\n"),
         # delays that float64 cannot tell apart (these said "taus must be
         # non-negative and increasing", naming no leaf)
         *[("fig4_t1", [("taus", "start_ns", start), ("taus", "stop_ns", stop)],
@@ -1118,6 +1127,11 @@ class TestCli:
         pytest.param(b"0\n1\n2\n", "{}:1: need at least two columns",
                      id="one-column"),
         pytest.param(b"x,y\n", "{}: no data rows found", id="header-only"),
+        # a repeated x said "x must be strictly monotone", naming no line
+        pytest.param(b"x,y\n0,1\n1,2\n1,3\n2,4\n",
+                     "{0}:3 and {0}:4: x value 1.0 repeats", id="repeated-x"),
+        pytest.param(b"5,1\n2,2\n\n7,3\n2.0,4\n-1,5\n",
+                     "{0}:2 and {0}:5: x value 2.0 repeats", id="repeat-unsorted"),
     ])
     def test_bad_csv_is_a_one_line_runtime_error(self, tmp_path, capsys, text,
                                                  message):

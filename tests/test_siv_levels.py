@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -126,6 +127,8 @@ class TestHamiltonian:
             ManifoldParams(lambda_so=-1e9)
         with pytest.raises(InvalidParameterError):
             ManifoldParams(lambda_so=46e9, quench_f=1.2)
+        with pytest.raises(InvalidParameterError, match="^g_spin must be positive$"):
+            ManifoldParams(lambda_so=46e9, g_spin=0.0)
 
 
 class TestTransitionTable:
@@ -262,6 +265,13 @@ class TestModelValidation:
     def test_zpl_positive(self):
         with pytest.raises(InvalidParameterError):
             SivModel(GROUND, EXCITED, -1.0)
+
+    @pytest.mark.parametrize("b_field", [(0.0, 0.0, math.nan), (0.0, 1.0),
+                                         (0.0, 0.0, 0.0, 1.0)])
+    def test_field_must_be_a_finite_3_vector(self, b_field):
+        with pytest.raises(InvalidParameterError,
+                           match="^b_field must be a finite 3-vector$"):
+            SivModel(GROUND, EXCITED, ZPL, b_field=b_field)
 
     def test_axis_nonzero(self):
         with pytest.raises(InvalidParameterError):

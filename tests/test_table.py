@@ -166,9 +166,7 @@ class TestKernelExactness:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_cells_equal_percent_format(self, p, data):
-        # enough values that the kernel, not the small-block path, runs
-        values = data.draw(st.lists(kernel_floats(p), max_size=160,
-                                    min_size=_table._MIN_KERNEL_VALUES))
+        values = data.draw(st.lists(kernel_floats(p), min_size=1, max_size=160))
         assert_cells_match(values, p)
 
     @pytest.mark.parametrize("p", [1, 9, 12, 13])
@@ -196,20 +194,41 @@ class TestKernelExactness:
         assert field_map_csv(points, b, masked) == \
             reference_field_map_csv(points, b, masked)
 
-    def test_kernel_decides_almost_every_cell(self, monkeypatch):
-        # the kernel leaves to `%` only the cells it cannot decide: for p = 12,
-        # under 1 % of random values (see the `_table` docstring)
-        formatted = []
+    @staticmethod
+    def percent_formatted(monkeypatch):
+        """The values that `_percent` formats from here on, in call order."""
+        formatted, percent = [], _table._percent
 
         def counting(fmt, values):
             formatted.extend(values.tolist())
             return percent(fmt, values)
 
-        percent = _table._percent
         monkeypatch.setattr(_table, "_percent", counting)
+        return formatted
+
+    def test_kernel_decides_almost_every_cell(self, monkeypatch):
+        # the kernel leaves to `%` only the cells it cannot decide: for p = 12,
+        # under 1 % of random values (see the `_table` docstring)
+        formatted = self.percent_formatted(monkeypatch)
         values = np.random.default_rng(0).standard_normal(20000)
         assert_cells_match(values, 12)
         assert len(formatted) < 0.01 * len(values)
+
+    def test_kernel_writes_signed_zeros(self, monkeypatch):
+        # whole columns of exact zeros (an unused axis, a masked field point,
+        # an empty population) are written by the kernel, not by `%`
+        formatted = self.percent_formatted(monkeypatch)
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal(200)
+        values[::3], values[1::3] = 0.0, -0.0
+        assert len(np.unique(values)) >= 64
+        columns = [values, rng.permutation(values), np.zeros(200)]
+        formats = ["%.9e", "%.12e", "%.12e"]
+        expected = [",".join(f % v for f, v in zip(formats, row))
+                    for row in zip(*(c.tolist() for c in columns))]
+        assert joined(["a", "b", "c"], columns, formats).split("\n")[1:-1] == \
+            expected
+        assert not any(v == 0.0 for v in formatted)
 
 
 class TestMemory:
