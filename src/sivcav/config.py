@@ -12,6 +12,17 @@ The leaves are `_number`, `_string` and `_vector3`, and the blocks are
 every block but `noise`. A number's explicit null means unset; a null
 string, 3-vector or block is an error. An integer leaf keeps an integer
 input exact.
+
+`_read_subset` reads the block YAML that configs use without importing
+PyYAML: block mappings with identifier keys, block sequences (indented or
+not) of scalars or compact `- key: ...` mappings, one-level flow `[...]` and
+`{k: v}` collections of scalars, and comments. Its scalars are decimal ints,
+floats with a point (and a signed exponent), identifier words other than
+YAML 1.1's null and boolean words, quoted strings without escapes, quotes
+or `#`, and an empty value (null). It declines everything else (tabs,
+anchors, merges, tags, `yes`, `1e5`, a repeated key, a syntax error), and
+`_yaml_tree` then parses the text with PyYAML, so every file means what
+PyYAML says it means.
 """
 
 from __future__ import annotations
@@ -19,9 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from collections import namedtuple
-
-import yaml
 
 from .errors import ConfigError
 
@@ -396,41 +406,165 @@ def validate_tree(tree: dict) -> ProtocolConfig:
                           output_dir=output_dir)
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """Safe YAML loader that rejects a key repeated in one mapping. A key
-    that a `<<` merge brings in may still be overridden."""
+# ---------------------------------------------------------------------------
+# YAML loading: the subset reader and the PyYAML fallback
+# ---------------------------------------------------------------------------
 
-    def flatten_mapping(self, node):
-        # a merge source is flattened again at each merge: check it once
-        keys = () if hasattr(node, "keys_checked") else [
-            k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-        super().flatten_mapping(node)
-        node.keys_checked = True
-        seen = set()
-        for key_node in keys:
-            if isinstance(key_node, yaml.ScalarNode):
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        problem=f"duplicate key {key!r}",
-                        problem_mark=key_node.start_mark)
-                seen.add(key)
+# a key, then a colon that ends the line or is followed by a space; PyYAML
+# limits a simple key to 1024 characters
+_KEY = re.compile(r"([A-Za-z_][A-Za-z0-9_]{0,999}):(?: +|$)")
+# the scalars of YAML 1.1 whose value every resolver agrees on; PyYAML reads
+# `1e5` as a string, so a float needs its point and an exponent its sign
+_SCALAR = re.compile(r"(?P<int>[-+]?(?:0|[1-9][0-9]*))"
+                     r"|(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)"
+                     r"|(?P<str>[A-Za-z_][A-Za-z0-9_]*)"
+                     r"|\"(?P<dq>[^\"\\#]*)\"|'(?P<sq>[^'#]*)'")
+# the words that YAML 1.1 reads as null or as a boolean
+_NOT_WORDS = frozenset("null Null NULL yes Yes YES no No NO true True TRUE "
+                       "false False FALSE on On ON off Off OFF".split())
+_PRINTABLE = re.compile(r"[\n -~]*")  # no tab, CR or non-ASCII character
+_CAST = {"int": int, "float": float, "str": str, "dq": str, "sq": str}
+
+
+def _scalar(text):
+    match = _SCALAR.fullmatch(text)
+    if match is None or match["str"] in _NOT_WORDS:
+        raise ValueError(text)
+    return _CAST[match.lastgroup](match[match.lastgroup])
+
+
+def _key(text, keys):
+    match = _KEY.match(text)
+    if match is None or match[1] in _NOT_WORDS or match[1] in keys:
+        raise ValueError(text)  # a duplicate is left for PyYAML to name
+    return match[1], text[match.end():]
+
+
+def _inline(text):
+    """The value that follows `key: ` or `- ` on its line."""
+    if text[:1] + text[-1:] not in ("[]", "{}"):
+        return _scalar(text) if text else None
+    items = text[1:-1].split(",") if text[1:-1].strip(" ") else []
+    if text[0] == "[":
+        return [_scalar(item.strip(" ")) for item in items]
+    out = {}
+    for item in items:
+        key, value = _key(item.strip(" "), out)
+        out[key] = _scalar(value)
+    return out
+
+
+def _is_item(content):
+    return content == "-" or content.startswith("- ")
+
+
+def _block_node(lines, i, indent):
+    """The block node that starts at `lines[i]` in column `indent`, and the
+    index of the line after it."""
+    is_seq = _is_item(lines[i][1])
+    out = [] if is_seq else {}
+    while i < len(lines) and lines[i][0] == indent \
+            and _is_item(lines[i][1]) == is_seq:
+        content = lines[i][1]
+        if is_seq:
+            rest = content[1:].lstrip(" ")
+            if _KEY.match(rest):  # a compact mapping, keyed in rest's column
+                lines[i] = (indent + len(content) - len(rest), rest)
+                value, i = _block_node(lines, i, lines[i][0])
+            else:
+                value, i = _value(lines, i, indent, rest, False)
+            out.append(value)
+        else:
+            key, rest = _key(content, out)
+            out[key], i = _value(lines, i, indent, rest, True)
+    return out, i
+
+
+def _value(lines, i, indent, rest, in_mapping):
+    """The value of the key or item `lines[i]`, whose text after the
+    indicator is `rest`; a mapping's value may be an indentless sequence."""
+    i += 1
+    below = lines[i][0] if i < len(lines) else -1
+    if rest:
+        if below > indent:  # a multi-line scalar or a syntax error
+            raise ValueError(rest)
+        return _inline(rest), i
+    if below > indent or (below == indent and in_mapping
+                          and _is_item(lines[i][1])):
+        return _block_node(lines, i, below)
+    return None, i
+
+
+def _read_subset(text):
+    """The tree of `text` if it is in the subset of YAML that configs use,
+    else None, and PyYAML decides."""
+    if not _PRINTABLE.fullmatch(text):
+        return None
+    lines = []
+    for line in text.split("\n"):
+        hash_at = line.find("#")
+        if hash_at > 0 and line[hash_at - 1] != " ":
+            return None
+        content = line[:hash_at if hash_at >= 0 else None].strip(" ")
+        if content:
+            lines.append((len(line) - len(line.lstrip(" ")), content))
+    if not lines:
+        return None
+    try:
+        tree, end = _block_node(lines, 0, lines[0][0])
+    except ValueError:  # outside the subset, or an int beyond int()'s limit
+        return None
+    return tree if end == len(lines) else None
+
+
+def _yaml_tree(text, path):
+    """Parse `text` with PyYAML, the reference parser for everything outside
+    the subset, and turn its errors into a ConfigError."""
+    import yaml
+
+    class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        """Safe YAML loader that rejects a key repeated in one mapping. A
+        key that a `<<` merge brings in may still be overridden."""
+
+        def flatten_mapping(self, node):
+            # a merge source is flattened again at each merge: check it once
+            keys = () if hasattr(node, "keys_checked") else [
+                k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            super().flatten_mapping(node)
+            node.keys_checked = True
+            seen = set()
+            for key_node in keys:
+                if isinstance(key_node, yaml.ScalarNode):
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            problem=f"duplicate key {key!r}",
+                            problem_mark=key_node.start_mark)
+                    seen.add(key)
+
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}" if mark is not None else ""
+        what = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise ConfigError(f"cannot parse {path}{where}: {what}")
+    except ValueError as exc:  # a scalar Python cannot convert
+        raise ConfigError(f"cannot parse {path}: {exc}")
 
 
 def load_config(path) -> ProtocolConfig:
     """Load and validate one protocol configuration file (YAML)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            tree = yaml.load(fh.read(), Loader=_Loader)
+            text = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}")
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark is not None else ""
-        what = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
-        raise ConfigError(f"cannot parse {path}{where}: {what}")
-    except ValueError as exc:  # not UTF-8, or a scalar Python cannot convert
+    except ValueError as exc:  # not UTF-8
         raise ConfigError(f"cannot parse {path}: {exc}")
+    tree = _read_subset(text)
+    if tree is None:
+        tree = _yaml_tree(text, path)
     if not isinstance(tree, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
     return validate_tree(tree)

@@ -121,4 +121,6 @@ def single_excitation_linewidth(g, detuning, kappa, gamma0):
     if (root * (a - d).conjugate()).real < 0:
         root = -root  # along (a - d) / 2, so the cavity root keeps d's size
     cavity = 0.5 * (a + d) - root
-    return -2.0 * ((a * d - gs * gs) / cavity).imag * scale
+    # a cavity root that underflows to 0 leaves the trace as the other root
+    emitter = (a * d - gs * gs) / cavity if cavity else a + d
+    return -2.0 * emitter.imag * scale

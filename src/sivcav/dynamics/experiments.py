@@ -341,8 +341,10 @@ class PleEmitter:
         energy = {t.ground_state: t.ground_energy for t in self.table.sublevel}
         states = sorted(energy)
         e0 = energy[states[0]]
-        weights = [math.exp(-(energy[i] - e0) / (K_B_OVER_H * self.temperature))
-                   for i in states]
+        # an exponent that overflows as T -> 0 K gives the exact weight 0
+        with np.errstate(over="ignore"):
+            weights = [math.exp(-(energy[i] - e0) / (K_B_OVER_H * self.temperature))
+                       for i in states]
         z = sum(weights)
         return {i: w / z for i, w in zip(states, weights)}
 

@@ -217,7 +217,11 @@ def _run_pump_probe(cfg):
                       parent_freq + scan["stop_offset_ghz"] * 1e9,
                       scan["points"],
                       "the scan (scan.start_offset_ghz to scan.stop_offset_ghz)")
-    t1 = cfg.blocks["t1_ns"] * 1e-9 if cfg.blocks["t1_ns"] else None
+    t1_ns = cfg.blocks["t1_ns"]
+    t1 = t1_ns * 1e-9 if t1_ns else None
+    if t1 == 0.0:
+        raise DomainError(f"t1_ns {t1_ns:g} is 0 s in float64: the spin-flip "
+                          "rate 1/(4 pi t1) is not finite")
     with_pump = simulate_pump_probe_scan(emitter, freqs, pump_freq,
                                          pump_cfg["rabi_mhz"] * 1e6, t1=t1)
     without = simulate_ple_scan([emitter], freqs)
@@ -345,6 +349,9 @@ def _run_saturation(cfg):
     from .fitting import SATURATION, Spectrum, lm_fit
 
     s = cfg.blocks["synthetic"]
+    if not math.isfinite(s["power_max"] / s["p_sat"]):
+        raise DomainError(f"synthetic.p_sat {s['p_sat']:g} puts power_max / p_sat "
+                          "beyond float64")
     powers = np.linspace(s["power_max"] / s["points"], s["power_max"], s["points"])
     y = SATURATION.func(powers, (s["gamma0_mhz"] * 1e6, s["p_sat"]))
     if s["noise_rel"] > 0:

@@ -153,6 +153,15 @@ class TestBadCavityOracle:
         closed = purcell_broadened_linewidth(0.3, 0.042 * kappa, kappa, GAMMA0)
         assert exact == pytest.approx(closed, rel=1e-14)
 
+    def test_cavity_root_that_underflows_leaves_gamma0(self):
+        # kappa / gamma0 below the smallest subnormal: the cavity root is 0
+        # in float64, and the emitter root is gamma0 itself; this divided
+        # by zero
+        kappa = 5e-324 * 1e9
+        g = g_from_cooperativity(0.3, kappa, GAMMA0)
+        assert single_excitation_linewidth(g, 0.042 * kappa, kappa,
+                                           GAMMA0) == GAMMA0
+
 
 class TestCooperativity:
     def test_measured_linewidth_chain(self):

@@ -1,7 +1,9 @@
 """Every float leaf of every shipped config, at the extremes of float64.
 
-Each float leaf of each file in `configs/` is set to +-1e300, +-1e303 and
-+-1e-300 and run in process through `sivcav run`. The run must either
+Each float leaf of each file in `configs/` is set to +-1e300, +-1e303,
++-1e-300, +-1e150 (whose squares in Hz overflow) and 5e-324 (the smallest
+subnormal, which a unit conversion takes to 0) and run in process through
+`sivcav run`. The run must either
 succeed silently (exit 0, nothing on stderr) or fail with its documented exit
 code (1 for a config error, 2 for a runtime error) and exactly one `error:`
 line. Warnings are errors under this suite's settings, so a numpy
@@ -20,7 +22,7 @@ from sivcav.cli import main as cli_main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # 1e303 MHz is beyond float64 in Hz
-EXTREMES = (1e300, -1e300, 1e303, -1e303, 1e-300, -1e-300)
+EXTREMES = (1e300, -1e300, 1e303, -1e303, 1e-300, -1e-300, 5e-324, 1e150, -1e150)
 
 
 def float_leaves(tree, path=()):

@@ -1166,7 +1166,7 @@ class TestCli:
         # `validate` must stay cheap: importing the CLI may not pull in
         # scipy or the protocol runners, and validating a config only parses
         # YAML, so it may not load numpy, nor `dataclasses` (and through it
-        # `inspect`)
+        # `inspect`), nor PyYAML for a config inside the subset it reads
         import sivcav
 
         src = str(Path(sivcav.__file__).resolve().parents[1])
@@ -1174,16 +1174,17 @@ class TestCli:
         code = ("import sys, sivcav.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy' or m.startswith('sivcav.protocols'))); "
                 f"rc = sivcav.cli.main(['validate', {cfg!r}]); "
-                "print(rc, 'numpy' in sys.modules, 'dataclasses' in sys.modules)")
+                "print(rc, 'numpy' in sys.modules, 'dataclasses' in sys.modules, "
+                "'yaml' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["[]", "0 False False"]
+        assert proc.stdout.split("\n")[:2] == ["[]", "0 False False False"]
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_run_loads_only_its_protocols_modules(self, tmp_path, name):
         # a fresh `sivcav run` imports the physics of its own protocol only,
-        # and `numpy.random` only when the run draws noise
+        # `numpy.random` only when the run draws noise, and no PyYAML
         import sivcav
 
         src = str(Path(sivcav.__file__).resolve().parents[1])
@@ -1191,12 +1192,14 @@ class TestCli:
         code = ("import json, sys, sivcav.cli\n"
                 f"rc = sivcav.cli.main(['run', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
                 "print(json.dumps([rc, sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'sivcav'), 'numpy.random' in sys.modules]))")
+                "if m.split('.')[0] == 'sivcav'), 'numpy.random' in sys.modules, "
+                "'yaml' in sys.modules]))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        rc, loaded, random_loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert rc == 0
+        rc, loaded, random_loaded, yaml_loaded = json.loads(
+            proc.stdout.splitlines()[-1])
+        assert (rc, yaml_loaded) == (0, False)
         protocol = load_config(cfg).protocol
         assert set(loaded) - RUN_MODULES - PROTOCOL_MODULES[protocol] == set()
         if protocol in ("magnet_map", "cooperativity_report"):
