@@ -1,4 +1,4 @@
-"""Protocol configuration: YAML loading, schema validation, canonical hashing.
+"""Protocol configuration: parsing, schema validation, canonical hashing.
 
 One protocol per file. Each protocol's keys are declared once, as a table
 `{key: parser}` in `_SCHEMAS`; a nested block is a table of its own. One
@@ -13,16 +13,10 @@ every block but `noise`. A number's explicit null means unset; a null
 string, 3-vector or block is an error. An integer leaf keeps an integer
 input exact.
 
-`_read_subset` reads the block YAML that configs use without importing
-PyYAML: block mappings with identifier keys, block sequences (indented or
-not) of scalars or compact `- key: ...` mappings, one-level flow `[...]` and
-`{k: v}` collections of scalars, and comments. Its scalars are decimal ints,
-floats with a point (and a signed exponent), identifier words other than
-YAML 1.1's null and boolean words, quoted strings without escapes, quotes
-or `#`, and an empty value (null). It declines everything else (tabs,
-anchors, merges, tags, `yes`, `1e5`, a repeated key, a syntax error), and
-`_yaml_tree` then parses the text with PyYAML, so every file means what
-PyYAML says it means.
+`_read_subset` parses a config's text. Its grammar is the part of block
+YAML that configs use (README states it), and it reads each text as PyYAML
+does; anything else, anchors and merges included, is a ConfigError that
+names its line.
 """
 
 from __future__ import annotations
@@ -101,7 +95,7 @@ def _walk(table, data, path, check=None):
         check(out, path)
     unknown = [key for key in data if key not in table]
     if unknown:
-        # YAML keys may be numbers too, which do not compare with strings
+        # a tree built in Python may hold keys that do not compare with str
         raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)}; "
                           f"valid keys here: {sorted(table)}",
                           field=path or "<root>")
@@ -407,50 +401,74 @@ def validate_tree(tree: dict) -> ProtocolConfig:
 
 
 # ---------------------------------------------------------------------------
-# YAML loading: the subset reader and the PyYAML fallback
+# the config grammar
 # ---------------------------------------------------------------------------
+
+class _Syntax(Exception):
+    """Text outside the grammar: (its line number, what is wrong there)."""
+
 
 # a key, then a colon that ends the line or is followed by a space; PyYAML
 # limits a simple key to 1024 characters
 _KEY = re.compile(r"([A-Za-z_][A-Za-z0-9_]{0,999}):(?: +|$)")
-# the scalars of YAML 1.1 whose value every resolver agrees on; PyYAML reads
-# `1e5` as a string, so a float needs its point and an exponent its sign
+# the scalars that every YAML resolver reads alike: a float needs its point
+# and an exponent its sign (PyYAML reads `1e5` as a string), and a plain
+# string, a word or a path, starts with a letter, `_`, `/`, `./` or `../`,
+# never like a number, a date or `.inf`
 _SCALAR = re.compile(r"(?P<int>[-+]?(?:0|[1-9][0-9]*))"
                      r"|(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)"
-                     r"|(?P<str>[A-Za-z_][A-Za-z0-9_]*)"
+                     r"|(?P<str>(?:[A-Za-z_/]|\.\.?(?:/|$))[A-Za-z0-9_./-]*)"
                      r"|\"(?P<dq>[^\"\\#]*)\"|'(?P<sq>[^'#]*)'")
 # the words that YAML 1.1 reads as null or as a boolean
-_NOT_WORDS = frozenset("null Null NULL yes Yes YES no No NO true True TRUE "
-                       "false False FALSE on On ON off Off OFF".split())
-_PRINTABLE = re.compile(r"[\n -~]*")  # no tab, CR or non-ASCII character
-_CAST = {"int": int, "float": float, "str": str, "dq": str, "sq": str}
+_WORDS = {**dict.fromkeys("null Null NULL".split()),
+          **dict.fromkeys("yes Yes YES true True TRUE on On ON".split(), True),
+          **dict.fromkeys("no No NO false False FALSE off Off OFF".split(), False)}
+_CAST = {"int": int, "float": float, "str": lambda s: _WORDS.get(s, s),
+         "dq": str, "sq": str}
+_UNPRINTABLE = re.compile(r"[^\n -~]")  # a tab, CR or non-ASCII character
 
 
-def _scalar(text):
+def _outside(n, text, expected):
+    """The _Syntax of `text` on line `n`, which is not the `expected` form."""
+    if text.startswith(("&", "*", "<<", "!")):
+        return _Syntax(n, "anchors, aliases, merge keys and tags are not part "
+                          "of the config grammar")
+    return _Syntax(n, f"expected {expected}, got {text!r}")
+
+
+def _scalar(text, n):
     match = _SCALAR.fullmatch(text)
-    if match is None or match["str"] in _NOT_WORDS:
-        raise ValueError(text)
-    return _CAST[match.lastgroup](match[match.lastgroup])
+    if match is None:
+        raise _outside(n, text, "an int, a float with a point, a word, a path "
+                                "or a quoted string")
+    try:
+        return _CAST[match.lastgroup](match[match.lastgroup])
+    except ValueError as exc:  # an int beyond int()'s digit limit
+        raise _Syntax(n, str(exc)) from None
 
 
-def _key(text, keys):
+def _key(text, keys, n):
     match = _KEY.match(text)
-    if match is None or match[1] in _NOT_WORDS or match[1] in keys:
-        raise ValueError(text)  # a duplicate is left for PyYAML to name
+    if match is None:
+        raise _outside(n, text, "'key: value' with an identifier key")
+    if match[1] in _WORDS:
+        raise _Syntax(n, f"key {match[1]!r} reads as {_WORDS[match[1]]}")
+    if match[1] in keys:
+        raise _Syntax(n, f"duplicate key {match[1]!r}")
     return match[1], text[match.end():]
 
 
-def _inline(text):
-    """The value that follows `key: ` or `- ` on its line."""
+def _inline(text, n):
+    """The value that follows `key: ` or `- ` on line `n`."""
     if text[:1] + text[-1:] not in ("[]", "{}"):
-        return _scalar(text) if text else None
+        return _scalar(text, n) if text else None
     items = text[1:-1].split(",") if text[1:-1].strip(" ") else []
     if text[0] == "[":
-        return [_scalar(item.strip(" ")) for item in items]
+        return [_scalar(item.strip(" "), n) for item in items]
     out = {}
     for item in items:
-        key, value = _key(item.strip(" "), out)
-        out[key] = _scalar(value)
+        key, value = _key(item.strip(" "), out, n)
+        out[key] = _scalar(value, n)
     return out
 
 
@@ -465,17 +483,17 @@ def _block_node(lines, i, indent):
     out = [] if is_seq else {}
     while i < len(lines) and lines[i][0] == indent \
             and _is_item(lines[i][1]) == is_seq:
-        content = lines[i][1]
+        _, content, n = lines[i]
         if is_seq:
             rest = content[1:].lstrip(" ")
             if _KEY.match(rest):  # a compact mapping, keyed in rest's column
-                lines[i] = (indent + len(content) - len(rest), rest)
+                lines[i] = (indent + len(content) - len(rest), rest, n)
                 value, i = _block_node(lines, i, lines[i][0])
             else:
                 value, i = _value(lines, i, indent, rest, False)
             out.append(value)
         else:
-            key, rest = _key(content, out)
+            key, rest = _key(content, out, n)
             out[key], i = _value(lines, i, indent, rest, True)
     return out, i
 
@@ -483,88 +501,63 @@ def _block_node(lines, i, indent):
 def _value(lines, i, indent, rest, in_mapping):
     """The value of the key or item `lines[i]`, whose text after the
     indicator is `rest`; a mapping's value may be an indentless sequence."""
+    n = lines[i][2]
     i += 1
     below = lines[i][0] if i < len(lines) else -1
     if rest:
-        if below > indent:  # a multi-line scalar or a syntax error
-            raise ValueError(rest)
-        return _inline(rest), i
+        value = _inline(rest, n)
+        if below > indent:  # a multi-line scalar, or a key under a value
+            raise _Syntax(lines[i][2], "bad indentation")
+        return value, i
     if below > indent or (below == indent and in_mapping
                           and _is_item(lines[i][1])):
         return _block_node(lines, i, below)
     return None, i
 
 
-def _read_subset(text):
-    """The tree of `text` if it is in the subset of YAML that configs use,
-    else None, and PyYAML decides."""
-    if not _PRINTABLE.fullmatch(text):
-        return None
-    lines = []
-    for line in text.split("\n"):
-        hash_at = line.find("#")
-        if hash_at > 0 and line[hash_at - 1] != " ":
+def _read_subset(text, path):
+    """The tree of the config `text`, or None if it holds no node; a
+    ConfigError names `path` and the line where the text leaves the grammar."""
+    try:
+        bad = _UNPRINTABLE.search(text)
+        if bad:
+            raise _Syntax(text.count("\n", 0, bad.start()) + 1,
+                          f"character {bad[0]!r} is not allowed")
+        lines = []
+        for n, line in enumerate(text.split("\n"), 1):
+            hash_at = line.find("#")
+            if hash_at > 0 and line[hash_at - 1] != " ":
+                raise _Syntax(n, "'#' starts a comment only after a space")
+            content = line[:hash_at if hash_at >= 0 else None].strip(" ")
+            if content:
+                indent = len(line) - len(line.lstrip(" "))
+                if indent > 100:  # nodes this deep would exhaust the stack
+                    raise _Syntax(n, "indented by more than 100 spaces")
+                lines.append((indent, content, n))
+        if not lines:
             return None
-        content = line[:hash_at if hash_at >= 0 else None].strip(" ")
-        if content:
-            lines.append((len(line) - len(line.lstrip(" ")), content))
-    if not lines:
-        return None
-    try:
         tree, end = _block_node(lines, 0, lines[0][0])
-    except ValueError:  # outside the subset, or an int beyond int()'s limit
-        return None
-    return tree if end == len(lines) else None
-
-
-def _yaml_tree(text, path):
-    """Parse `text` with PyYAML, the reference parser for everything outside
-    the subset, and turn its errors into a ConfigError."""
-    import yaml
-
-    class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-        """Safe YAML loader that rejects a key repeated in one mapping. A
-        key that a `<<` merge brings in may still be overridden."""
-
-        def flatten_mapping(self, node):
-            # a merge source is flattened again at each merge: check it once
-            keys = () if hasattr(node, "keys_checked") else [
-                k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-            super().flatten_mapping(node)
-            node.keys_checked = True
-            seen = set()
-            for key_node in keys:
-                if isinstance(key_node, yaml.ScalarNode):
-                    key = self.construct_object(key_node)
-                    if key in seen:
-                        raise yaml.constructor.ConstructorError(
-                            problem=f"duplicate key {key!r}",
-                            problem_mark=key_node.start_mark)
-                    seen.add(key)
-
-    try:
-        return yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark is not None else ""
-        what = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
-        raise ConfigError(f"cannot parse {path}{where}: {what}")
-    except ValueError as exc:  # a scalar Python cannot convert
-        raise ConfigError(f"cannot parse {path}: {exc}")
+        if end < len(lines):
+            raise _Syntax(lines[end][2], "bad indentation")
+        return tree
+    except _Syntax as exc:
+        line, what = exc.args
+        raise ConfigError(f"cannot parse {path} at line {line}: {what}") from None
 
 
 def load_config(path) -> ProtocolConfig:
-    """Load and validate one protocol configuration file (YAML)."""
+    """Load and validate one protocol configuration file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}")
-    except ValueError as exc:  # not UTF-8
-        raise ConfigError(f"cannot parse {path}: {exc}")
-    tree = _read_subset(text)
-    if tree is None:
-        tree = _yaml_tree(text, path)
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"cannot parse {path} at line {line}: {exc}") from None
+    tree = _read_subset(text, path)
     if not isinstance(tree, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
     return validate_tree(tree)

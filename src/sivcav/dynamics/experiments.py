@@ -68,7 +68,8 @@ class SpinPumpParams:
         if self.rabi_freq < 0 or self.optical_rate <= 0:
             raise InvalidParameterError("rabi_freq >= 0 and optical_rate > 0 required")
         if self.t1 <= 0 or self.pulse_length <= 0 or self.pulse_gap < 0:
-            raise InvalidParameterError("t1, pulse_length, pulse_gap must be positive")
+            raise InvalidParameterError("t1 and pulse_length must be positive, "
+                                        "pulse_gap >= 0")
         if self.n_pulses < 1 or self.samples_per_pulse < 8:
             raise InvalidParameterError("need n_pulses >= 1, samples_per_pulse >= 8")
 

@@ -93,6 +93,13 @@ def build_ple_emitter(d: dict):
     )
 
 
+def _seconds(ns: float, leaf: str) -> float:
+    """Config leaf `leaf`, a positive time of `ns` ns, in s."""
+    if ns * 1e-9 == 0.0:
+        raise DomainError(f"{leaf} {ns:g} is 0 s in float64, where it must be positive")
+    return ns * 1e-9
+
+
 def build_spin_pump_params(d: dict):
     from .dynamics import SpinPumpParams
 
@@ -103,9 +110,9 @@ def build_spin_pump_params(d: dict):
         rabi_freq=d["rabi_mhz"] * 1e6,
         optical_rate=d["optical_rate_mhz"] * 1e6,
         eta=d["eta"],
-        t1=d["t1_ns"] * 1e-9,
+        t1=_seconds(d["t1_ns"], "spin_pump.t1_ns"),
         background=d["background"],
-        pulse_length=d["pulse_length_ns"] * 1e-9,
+        pulse_length=_seconds(d["pulse_length_ns"], "spin_pump.pulse_length_ns"),
         samples_per_pulse=d["samples_per_pulse"],
         **train,
     )
@@ -218,10 +225,7 @@ def _run_pump_probe(cfg):
                       scan["points"],
                       "the scan (scan.start_offset_ghz to scan.stop_offset_ghz)")
     t1_ns = cfg.blocks["t1_ns"]
-    t1 = t1_ns * 1e-9 if t1_ns else None
-    if t1 == 0.0:
-        raise DomainError(f"t1_ns {t1_ns:g} is 0 s in float64: the spin-flip "
-                          "rate 1/(4 pi t1) is not finite")
+    t1 = None if t1_ns is None else _seconds(t1_ns, "t1_ns")
     with_pump = simulate_pump_probe_scan(emitter, freqs, pump_freq,
                                          pump_cfg["rabi_mhz"] * 1e6, t1=t1)
     without = simulate_ple_scan([emitter], freqs)

@@ -1,22 +1,23 @@
-"""The subset reader against PyYAML, the reference parser.
+"""The config grammar against PyYAML, the reference parser.
 
-`sivcav.config._read_subset` reads the YAML subset that configs use and
-declines everything else, which `_yaml_tree` (PyYAML with sivcav's loader)
-then parses. On any text the reader either returns exactly the tree that
-PyYAML gives or declines, and it declines every text that PyYAML rejects.
-Trees are compared by `repr`, so 1, 1.0 and True differ, and so do 0.0 and
--0.0 and the order of keys.
+`sivcav.config._read_subset` parses a config's text, and text outside its
+grammar is a ConfigError that names the file and a line of it. On any text
+the reader either returns exactly the tree that `yaml.safe_load` gives or
+rejects the text, and it rejects every text that PyYAML rejects. Trees are
+compared by `repr`, so 1, 1.0 and True differ, and so do 0.0 and -0.0 and
+the order of keys.
 """
 
 import importlib.util
 import random
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from sivcav.config import _NOT_WORDS, _read_subset, _yaml_tree, load_config
+from sivcav.config import _WORDS, _read_subset, load_config
 from sivcav.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -34,16 +35,31 @@ DROPPED_KEY = (CONFIGS / "fig2_pump_probe.cfg").read_text().replace(
     'line: "2"\n  rabi_mhz', 'line: "2"~  rabi_mhz')
 
 
-def agrees(text):
-    """Assert the reader's verdict on `text`; True when it read the text."""
-    mine = _read_subset(text)
+REJECTED = object()
+
+
+def read(text, path="test.cfg"):
+    """The reader's tree of `text`, or REJECTED where its error names `path`
+    and a line of the text."""
     try:
-        theirs = _yaml_tree(text, "test.cfg")
-    except ConfigError:
-        assert mine is None, f"read a text that PyYAML rejects: {mine!r}"
+        return _read_subset(text, path)
+    except ConfigError as exc:
+        match = re.match(rf"cannot parse {re.escape(str(path))} at line (\d+): ",
+                         str(exc))
+        assert match and 1 <= int(match[1]) <= text.count("\n") + 1, str(exc)
+        return REJECTED
+
+
+def agrees(text, path="test.cfg"):
+    """Assert the reader's verdict on `text`; True when it read the text."""
+    mine = read(text, path)
+    try:
+        theirs = yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError):  # ValueError: a scalar Python cannot convert
+        assert mine is REJECTED, f"read a text that PyYAML rejects: {mine!r}"
         return False
-    assert mine is None or repr(mine) == repr(theirs)
-    return mine is not None
+    assert mine is REJECTED or repr(mine) == repr(theirs)
+    return mine is not REJECTED
 
 
 def test_every_config_the_program_reads_is_in_the_subset(tmp_path):
@@ -83,16 +99,19 @@ def test_reader_agrees_with_pyyaml_on_dumped_trees(text):
     agrees(text)
 
 
-# trees whose block-style dump lies inside the subset: identifier keys,
-# decimal ints, finite floats, and strings that are identifiers or that
-# PyYAML's emitter quotes; a list holds no list, which it writes `- - x`
+# trees whose block-style dump lies inside the grammar: identifier keys,
+# decimal ints, finite floats, nulls, booleans, and strings that are words,
+# paths or that PyYAML's emitter quotes; a list holds no list, which it
+# writes `- - x`
 _WORD = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+_PATH = st.from_regex(r"(/|\.\.?/|[a-z])[a-z0-9_./-]*", fullmatch=True)
 _PLAIN = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
-                   _WORD, st.integers(0, 999).map(str),
-                   st.sampled_from(sorted(_NOT_WORDS)), st.just(""))
+                   st.none(), st.booleans(), _WORD, _PATH,
+                   st.integers(0, 999).map(str), st.sampled_from(sorted(_WORDS)),
+                   st.just(""))
 _IN_SUBSET = st.deferred(lambda: st.one_of(
     _PLAIN, st.lists(st.one_of(_PLAIN, _MAPPINGS), max_size=3), _MAPPINGS))
-_MAPPINGS = st.dictionaries(_WORD.filter(lambda w: w not in _NOT_WORDS),
+_MAPPINGS = st.dictionaries(_WORD.filter(lambda w: w not in _WORDS),
                             _IN_SUBSET, max_size=3)
 
 
@@ -110,7 +129,7 @@ def test_mutated_shipped_configs(path):
     # deletion or a replacement by a character that YAML reads as syntax
     rng = random.Random(path.stem)
     base = path.read_text()
-    read = 0
+    accepted = 0
     for _ in range(400):
         text = base
         for _ in range(rng.randint(1, 3)):
@@ -118,19 +137,58 @@ def test_mutated_shipped_configs(path):
             c = rng.choice(" \n\t\r-:#[]{},'\"~&*!|>.0123456789eE+_aTyn")
             text = rng.choice([text[:at] + c + text[at:], text[:at] + text[at + 1:],
                                text[:at] + c + text[at + 1:]])
-        read += agrees(text)
-    assert 0 < read < 400  # neither side of the contract is vacuous
+        accepted += agrees(text, path)
+    assert 0 < accepted < 400  # neither side of the contract is vacuous
 
 
-def test_config_outside_the_subset_loads_through_pyyaml():
-    text = ("base: &base {a: 1, b: 2.5}\n"
-            "merged:\n  <<: *base\n  b: 3\n"
-            "flag: yes\n"
-            "rate: 1e5\n")
-    assert _read_subset(text) is None
-    assert repr(_yaml_tree(text, "test.cfg")) == repr(
-        {"base": {"a": 1, "b": 2.5}, "merged": {"a": 1, "b": 3}, "flag": True,
-         "rate": "1e5"})
+_FORMS = "an int, a float with a point, a word, a path or a quoted string"
+_NO_ANCHORS = "anchors, aliases, merge keys and tags are not part of the config grammar"
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("a: &x 1\nb: *x\n", 1, _NO_ANCHORS),
+    ("a: 1\nb: *x\n", 2, _NO_ANCHORS),
+    ("a: {x: 1}\nb:\n  <<: {y: 2}\n", 3, _NO_ANCHORS),
+    ("a: !!float 1\n", 1, _NO_ANCHORS),
+    ("yes: 1\n", 1, "key 'yes' reads as True"),
+    ("a: 1\nrate: 1e5\n", 2, f"expected {_FORMS}, got '1e5'"),
+    ("day: 2020-01-01\n", 1, f"expected {_FORMS}, got '2020-01-01'"),
+    ("top: .inf\n", 1, f"expected {_FORMS}, got '.inf'"),
+    ("a:\n\tb: 1\n", 2, "character '\\t' is not allowed"),
+    ("a: 1\r\n", 1, "character '\\r' is not allowed"),
+    ("a:\n  b: 1\n  b: 2\n", 3, "duplicate key 'b'"),
+    ("a: {b: 1, b: 2}\n", 1, "duplicate key 'b'"),
+    ("a: 1\nb c: 2\n", 2, "expected 'key: value' with an identifier key, got 'b c: 2'"),
+    ("a: 1\n  b: 2\n", 2, "bad indentation"),
+    ("a:\n    b: 1\n  c: 2\n", 3, "bad indentation"),
+    ("a: 1\n- b\n", 2, "bad indentation"),
+    ("a: 1# note\n", 1, "'#' starts a comment only after a space"),
+    # a tree nested this deep raised RecursionError with a traceback
+    ("".join(f"{' ' * d}k{d}:\n" for d in range(600)), 102,
+     "indented by more than 100 spaces"),
+])
+def test_text_outside_the_grammar_fails_at_its_line(text, line, what):
+    with pytest.raises(ConfigError) as err:
+        _read_subset(text, "test.cfg")
+    assert str(err.value) == f"cannot parse test.cfg at line {line}: {what}"
+
+
+def test_words_and_paths_read_as_yaml_reads_them(tmp_path):
+    text = ("a: [null, Null, NULL, yes, No, on, OFF, true, FALSE, nulls]\n"
+            "b: [runs/fig4, ../runs, /tmp/x-1/y.z/, ., ./runs]\n")
+    assert agrees(text)
+    assert _read_subset(text, "test.cfg") == {
+        "a": [None, None, None, True, False, True, False, True, False, "nulls"],
+        "b": ["runs/fig4", "../runs", "/tmp/x-1/y.z/", ".", "./runs"]}
+    # an explicit null leaf is unset, and a boolean fails at its leaf
+    cfg = CONFIGS / "fig2_pump_probe.cfg"
+    path = tmp_path / "test.cfg"
+    path.write_text(re.sub(r"(?m)^t1_ns: .*$", "t1_ns: null", cfg.read_text()))
+    assert load_config(path).blocks["t1_ns"] is None
+    path.write_text(re.sub(r"(?m)^t1_ns: .*$", "t1_ns: yes", cfg.read_text()))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == "expected a finite number, got True (field: t1_ns)"
 
 
 _PLE = """\
@@ -151,7 +209,7 @@ scan: {{start_thz: 406.6, stop_thz: 406.7, points: 11}}
 """
 
 
-def test_anchored_config_loads_as_its_plain_form(tmp_path):
+def test_anchored_config_fails_at_its_anchor(tmp_path):
     # two emitters that share a model through an anchor and a `<<` merge
     anchored = tmp_path / "anchored.cfg"
     anchored.write_text(_PLE.format(anchor=" &model", second="      <<: *model"))
@@ -159,6 +217,15 @@ def test_anchored_config_loads_as_its_plain_form(tmp_path):
     plain.write_text(_PLE.format(anchor="", second=(
         "      ground:  {lambda_so_ghz: 46.0}\n"
         "      excited: {lambda_so_ghz: 255.0}")))
-    assert _read_subset(anchored.read_text()) is None
-    assert _read_subset(plain.read_text()) is not None
-    assert load_config(anchored) == load_config(plain)
+    with pytest.raises(ConfigError) as err:
+        load_config(anchored)
+    assert str(err.value) == f"cannot parse {anchored} at line 3: {_NO_ANCHORS}"
+    assert agrees(plain.read_text())
+    assert [e["model"]["zpl_center_thz"]
+            for e in load_config(plain).blocks["emitters"]] == [406.8, 406.9]
+
+
+def test_crlf_file_loads_as_its_lf_form(tmp_path):
+    path = tmp_path / "crlf.cfg"
+    path.write_bytes((CONFIGS / "fig4_cpt.cfg").read_bytes().replace(b"\n", b"\r\n"))
+    assert load_config(path) == load_config(CONFIGS / "fig4_cpt.cfg")

@@ -484,6 +484,8 @@ CPT = dict(rabi_pump=5e6, rabi_probe=5e6, optical_rate=157e6, gamma_s=1e6)
      "rabi_freq >= 0 and optical_rate > 0 required"),
     (lambda: replace(CALIB, samples_per_pulse=7), InvalidParameterError,
      "need n_pulses >= 1, samples_per_pulse >= 8"),
+    (lambda: replace(CALIB, pulse_gap=-1e-9), InvalidParameterError,
+     "t1 and pulse_length must be positive, pulse_gap >= 0"),
     (lambda: _fit_initialization(synthetic_trace(0.0, 0.0)), FitError,
      "trace has no positive signal peak"),
     (lambda: CptParams(**{**CPT, "rabi_probe": -1.0}), InvalidParameterError,
@@ -506,9 +508,9 @@ CPT = dict(rabi_pump=5e6, rabi_probe=5e6, optical_rate=157e6, gamma_s=1e6)
      InvalidParameterError, "temperature must be positive"),
     (lambda: simulate_ple_scan([PleEmitter(single_line_table(), 200e6, 5e6)], []),
      InvalidParameterError, "frequencies must be a non-empty 1-d array"),
-], ids=["spin-pump-rate", "spin-pump-samples", "no-peak", "cpt-rabi",
-        "cpt-rate", "cpt-gamma-s", "cpt-split", "cpt-t2-star", "ple-linewidth",
-        "ple-rabi", "ple-temperature", "ple-frequencies"])
+], ids=["spin-pump-rate", "spin-pump-samples", "spin-pump-times", "no-peak",
+        "cpt-rabi", "cpt-rate", "cpt-gamma-s", "cpt-split", "cpt-t2-star",
+        "ple-linewidth", "ple-rabi", "ple-temperature", "ple-frequencies"])
 def test_bad_argument_is_named(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()

@@ -48,6 +48,43 @@ MALFORMED = [
     ("10_noise_not_allowed.cfg", "noise"),
 ]
 
+# files that the loader or the validator turned into a traceback, or into
+# several lines, and files outside the config grammar, which fail at a line:
+# (bytes, a substring of the one `error:` line)
+_SCALAR_FORMS = "an int, a float with a point, a word, a path or a quoted string"
+BAD_FILES = [
+    pytest.param(b"protocol: cpt_scan\nseed: " + b"9" * 400,
+                 "expected a finite number, got 999", id="beyond-float64"),
+    pytest.param(b"protocol: cpt_scan\nseed: " + b"9" * 5000,
+                 "at line 2: Exceeds the limit", id="beyond-int-digits"),
+    pytest.param(b"protocol: cpt_scan\nseed: 2020-13-45",
+                 f"at line 2: expected {_SCALAR_FORMS}, got '2020-13-45'",
+                 id="bad-date"),
+    pytest.param(b"protocol: cpt_scan\n# caf\xe9",
+                 "at line 2: 'utf-8' codec can't decode byte 0xe9", id="not-utf8"),
+    pytest.param(b"protocol: cpt_scan\ncpt:\n  t2_star_ns: 97.0\n  t2_star_ns: 50.0",
+                 "at line 4: duplicate key 't2_star_ns'", id="repeated-key"),
+    pytest.param(b"- protocol: cpt_scan\n",
+                 "must contain a mapping at the top level", id="top-level-list"),
+    pytest.param(b"protocol: cpt_scan\ncpt: [1, 2\n",
+                 f"at line 2: expected {_SCALAR_FORMS}, got '[1, 2'", id="yaml-syntax"),
+    pytest.param(b"protocol: cooperativity_report\ncooperativity: "
+                 b"{gamma_on_mhz: 203.0, gamma0_mhz: 157.0, kappa_ghz: 273.0}\n"
+                 b"1: a\nfoo: b", "at line 3: expected 'key: value' with an "
+                 "identifier key, got '1: a'", id="mixed-key-types"),
+    pytest.param(b"protocol: cpt_scan\ncpt: &cpt\n  t2_star_ns: 97.0\n",
+                 "at line 2: anchors, aliases, merge keys and tags are not part "
+                 "of the config grammar", id="anchor"),
+    pytest.param(b"protocol: cpt_scan\ncpt:\n\tt2_star_ns: 97.0\n",
+                 "at line 3: character '\\t' is not allowed", id="tab"),
+    pytest.param(b"protocol: cpt_scan# a comment\n",
+                 "at line 1: '#' starts a comment only after a space",
+                 id="hash-without-space"),
+    pytest.param(b"protocol: cpt_scan\ncpt:\n    t2_star_ns: 97.0\n  "
+                 b"optical_rate_mhz: 157.0\n", "at line 4: bad indentation",
+                 id="bad-indentation"),
+]
+
 DELETE = object()  # an edit that removes a node
 
 # sivcav modules any `sivcav run` loads, and those each protocol adds to them
@@ -344,6 +381,12 @@ class TestConfigLoading:
             validate_tree(tree)
         assert str(err.value) == message
 
+    def test_unknown_keys_of_mixed_types_are_listed(self):
+        # a tree built in Python may hold keys that do not compare with str
+        tree = {**MINIMAL_CPT, 1: "a", "foo": "b"}
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) \[1, 'foo'\]"):
+            validate_tree(tree)
+
     def test_integer_leaves_keep_their_exact_value(self, tmp_path):
         hashes = set()
         for seed in (2 ** 53, 2 ** 53 + 1):
@@ -355,8 +398,9 @@ class TestConfigLoading:
         points = load_config(write_cfg(tmp_path, tree)).blocks["scan"]["points"]
         assert (type(points), points) == (int, 31)
 
-    def test_merge_keys_may_override_but_keys_may_not_repeat(self, tmp_path):
-        # the third emitter merges the second, which merged the first
+    def test_merge_keys_and_repeated_keys_fail_at_their_line(self, tmp_path):
+        # the third emitter merges the second, which merged the first: the
+        # grammar has no anchors or merges, and the first anchor fails
         text = """
             protocol: ple_scan
             emitters:
@@ -374,15 +418,26 @@ class TestConfigLoading:
             """
         path = tmp_path / "merge.cfg"
         path.write_text(textwrap.dedent(text))
-        emitters = load_config(str(path)).blocks["emitters"]
-        assert [(e["linewidth_mhz"], e["rabi_mhz"]) for e in emitters] == [
-            (180.0, 25.0), (250.0, 25.0), (250.0, 30.0)]
-        assert emitters[2]["model"] == emitters[0]["model"]
-        path.write_text(textwrap.dedent(text).replace(
-            "rabi_mhz: 30.0", "rabi_mhz: 30.0\n    rabi_mhz: 35.0"))
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
-        assert str(err.value) == f"cannot parse {path} at line 14: duplicate key 'rabi_mhz'"
+        assert str(err.value) == (f"cannot parse {path} at line 4: anchors, "
+                                  "aliases, merge keys and tags are not part "
+                                  "of the config grammar")
+        # the plain form of the same emitters, with a key repeated
+        path.write_text(textwrap.dedent("""
+            protocol: ple_scan
+            emitters:
+              - model:
+                  ground: {lambda_so_ghz: 46.0}
+                linewidth_mhz: 180.0
+                rabi_mhz: 25.0
+              - linewidth_mhz: 250.0
+                rabi_mhz: 30.0
+                rabi_mhz: 35.0
+            """))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"cannot parse {path} at line 10: duplicate key 'rabi_mhz'"
 
     @pytest.mark.parametrize("name,needle", MALFORMED)
     def test_curated_malformed_set(self, name, needle):
@@ -914,6 +969,17 @@ class TestCli:
         ("fig4_cpt", [("scan", "span_mhz", 1e303)],
          "protocol 'cpt_scan': the scan (scan.span_mhz) runs from -inf to inf "
          "Hz: its ends or span overflow float64\n"),
+        # positive times that float64 takes to 0 s (the spin-pump ones said
+        # "t1, pulse_length, pulse_gap must be positive", naming no leaf)
+        *[(name, [(*owner, key, 5e-324)],
+           f"protocol '{protocol}': {leaf} 4.94066e-324 is 0 s in float64, "
+           "where it must be positive\n")
+          for name, protocol, owner, key, leaf in (
+              ("fig2_pump_probe", "pump_probe_scan", (), "t1_ns", "t1_ns"),
+              ("fig4_spin_pumping", "spin_pumping", ("spin_pump",), "t1_ns",
+               "spin_pump.t1_ns"),
+              ("fig4_t1", "t1_recovery", ("spin_pump",), "pulse_length_ns",
+               "spin_pump.pulse_length_ns"))],
         # delays that float64 cannot tell apart (these said "taus must be
         # non-negative and increasing", naming no leaf)
         *[("fig4_t1", [("taus", "start_ns", start), ("taus", "stop_ns", stop)],
@@ -1001,25 +1067,7 @@ class TestCli:
 
     # files that the loader or the validator turned into a traceback, or
     # into several lines: each is one `error:` line and exit 1
-    @pytest.mark.parametrize("text, message", [
-        pytest.param(b"protocol: cpt_scan\nseed: " + b"9" * 400,
-                     "expected a finite number, got 999", id="beyond-float64"),
-        pytest.param(b"protocol: cpt_scan\nseed: " + b"9" * 5000,
-                     "Exceeds the limit", id="beyond-int-digits"),
-        pytest.param(b"protocol: cpt_scan\nseed: 2020-13-45",
-                     "month must be in 1..12", id="bad-date"),
-        pytest.param(b"protocol: cpt_scan\n# caf\xe9",
-                     "can't decode byte 0xe9", id="not-utf8"),
-        pytest.param(b"protocol: cpt_scan\ncpt:\n  t2_star_ns: 97.0\n  t2_star_ns: 50.0",
-                     "at line 4: duplicate key 't2_star_ns'", id="repeated-key"),
-        pytest.param(b"- protocol: cpt_scan\n",
-                     "must contain a mapping at the top level", id="top-level-list"),
-        pytest.param(b"protocol: cpt_scan\ncpt: [1, 2\n",
-                     "at line 3: did not find expected ',' or ']'", id="yaml-syntax"),
-        pytest.param(b"protocol: cooperativity_report\ncooperativity: "
-                     b"{gamma_on_mhz: 203.0, gamma0_mhz: 157.0, kappa_ghz: 273.0}\n"
-                     b"1: a\nfoo: b", "unknown key(s) [1, 'foo']", id="mixed-key-types"),
-    ])
+    @pytest.mark.parametrize("text, message", BAD_FILES)
     def test_bad_file_is_a_one_line_config_error(self, tmp_path, capsys,
                                                           text, message):
         path = tmp_path / "bad.cfg"
@@ -1165,8 +1213,8 @@ class TestCli:
     def test_import_loads_no_physics_stack(self):
         # `validate` must stay cheap: importing the CLI may not pull in
         # scipy or the protocol runners, and validating a config only parses
-        # YAML, so it may not load numpy, nor `dataclasses` (and through it
-        # `inspect`), nor PyYAML for a config inside the subset it reads
+        # the config, so it may not load numpy, nor `dataclasses` (and through
+        # it `inspect`), nor PyYAML
         import sivcav
 
         src = str(Path(sivcav.__file__).resolve().parents[1])
@@ -1180,6 +1228,44 @@ class TestCli:
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == ["[]", "0 False False False"]
+
+    def test_cli_needs_no_pyyaml(self, tmp_path, capsys):
+        # with `yaml` unimportable, `validate` on every shipped, malformed
+        # and bad file, and a `run`, exit and report as they do here
+        import sivcav
+
+        src = str(Path(sivcav.__file__).resolve().parents[1])
+        bad = []
+        for i, case in enumerate(BAD_FILES):
+            bad.append(tmp_path / f"bad{i:02d}.cfg")
+            bad[-1].write_bytes(case.values[0])
+        argvs = [["validate", str(path)] for path in [
+            *sorted(CONFIGS.glob("*.cfg")),
+            *sorted((CONFIGS / "malformed").glob("*.cfg")), *bad]]
+        argvs.append(["run", str(CONFIGS / "cooperativity_report.cfg"),
+                      "--out", str(tmp_path / "out")])
+        code = ("import contextlib, io, json, sys\n"
+                "sys.modules['yaml'] = None\n"
+                "import sivcav.cli\n"
+                "results = []\n"
+                f"for argv in {argvs!r}:\n"
+                "    err = io.StringIO()\n"
+                "    with contextlib.redirect_stderr(err), \\\n"
+                "            contextlib.redirect_stdout(io.StringIO()):\n"
+                "        results.append([sivcav.cli.main(argv), err.getvalue()])\n"
+                "print(json.dumps(results))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        shipped = len(SHIPPED)
+        assert [rc for rc, _ in results] == \
+            [0] * shipped + [1] * (len(argvs) - shipped - 1) + [0]
+        assert all(err.startswith("error: ") and err.count("\n") == 1
+                   for _, err in results[shipped:-1])
+        for argv, result in zip(argvs, results):
+            rc = cli_main(argv)
+            assert [rc, capsys.readouterr().err] == result, argv
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_run_loads_only_its_protocols_modules(self, tmp_path, name):
