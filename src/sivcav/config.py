@@ -8,7 +8,8 @@ rejects unknown keys with the list of valid keys. Errors name the offending
 field by dotted path, such as `emitters[0].model.ground.lambda_so_ghz`.
 
 The leaves are `_number`, `_string` and `_vector3`, and the blocks are
-`_block` and `_block_list`. A leaf without a default is required, and so is
+`_block` and `_block_list`. Every number, and each component of a 3-vector,
+has a declared range. A leaf without a default is required, and so is
 every block but `noise`. A number's explicit null means unset; a null
 string, 3-vector or block is an error. An integer leaf keeps an integer
 input exact.
@@ -102,19 +103,19 @@ def _walk(table, data, path, check=None):
     return out
 
 
-def _number(default=_REQUIRED, minimum=None, maximum=None, positive=False,
+def _number(maximum, minimum=0.0, default=_REQUIRED, positive=False,
             integer=False):
     def parse(v, path, key):
         if v is None or v is _ABSENT:  # an explicit null means unset
             return _unset(default)
         if not _is_number(v):
             raise _Bad(f"expected a finite number, got {v!r}")
-        x = float(v)
-        if positive and x <= 0:
+        x = float(v)  # the bounds compare `v`, which keeps an integer exact
+        if positive and v <= 0:
             raise _Bad(f"must be positive, got {x}")
-        if minimum is not None and x < minimum:
+        if v < minimum:
             raise _Bad(f"must be >= {minimum}, got {x}")
-        if maximum is not None and x > maximum:
+        if v > maximum:
             raise _Bad(f"must be <= {maximum}, got {x}")
         if not integer:
             return x
@@ -123,6 +124,7 @@ def _number(default=_REQUIRED, minimum=None, maximum=None, positive=False,
         if x != int(x):
             raise _Bad(f"expected an integer, got {x}")
         return int(x)
+    parse.range, parse.default = (minimum, maximum, positive), default
     return parse
 
 
@@ -135,18 +137,28 @@ def _string(default=_REQUIRED, choices=None):
         if choices is not None and v not in choices:
             raise _Bad(f"must be one of {sorted(choices)}, got {v!r}")
         return v
-    parse.choices = choices
+    parse.choices, parse.default = choices, default
     return parse
 
 
-def _vector3(default=_REQUIRED):
+def _vector3(maximum, minimum=None, default=_REQUIRED):
+    """A 3-vector whose every component lies in [minimum, maximum], where
+    `minimum` defaults to -maximum."""
+    component = _number(maximum, -maximum if minimum is None else minimum)
+
     def parse(v, path, key):
         if v is _ABSENT:
             return list(_unset(default))
         if not isinstance(v, (list, tuple)) or len(v) != 3 \
                 or not all(_is_number(c) for c in v):
             raise _Bad(f"expected a 3-vector of numbers, got {v!r}")
+        for i, c in enumerate(v):
+            try:
+                component(c, path, key)
+            except _Bad as exc:
+                raise ConfigError(str(exc), field=f"{_at(path, key)}[{i}]") from None
         return [float(c) for c in v]
+    parse.range, parse.default = component.range, default
     return parse
 
 
@@ -176,11 +188,11 @@ def _block_list(table, check=None):
 # cross-field checks: check(parsed block, its path) after the keys parse
 # ---------------------------------------------------------------------------
 
-def _scan(start, stop, points):
+def _scan(start, stop, points, end):
     def check(out, path):
         if out[stop] <= out[start]:
             raise ConfigError(f"{stop} must exceed {start}", field=path)
-    return _block({start: _number(), stop: _number(), "points": points}, check)
+    return _block({start: end, stop: end, "points": points}, check)
 
 
 def _one_dephasing(out, path):
@@ -225,6 +237,19 @@ def _axis_span(out, path):
 # per-protocol schemas
 # ---------------------------------------------------------------------------
 
+# Every number leaf declares its physical range in its config unit (README
+# tabulates them). Within the ranges each leaf is finite in SI units and a
+# positive one nonzero, and so are the squares of the cavity fit's width and
+# half span and of an emitter's linewidth, a saturation scan's power_max /
+# p_sat and noisy data. Products of leaves that can still leave float64 are
+# checked where they are computed: a rate times a duration (`propagate`), a
+# scan's span over its points (`_linspace`), manifold energies against the
+# optical line (`siv_levels`), a rate spread (`detuned_steady_states`) and
+# the cavity-QED algebra (`cqed`).
+_MHZ, _GHZ, _THZ = 1e7, 1e5, 1e4  # rates and detunings to 1e13 Hz
+_NS, _MIN_NS = 1e12, 1e-3  # times to 1000 s; a positive one from 1 ps
+_MM = 1e6  # coordinates and sizes to 1 km
+
 # Count leaves are bounded by one memory budget: a count's maximum is
 # _MEMORY_BUDGET (1 GiB) over the bytes per counted point of the largest array
 # that its protocol allocates (a complex128 is 16 B, a float64 8 B):
@@ -247,112 +272,116 @@ _MAX_GRID_POINTS = _MEMORY_BUDGET // 24
 
 
 def _count(minimum, bytes_per_point, default=_REQUIRED):
-    return _number(default=default, minimum=minimum, integer=True,
-                   maximum=_MEMORY_BUDGET // bytes_per_point)
+    return _number(_MEMORY_BUDGET // bytes_per_point, minimum, default,
+                   integer=True)
 
 
 _MANIFOLD = {
-    "lambda_so_ghz": _number(positive=True),
-    "strain_alpha_ghz": _number(default=0.0),
-    "strain_beta_ghz": _number(default=0.0),
-    "quench_f": _number(default=0.1, minimum=0.0, maximum=1.0),
-    "g_spin": _number(default=2.0, positive=True),
+    "lambda_so_ghz": _number(_GHZ, positive=True),
+    "strain_alpha_ghz": _number(_GHZ, -_GHZ, default=0.0),
+    "strain_beta_ghz": _number(_GHZ, -_GHZ, default=0.0),
+    "quench_f": _number(1.0, default=0.1),
+    "g_spin": _number(10.0, default=2.0, positive=True),
 }
 
 _PLE_EMITTER = {
     "model": _block({
         "ground": _block(_MANIFOLD),
         "excited": _block(_MANIFOLD),
-        "zpl_center_thz": _number(positive=True),
-        "b_field_t": _vector3(default=(0.0, 0.0, 0.0)),
-        "axis": _vector3(default=(0.0, 0.0, 1.0)),
+        "zpl_center_thz": _number(_THZ, positive=True),
+        "b_field_t": _vector3(100.0, default=(0.0, 0.0, 0.0)),
+        "axis": _vector3(_MM, default=(0.0, 0.0, 1.0)),  # only its direction acts
     }),
-    "linewidth_mhz": _number(positive=True),
-    "rabi_mhz": _number(minimum=0.0),
-    "temperature_k": _number(default=4.0, positive=True),
+    "linewidth_mhz": _number(_MHZ, 1e-6, positive=True),  # from 1 Hz
+    "rabi_mhz": _number(_MHZ),
+    "temperature_k": _number(1000.0, default=4.0, positive=True),
 }
 
 # a T1 run probes with one pulse after each delay: it reads no pulse-train
 # keys, so only spin_pumping accepts n_pulses and pulse_gap_ns
 _SPIN_PUMP = {
-    "rabi_mhz": _number(minimum=0.0),
-    "optical_rate_mhz": _number(positive=True),
-    "eta": _number(minimum=0.0, maximum=1.0),
-    "t1_ns": _number(positive=True),
-    "background": _number(default=0.0, minimum=0.0),
-    "pulse_length_ns": _number(default=1000.0, positive=True),
+    "rabi_mhz": _number(_MHZ),
+    "optical_rate_mhz": _number(_MHZ, positive=True),
+    "eta": _number(1.0),
+    "t1_ns": _number(_NS, _MIN_NS, positive=True),
+    "background": _number(1e13, default=0.0),  # Hz, as the signal
+    "pulse_length_ns": _number(_NS, _MIN_NS, default=1000.0, positive=True),
     "samples_per_pulse": _count(8, 256, default=400),
 }
 
-_AXIS = _block({"start": _number(), "stop": _number(), "points": _count(1, 24)},
+_END_MM = _number(_MM, -_MM)
+_AXIS = _block({"start": _END_MM, "stop": _END_MM, "points": _count(1, 24)},
                _axis_span)
 
 _SCHEMAS = {
     "ple_scan": {
         "emitters": _block_list(_PLE_EMITTER),
-        "scan": _scan("start_thz", "stop_thz", _count(2, 8)),
+        "scan": _scan("start_thz", "stop_thz", _count(2, 8),
+                      _number(_THZ, positive=True)),
     },
     "pump_probe_scan": {
         "emitter": _block(_PLE_EMITTER),
         "pump": _block({
             "parent": _string(default="C", choices=tuple("ABCD")),
             "line": _string(default="2", choices=("1", "2", "3", "4")),
-            "rabi_mhz": _number(minimum=0.0),
-            "detuning_mhz": _number(default=0.0),
+            "rabi_mhz": _number(_MHZ),
+            "detuning_mhz": _number(_MHZ, -_MHZ, default=0.0),
         }),
-        "scan": _scan("start_offset_ghz", "stop_offset_ghz", _count(2, 4096)),
-        "t1_ns": _number(default=None, positive=True),
+        "scan": _scan("start_offset_ghz", "stop_offset_ghz", _count(2, 4096),
+                      _number(_GHZ, -_GHZ)),
+        "t1_ns": _number(_NS, _MIN_NS, default=None, positive=True),
     },
     "spin_pumping": {"spin_pump": _block({
         **_SPIN_PUMP,
         "n_pulses": _count(1, 256, default=1),
-        "pulse_gap_ns": _number(default=1000.0, minimum=0.0),
+        "pulse_gap_ns": _number(_NS, default=1000.0),
     }, _pulse_samples)},
     "t1_recovery": {"spin_pump": _block(_SPIN_PUMP),
-                    "taus": _scan("start_ns", "stop_ns", _count(2, 256))},
+                    "taus": _scan("start_ns", "stop_ns", _count(2, 256),
+                                  _number(_NS))},
     "cpt_scan": {
         "cpt": _block({
-            "rabi_pump_mhz": _number(minimum=0.0),
-            "rabi_probe_mhz": _number(minimum=0.0),
-            "optical_rate_mhz": _number(positive=True),
-            "t2_star_ns": _number(default=None, positive=True),
-            "gamma_s_mhz": _number(default=None, minimum=0.0),
-            "f_s_ghz": _number(default=6.8),
+            "rabi_pump_mhz": _number(_MHZ),
+            "rabi_probe_mhz": _number(_MHZ),
+            "optical_rate_mhz": _number(_MHZ, positive=True),
+            "t2_star_ns": _number(_NS, _MIN_NS, default=None, positive=True),
+            "gamma_s_mhz": _number(_MHZ, default=None),
+            "f_s_ghz": _number(_GHZ, -_GHZ, default=6.8),
             "detuning_split": _string(default="symmetric",
                                       choices=("symmetric", "probe")),
         }, _one_dephasing),
-        "scan": _block({"span_mhz": _number(positive=True),
+        "scan": _block({"span_mhz": _number(_MHZ, positive=True),
                         "points": _count(5, 1296)}),
     },
     "cavity_fit": {"synthetic": _block({
-        "resonance_thz": _number(positive=True),
-        "kappa_ghz": _number(positive=True),
-        "amplitude": _number(default=1.0, positive=True),
-        "offset": _number(default=0.0, minimum=0.0),
-        "span_ghz": _number(positive=True),
+        "resonance_thz": _number(_THZ, positive=True),
+        "kappa_ghz": _number(_GHZ, 1e-6, positive=True),  # from 1 kHz
+        "amplitude": _number(1e12, default=1.0, positive=True),
+        "offset": _number(1e12, default=0.0),
+        "span_ghz": _number(_GHZ, positive=True),
         "points": _count(10, 32),
-        "noise_rel": _number(default=0.0, minimum=0.0),
+        "noise_rel": _number(1.0, default=0.0),
     })},
     "saturation_study": {"synthetic": _block({
-        "gamma0_mhz": _number(positive=True),
-        "p_sat": _number(positive=True),
-        "power_max": _number(positive=True),
+        "gamma0_mhz": _number(_MHZ, positive=True),
+        "p_sat": _number(1e12, 1e-12, positive=True),
+        "power_max": _number(1e12, 1e-12, positive=True),
         "points": _count(3, 16),
-        "noise_rel": _number(default=0.0, minimum=0.0),
+        "noise_rel": _number(1.0, default=0.0),
     })},
     "magnet_map": {
-        "magnets": _block_list({"center_mm": _vector3(),
-                                "dimensions_mm": _vector3(),
-                                "remanence_t": _vector3()},
+        "magnets": _block_list({"center_mm": _vector3(_MM),
+                                "dimensions_mm": _vector3(_MM, 0.0),
+                                "remanence_t": _vector3(10.0)},
                                _positive_dimensions),
         "grid": _block({"x_mm": _AXIS, "y_mm": _AXIS, "z_mm": _AXIS}, _grid_size),
-        "pcc_mm": _vector3(),
+        "pcc_mm": _vector3(_MM),
     },
     "cooperativity_report": {"cooperativity": _block({
-        "gamma_on_mhz": _number(positive=True),
-        "gamma0_mhz": _number(positive=True),
-        "kappa_ghz": _number(positive=True),
-        "detuning_over_kappa": _number(default=0.0),
+        "gamma_on_mhz": _number(_MHZ, positive=True),
+        "gamma0_mhz": _number(_MHZ, positive=True),
+        "kappa_ghz": _number(_GHZ, positive=True),
+        "detuning_over_kappa": _number(1e4, -1e4, default=0.0),
     })},
 }
 
@@ -361,7 +390,7 @@ PROTOCOLS = tuple(_SCHEMAS)
 
 #: protocols whose scan output may carry optional seeded Gaussian noise
 _NOISE_OK = {"ple_scan", "pump_probe_scan", "cpt_scan"}
-_NOISE = {"sigma_rel": _number(minimum=0.0)}
+_NOISE = {"sigma_rel": _number(1.0)}
 
 
 def _noise(protocol):
@@ -377,7 +406,7 @@ def _noise(protocol):
 
 def _root(protocol):
     return {"protocol": _string(choices=PROTOCOLS),
-            "seed": _number(default=0, minimum=0, integer=True),
+            "seed": _number(2 ** 64 - 1, default=0, integer=True),
             "output_dir": _string(default="runs"),
             **_SCHEMAS[protocol],
             "noise": _noise(protocol)}

@@ -491,7 +491,7 @@ def detuned_steady_states(template: LevelSystem, detunings) -> np.ndarray:
     try:
         return _bordered_steady_states(lv)
     except SteadyStateError:
-        rates = sorted((rate, name) for name, rate in template._named_rates()
+        rates = sorted((float(rate), name) for name, rate in template._named_rates()
                        if rate > 0)
         if rates and rates[-1][0] > rates[0][0] / _NULL_SPACE_RTOL:
             (lo, lo_name), (hi, hi_name) = rates[0], rates[-1]

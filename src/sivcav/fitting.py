@@ -204,8 +204,8 @@ def lm_fit(model: Model, spectrum: Spectrum, p0=None) -> FitResult:
     try:
         cov = np.linalg.inv(jtj) * s2
         singular = not np.all(np.isfinite(cov))
-    except np.linalg.LinAlgError:
-        cov, singular = np.linalg.pinv(jtj) * s2, True
+    except np.linalg.LinAlgError:  # pinv too fails on a J^T J beyond float64
+        cov, singular = np.full((npar, npar), np.nan), True
     if singular:
         # a rank-deficient Jacobian, or one beyond the float64 range, leaves
         # some parameters unidentified: a vanishing gradient there is no

@@ -137,14 +137,15 @@ def _exterior_field(magnet: CuboidMagnet, p: np.ndarray) -> np.ndarray:
         iu, iv = (iw + 1) % 3, (iw + 2) % 3
         u_lo, u_hi = d[..., iu] - half[iu], d[..., iu] + half[iu]
         v_lo, v_hi = d[..., iv] - half[iv], d[..., iv] + half[iv]
-        for w_face, sigma_sign in ((d[..., iw] - half[iw], 1.0),
-                                   (d[..., iw] + half[iw], -1.0)):
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # a face sum may be inf (log(0)), and two faces' infinities NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for w_face, sigma_sign in ((d[..., iw] - half[iw], 1.0),
+                                       (d[..., iw] + half[iw], -1.0)):
                 su, sv, sw = _face_component_sums(u_lo, u_hi, v_lo, v_hi, w_face)
-            pref = sigma_sign * j[iw] / (4.0 * np.pi)
-            b[..., iu] += pref * su
-            b[..., iv] += pref * sv
-            b[..., iw] += pref * sw
+                pref = sigma_sign * j[iw] / (4.0 * np.pi)
+                b[..., iu] += pref * su
+                b[..., iv] += pref * sv
+                b[..., iw] += pref * sw
     _reject(p, ~np.all(np.isfinite(b), axis=-1), "lies on the extension of a "
             "magnet edge, where log(v + r) of the closed form is log(0)")
     return b

@@ -506,11 +506,17 @@ CPT = dict(rabi_pump=5e6, rabi_probe=5e6, optical_rate=157e6, gamma_s=1e6)
     (lambda: PleEmitter(single_line_table(), linewidth=200e6, rabi=5e6,
                         temperature=0.0),
      InvalidParameterError, "temperature must be positive"),
+    (lambda: PleEmitter(single_line_table(), linewidth=1e151, rabi=5e6),
+     DomainError, "linewidth and rabi must be at most 1e+150 Hz: the squares of "
+     "their angular frequencies overflow in the line shape"),
+    (lambda: simulate_t1_recovery(CALIB, [-1e-9, 1e-6]), InvalidParameterError,
+     "taus must be non-negative and increasing"),
     (lambda: simulate_ple_scan([PleEmitter(single_line_table(), 200e6, 5e6)], []),
      InvalidParameterError, "frequencies must be a non-empty 1-d array"),
 ], ids=["spin-pump-rate", "spin-pump-samples", "spin-pump-times", "no-peak",
         "cpt-rabi", "cpt-rate", "cpt-gamma-s", "cpt-split", "cpt-t2-star",
-        "ple-linewidth", "ple-rabi", "ple-temperature", "ple-frequencies"])
+        "ple-linewidth", "ple-rabi", "ple-temperature", "ple-rate-overflow",
+        "t1-taus", "ple-frequencies"])
 def test_bad_argument_is_named(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()

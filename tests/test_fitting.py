@@ -196,6 +196,20 @@ class TestLmCore:
         assert [v["sigma"] for v in payload["params"].values()] == [None] * 3
         assert payload["params"]["timescale"]["value"] == 1e-300
 
+    def test_covariance_that_no_inverse_reaches_is_a_flag(self):
+        # a T1 recovery of a 1e13 Hz signal over 0.3 ns: J^T J is singular,
+        # and its pseudo-inverse, which the singular fit once reported as
+        # its covariance, raised "SVD did not converge" out of lm_fit
+        t = np.linspace(6.978305848598664e-10, 1e-09, 11)
+        y = 1.0017388196343137e+13 + np.array(
+            [0.0, 510415.96, 1005639.41, 1486122.54, 1952304.10, 2404609.78,
+             2843452.60, 3269233.27, 3682340.59, 4083151.78, 4472032.84])
+        result = lm_fit(EXP_RECOVERY, Spectrum(t, y))
+        assert "singular_covariance" in result.flags
+        assert not result.converged
+        assert np.all(np.isnan(result.sigmas))
+        assert np.all(np.isnan(result.covariance))
+
 
 class TestLorentzianFit:
     def test_noiseless_recovery(self):

@@ -315,6 +315,14 @@ class TestFieldMap:
             cuboid_field(m, (-0.02, 0.005, 0.005))
         assert str(on_grid.value) == str(direct.value)
 
+    def test_far_field_cancellation_is_rejected_without_a_warning(self):
+        # 1 km below a thin 1 km tall magnet, v + r of the closed form rounds
+        # to 0 and two faces' infinities met as inf - inf, which leaked an
+        # "invalid value" RuntimeWarning before the rejection
+        m = CuboidMagnet((1e-3, 1e-5, 1e3), (1e-3, 1e-5, 1e3), (10.0, 10.0, 10.0))
+        with pytest.raises(DomainError, match="edge"):
+            field_map_grid([m], [0.00046666666666666666], [1e-5], [-1e3])
+
     def test_non_finite_axis_rejected(self):
         with pytest.raises(InvalidParameterError):
             field_map_grid(ASSEMBLY, [np.nan], [0.0], [0.0])
